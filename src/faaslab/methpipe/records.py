@@ -12,6 +12,12 @@ Two line layouts are accepted:
 A line whose column 4 is ``+`` or ``-`` is taken as the internal form;
 anything else is parsed BED-style.
 
+``tsv_to_records`` returns plain 6-tuples in ``MethRecord`` field order
+``(chrom, start, end, strand, coverage, meth_pct)``, which compare and sort
+exactly like ``MethRecord``; ``parse_meth_record`` returns a ``MethRecord``.
+Internal lines are parsed in batches; a batch with any other line falls
+back to ``parse_meth_record`` line by line (see ``tsv_to_records``).
+
 Sort order is (chrom, start, end, strand), compared field by field.
 Chromosome names compare in raw byte order, so "chr10" sorts before "chr2";
 the pipeline only needs a total order, not the genomics natural order.
@@ -20,6 +26,7 @@ the pipeline only needs a total order, not the genomics natural order.
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Iterable, NamedTuple
 
 from faaslab.errors import ParseError
@@ -126,34 +133,103 @@ def records_to_tsv(records: Iterable[MethRecord]) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-def tsv_to_records(payload: bytes) -> list[MethRecord]:
-    """Parse a TSV payload into records.
+# Bytes per batch-parse chunk; chunks are cut after a newline.
+CHUNK_BYTES = 1 << 16
 
-    Internal 6-column lines take a fast path; anything else falls back to
-    parse_meth_record so real bedMethyl files can be ingested too.
+_STRAND_TEXT = {b"+": "+", b"-": "-"}
+
+
+def _parse_chunk(chunk: bytes) -> list[tuple] | None:
+    """Batch-parse a newline-terminated chunk of internal 6-column lines.
+
+    Returns None when any line is not a valid internal line, in which case
+    the caller parses the chunk line by line.
     """
-    out: list[MethRecord] = []
-    append = out.append
-    chrom_cache: dict[bytes, str] = {}
-    for raw in payload.splitlines():
-        cols = raw.split(b"\t")
-        if len(cols) == 6 and (cols[3] == b"+" or cols[3] == b"-"):
-            cb = cols[0]
-            chrom = chrom_cache.get(cb)
-            if chrom is None:
-                chrom = chrom_cache[cb] = cb.decode("ascii")
-            append(
-                MethRecord(
-                    chrom,
-                    int(cols[1]),
-                    int(cols[2]),
-                    "+" if cols[3] == b"+" else "-",
-                    int(cols[4]),
-                    int(cols[5]),
-                )
-            )
-        else:
-            record = parse_meth_record(raw.decode("utf-8"))
-            if record is not None:
-                append(record)
+    if b"\r" in chunk:
+        return None
+    # Each newline becomes the first byte of the field after it, and the
+    # first field gets one too. With 6 fields per newline, every line has
+    # exactly 6 columns when each chrom field (every sixth) starts with one.
+    fields = chunk.replace(b"\n", b"\t\n").split(b"\t")
+    if len(fields) != 6 * chunk.count(b"\n") + 1:
+        return None
+    fields[0] = b"\n" + fields[0]
+    raw_chroms = fields[0:-1:6]
+    names: dict[bytes, str] = {}
+    for raw in set(raw_chroms):
+        if raw[:1] != b"\n" or len(raw) < 2 or raw[1:2] == b"#":
+            return None
+        try:
+            # interned, so records share one object per name and sort
+            # comparisons of equal names take the identity fast path
+            names[raw] = sys.intern(raw[1:].decode("utf-8"))
+        except UnicodeDecodeError:
+            return None
+    raw_strands = fields[3::6]
+    if not set(raw_strands) <= _STRAND_TEXT.keys():
+        return None
+    try:
+        starts = list(map(int, fields[1::6]))
+        ends = list(map(int, fields[2::6]))
+        coverages = list(map(int, fields[4::6]))
+        meths = list(map(int, fields[5::6]))
+    except ValueError:
+        return None
+    if (
+        min(starts) < 0
+        or min(coverages) < 0
+        or min(meths) < 0
+        or max(meths) > 100
+        or any(map(operator.le, ends, starts))
+    ):
+        return None
+    return list(
+        zip(
+            map(names.__getitem__, raw_chroms),
+            starts,
+            ends,
+            map(_STRAND_TEXT.__getitem__, raw_strands),
+            coverages,
+            meths,
+        )
+    )
+
+
+def _parse_lines(chunk: bytes) -> list[tuple]:
+    """Parse a chunk line by line with parse_meth_record."""
+    out = []
+    for raw in chunk.splitlines():
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            column = raw.count(b"\t", 0, exc.start) + 1
+            raise ParseError(column, f"not valid UTF-8 at byte {exc.start} of the line") from None
+        record = parse_meth_record(line)
+        if record is not None:
+            out.append(tuple(record))
+    return out
+
+
+def tsv_to_records(payload: bytes) -> list[tuple]:
+    """Parse a TSV payload into plain 6-tuples in MethRecord field order.
+
+    The payload is parsed in newline-aligned chunks of about CHUNK_BYTES.
+    A chunk made only of valid internal 6-column lines is parsed as one
+    batch. Any other chunk (BED-style or comment lines, blank lines, ``\\r``
+    line ends, or any line parse_meth_record rejects) is parsed line by
+    line with parse_meth_record, so the result, and the ParseError on bad
+    input, is the same as parsing each line on its own. Non-UTF-8 bytes
+    raise ParseError naming their column.
+    """
+    out: list[tuple] = []
+    size = len(payload)
+    start = 0
+    while start < size:
+        stop = payload.find(b"\n", start + CHUNK_BYTES - 1) + 1 or size
+        chunk = payload[start:stop]
+        if chunk[-1:] != b"\n":
+            chunk += b"\n"
+        records = _parse_chunk(chunk)
+        out.extend(_parse_lines(chunk) if records is None else records)
+        start = stop
     return out

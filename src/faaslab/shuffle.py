@@ -2,8 +2,8 @@
 
 Serverless path: sample input heads, derive range-partition boundaries,
 have each of w mappers sort and write one fragment object per reducer
-(w*w objects through the store), then let each reducer stream-merge its
-w fragments into one sorted output object.
+(w*w objects through the store), then let each reducer merge its w
+sorted fragments into one sorted output object.
 
 VM path: gather every input object into one machine, sort globally, and
 scatter w_out range outputs for the encode stage.
@@ -27,7 +27,13 @@ from typing import Callable, Iterable, Sequence
 
 from faaslab.blobstore import Session
 from faaslab.errors import DomainError, MemoryBudgetError, MissingPartition, NotFound
-from faaslab.methpipe.records import SORT_KEY, MethRecord, records_to_tsv, tsv_to_records
+from faaslab.methpipe.records import (
+    CHUNK_BYTES,
+    SORT_KEY,
+    MethRecord,
+    records_to_tsv,
+    tsv_to_records,
+)
 
 SortKeyT = tuple[str, int, int, str]
 
@@ -143,17 +149,20 @@ def sample_keys(
 
 
 def partition_records(records: Iterable[MethRecord], plan: ShufflePlan) -> list[list[MethRecord]]:
-    """Split records into w fragments by key range and sort each fragment."""
-    fragments: list[list[MethRecord]] = [[] for _ in range(plan.w)]
-    if plan.boundaries:
-        boundaries = plan.boundaries
-        key_of = SORT_KEY
-        for record in records:
-            fragments[bisect_left(boundaries, key_of(record))].append(record)
-    else:
-        fragments[0].extend(records)
-    for fragment in fragments:
-        fragment.sort()
+    """Split records into w sorted fragments by key range.
+
+    Sorts once, then cuts the sorted list at each boundary; bisect_right
+    keeps a key equal to a boundary in the lower range.
+    """
+    ordered = sorted(records)
+    fragments = []
+    lo = 0
+    for boundary in plan.boundaries:
+        hi = bisect_right(ordered, boundary, lo, key=SORT_KEY)
+        fragments.append(ordered[lo:hi])
+        lo = hi
+    fragments.append(ordered[lo:])
+    fragments.extend([] for _ in range(plan.w - len(fragments)))
     return fragments
 
 
@@ -204,14 +213,16 @@ def read_fragments(
 
 
 def merge_fragments(payloads: list[bytes]) -> list[MethRecord]:
-    """K-way merge of already-sorted fragments into one sorted list."""
-    parsed = [tsv_to_records(p) for p in payloads]
-    if len(parsed) == 1:
-        records = parsed[0]
-        if any(a > b for a, b in zip(records, records[1:])):
-            records = sorted(records)
-        return records
-    return list(heapq.merge(*parsed))
+    """Merge sorted fragments into one sorted list.
+
+    Parses the concatenated fragments once; list.sort finds the w sorted
+    runs and merges them.
+    """
+    records = tsv_to_records(
+        b"".join(p if p.endswith(b"\n") or not p else p + b"\n" for p in payloads)
+    )
+    records.sort()
+    return records
 
 
 def merge_partition(
@@ -332,8 +343,8 @@ def _external_sort_exchange(
 
         def run_reader(path: str):
             with open(path, "rb") as fh:
-                for line in fh:
-                    yield tsv_to_records(line)[0]
+                for lines in iter(lambda: fh.readlines(CHUNK_BYTES), []):
+                    yield from tsv_to_records(b"".join(lines))
 
         merged = heapq.merge(*(run_reader(p) for p in runs)) if runs else iter(())
         entries = []

@@ -248,3 +248,21 @@ def test_faaslab_profile_env_override(paper_workflow, tmp_path, capsys, monkeypa
     base = parse_report(base_out)
     slow = parse_report(slow_out)
     assert slow.end_to_end_s == pytest.approx(base.end_to_end_s + 2 * 40.0)
+
+@pytest.mark.parametrize(
+    "bad",
+    [b"chr1\tx\t5\t+\t1\t2\n", b"chr\xff1\t1\t5\t+\t1\t2\n"],
+)
+def test_run_emulate_malformed_input_line_exit_1(desk_workflow, tmp_path, capsys, bad):
+    store = tmp_path / "s"
+    run_cli(capsys, "generate", "--records", "2000", "--objects", "4", "--store", str(store))
+    # the head of object 0 is sampled at a phase barrier, outside the worker pool
+    first = store / "data" / "raw%2F0000"
+    first.write_bytes(bad + first.read_bytes())
+    code, _, err = run_cli(
+        capsys, "run", "--workflow", desk_workflow, "--mode", "emulate",
+        "--store", str(store), "--json",
+    )
+    assert code == 1
+    assert "column" in err
+    assert "Traceback" not in err

@@ -26,6 +26,7 @@ from faaslab.methpipe import (
     tsv_to_records,
 )
 from faaslab.methpipe.codec import MAGIC
+from faaslab.methpipe.records import CHUNK_BYTES
 
 
 # --- parsing ---------------------------------------------------------------
@@ -223,3 +224,138 @@ def test_baseline_falls_back_without_binary():
     assert baseline_compressed_size(data, command=("definitely-not-a-compressor",)) == len(
         gzip.compress(data, compresslevel=9)
     )
+
+
+# --- batch parser parity ------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "line,column",
+    [
+        (b"chr1\t-5\t3\t+\t1\t200", 6),                    # negative start, meth_pct > 100
+        (b"chr1\t-5\t3\t+\t1\t20", 2),                     # negative start
+        (b"chr1\t10\t5\t+\t1\t50", 3),                     # end <= start
+        (b"chr1\t10\t10\t+\t1\t50", 3),                    # end == start
+        (b"chr1\t1\t5\t+\t-1\t50", 5),                     # negative coverage
+        (b"\t1\t5\t+\t1\t2", 1),                           # empty chrom
+        (b"chr1\tx\t5\t+\t1\t2", 2),                       # start not an integer
+    ],
+)
+def test_tsv_rejects_what_line_parser_rejects(line, column):
+    with pytest.raises(ParseError) as line_err:
+        parse_meth_record(line.decode())
+    assert line_err.value.column == column
+    good = b"chr1\t1\t2\t+\t3\t4\n"
+    for payload in (line + b"\n", line, good * 5000 + line + b"\n" + good):
+        with pytest.raises(ParseError) as err:
+            tsv_to_records(payload)
+        assert err.value.column == column
+
+def test_tsv_non_utf8_is_parse_error():
+    with pytest.raises(ParseError) as err:
+        tsv_to_records(b"chr\xff1\t1\t5\t+\t1\t2\n")
+    assert err.value.column == 1
+    with pytest.raises(ParseError) as err:
+        tsv_to_records(b"chr1\t1\t5\t+\t1\t2\n" * 5000 + b"chr1\t1\t5\t+\t1\t\xfe2\n")
+    assert err.value.column == 6
+
+def test_tsv_skips_comment_with_internal_shape():
+    assert tsv_to_records(b"#chr1\t1\t2\t+\t1\t2\nchr1\t1\t2\t-\t1\t2\n") == [
+        ("chr1", 1, 2, "-", 1, 2)
+    ]
+
+def test_tsv_returns_plain_tuples():
+    records = generate_synthetic(3000, seed=4, shuffled=True)
+    parsed = tsv_to_records(records_to_tsv(records))
+    assert parsed == records
+    assert all(type(r) is tuple for r in parsed)
+    bed = tsv_to_records(b"chr1\t7\t8\tsite\t0\t-\t7\t8\t0,0,0\t9\t10\n")
+    assert type(bed[0]) is tuple
+
+def _line_oracle(payload: bytes):
+    """Parse each line on its own: ("ok", records) or ("error", column)."""
+    out = []
+    for raw in payload.splitlines():
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return "error", None
+        try:
+            record = parse_meth_record(line)
+        except ParseError as exc:
+            return "error", exc.column
+        if record is not None:
+            out.append(record)
+    return "ok", out
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"chr1\t1\t2\t+\t3\t4\tchrX\n5\t6\t+\t7\t8\n",   # 7 then 5 columns, 12 in all
+        b"chr1\t1\t2\t+\n3\t4\n",                         # 4 then 2 columns, 6 in all
+        b"chr1\t1\r\t2\t+\t3\t4\n",                       # a lone \r ends a line
+        b"chr1\t1\t2\t+\t3\t4\r\nchr1\t1\t2\t-\t3\t4\r\n",
+    ],
+)
+def test_tsv_line_structure_matches_line_oracle(payload):
+    expected = _line_oracle(payload)
+    try:
+        got = "ok", tsv_to_records(payload)
+    except ParseError as exc:
+        got = "error", exc.column
+    assert got == expected
+
+_BASE = records_to_tsv(generate_synthetic(7000, seed=21, shuffled=True))
+_BASE_LINES = _BASE.splitlines(keepends=True)
+# index of the first line after the first parse chunk
+_SECOND_CHUNK_LINE = _BASE[: _BASE.index(b"\n", CHUNK_BYTES - 1)].count(b"\n") + 1
+
+_field_text = st.sampled_from(
+    ["chr1", "chr2", "", "#c", "-5", "0", "5", "10", "101", "200", " 7", "1_0", "3.5", "+",
+     "-", ".", "x", "\r", "7\r", "c\rhr", "\x0b", "٣", "\xe9"]
+)
+_hostile_line = st.one_of(
+    st.sampled_from(
+        [
+            b"chr1\t-5\t3\t+\t1\t200",
+            b"chr1\t10\t5\t+\t1\t50",
+            b"\t1\t5\t+\t1\t2",
+            b"chr1\tx\t5\t+\t1\t2",
+            b"chr\xff1\t1\t5\t+\t1\t2",
+            b"#chr1\t1\t2\t+\t1\t2",
+            b"chr1\t1\t2\t+\t3\t4\tchrX\n5\t6\t+\t7\t8",
+            b"chr1\t1\r\t2\t+\t3\t4",
+            b"chr1\t1\t2\t+\n3\t4",
+            b"",
+            b"chr1\t1\t2\t+\t3\t4\r",
+            b"chr1\t7\t8\tsite\t0\t-\t7\t8\t0,0,0\t9\t10",
+        ]
+    ),
+    st.lists(_field_text, min_size=1, max_size=12).map(lambda f: "\t".join(f).encode()),
+    st.binary(max_size=40),
+)
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=_SECOND_CHUNK_LINE, max_value=len(_BASE_LINES)), _hostile_line),
+        max_size=3,
+    ),
+    st.booleans(),
+)
+def test_tsv_matches_line_oracle(insertions, trailing_newline):
+    lines = list(_BASE_LINES)
+    for index, line in sorted(insertions, reverse=True):
+        lines.insert(index, line + b"\n")
+    payload = b"".join(lines)
+    if not trailing_newline:
+        payload = payload[:-1]
+    assert len(payload) > 2 * CHUNK_BYTES
+    expected = _line_oracle(payload)
+    try:
+        got = "ok", tsv_to_records(payload)
+    except ParseError as exc:
+        got = "error", exc.column
+    if expected[0] == "error" and expected[1] is None:
+        assert got[0] == "error"
+    else:
+        assert got == expected

@@ -1,5 +1,6 @@
 """Exchange strategy tests: planning, partition laws, merges, equivalence."""
 
+import bisect
 import math
 import random
 
@@ -154,7 +155,7 @@ def test_merge_two_fragments():
     a = records_to_tsv([rec("chr1", 1), rec("chr1", 3)])
     b = records_to_tsv([rec("chr1", 2), rec("chr1", 4)])
     merged = merge_fragments([a, b])
-    assert [r.start for r in merged] == [1, 2, 3, 4]
+    assert [r[1] for r in merged] == [1, 2, 3, 4]
 
 def test_merge_partition_single_mapper_copy_through():
     store = fast_store()
@@ -285,3 +286,40 @@ def test_sample_keys_counts_one_get_per_object():
     assert store.store_metrics().get_count == 5
     assert keys
     assert all(isinstance(k, tuple) and len(k) == 4 for k in keys)
+
+
+# --- sort-once partition and sort-based merge against references ----------------
+
+_small_records = st.lists(
+    st.builds(
+        rec,
+        chrom=st.sampled_from(["chr1", "chr2"]),
+        start=st.integers(min_value=0, max_value=30),
+        cov=st.integers(min_value=0, max_value=3),
+        meth=st.integers(min_value=0, max_value=100),
+        strand=st.sampled_from(["+", "-"]),
+    ),
+    max_size=200,
+)
+
+@settings(deadline=None, max_examples=100)
+@given(_small_records, st.data())
+def test_partition_matches_route_then_sort_reference(records, data):
+    keys = sorted({SORT_KEY(r) for r in records} | {("chr1", 15, 16, "+"), ("chr3", 0, 1, "+")})
+    boundaries = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=8).map(sorted))
+    w = data.draw(st.integers(min_value=len(boundaries) + 1, max_value=len(boundaries) + 3))
+    plan = ShufflePlan(w, tuple(boundaries))
+    reference = [[] for _ in range(w)]
+    for r in records:
+        reference[bisect.bisect_left(plan.boundaries, SORT_KEY(r))].append(r)
+    for fragment in reference:
+        fragment.sort()
+    assert partition_records(records, plan) == reference
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_small_records, max_size=9))
+def test_merge_fragments_equals_sorted_concat(fragments):
+    from faaslab.methpipe import records_to_tsv
+
+    payloads = [records_to_tsv(sorted(f)) for f in fragments]
+    assert merge_fragments(payloads) == sorted(r for f in fragments for r in f)
