@@ -24,7 +24,8 @@ import math
 import sys
 from pathlib import Path
 
-from faaslab.blobstore import StoreProfile
+from faaslab.blobstore import StoreMetrics, StoreProfile
+from faaslab.engine import VM_VOLUME_GB, request_laws
 from faaslab.perfmodel import (
     ComputeProfile,
     PriceSheet,
@@ -35,7 +36,7 @@ from faaslab.perfmodel import (
     shuffle_latency_model,
     vm_exchange_latency_model,
 )
-from faaslab.blobstore import StoreMetrics
+from faaslab.workflow import ExchangeStrategy, StageKind
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "src" / "faaslab" / "profiles"
 
@@ -48,7 +49,6 @@ REF_SERVERLESS_S = 83.32
 REF_VM_S = 142.77
 REF_SERVERLESS_COST = 0.008
 REF_VM_COST = 0.010
-VM_VOLUME_GB = 100.0  # engine default billing volume for the VM path
 
 # Fixed shape parameters (cloud-magnitude choices, not measurements).
 REQ_LATENCY = 0.02
@@ -66,6 +66,13 @@ PRICE_VOL_GB_S = 4e-8
 
 def _round_sig(value: float, digits: int = 3) -> float:
     return float(f"{value:.{digits}g}")
+
+
+def reference_requests(exchange: ExchangeStrategy) -> StoreMetrics:
+    """Store requests of the reference sort+encode run, by the engine's count laws."""
+    sort = request_laws(StageKind.SORT_EXCHANGE, exchange, W, N_IN, S)
+    encode = request_laws(StageKind.ENCODE, exchange, W, W, S, ratio=RATIO)
+    return sort + encode
 
 
 def fit_calibrated() -> Profiles:
@@ -106,9 +113,8 @@ def fit_calibrated() -> Profiles:
     sort_total = shuffle_latency_model(S, W, N_IN, store, compute).total
     enc_total = encode_latency_model(S, W, RATIO, store, compute).total
     busy = (sort_total - FN_STARTUP) + (enc_total - FN_STARTUP)
-    puts_s = (W * W + W) + W
-    gets_s = (2 * N_IN + W * W) + W
-    req_cost_s = puts_s * PRICE_PUT + gets_s * PRICE_GET
+    requests_s = reference_requests(ExchangeStrategy.SERVERLESS)
+    req_cost_s = requests_s.put_count * PRICE_PUT + requests_s.get_count * PRICE_GET
     inv_cost_s = 2 * W * PRICE_INVOCATION
     price_gb_s = _round_sig(
         (REF_SERVERLESS_COST - req_cost_s - inv_cost_s) / (W * FN_MEM_GB * busy), 2
@@ -118,7 +124,8 @@ def fit_calibrated() -> Profiles:
     vm_seconds = vm_total
     enc_busy = enc_total - FN_STARTUP
     fn_cost_v = W * enc_busy * FN_MEM_GB * price_gb_s
-    req_cost_v = (W + W) * PRICE_PUT + (N_IN + W) * PRICE_GET
+    requests_v = reference_requests(ExchangeStrategy.VM)
+    req_cost_v = requests_v.put_count * PRICE_PUT + requests_v.get_count * PRICE_GET
     inv_cost_v = W * PRICE_INVOCATION
     vol_cost_v = VM_VOLUME_GB * vm_seconds * PRICE_VOL_GB_S
     price_vm_s = _round_sig(
@@ -149,21 +156,19 @@ def summarize(profiles: Profiles) -> dict:
     serverless_latency = sort_total + enc_total
     vm_latency = vm_total + enc_total
 
-    metrics_s = StoreMetrics(put_count=W * W + 2 * W, get_count=2 * N_IN + W * W + W)
     cost_s = compute_cost(
         [sort_total - compute.fn_startup, enc_total - compute.fn_startup],
         [W, W],
-        metrics_s,
+        reference_requests(ExchangeStrategy.SERVERLESS),
         0.0,
         0.0,
         prices,
         compute,
     ).total
-    metrics_v = StoreMetrics(put_count=2 * W, get_count=N_IN + W)
     cost_v = compute_cost(
         [enc_total - compute.fn_startup],
         [W],
-        metrics_v,
+        reference_requests(ExchangeStrategy.VM),
         vm_total,
         VM_VOLUME_GB,
         prices,

@@ -10,8 +10,8 @@ profile's processing rates, so the accounting assumes w-wide concurrency
 regardless of host cores and timings are bit-for-bit reproducible.
 
 Modeled mode skips data movement entirely and evaluates the closed-form
-phase formulas, synthesizing request counts from the exchange's exact
-count laws.
+phase formulas, taking request counts from the exchange's exact count
+laws (`request_laws`).
 
 Cold start (or VM provisioning) is injected as a delay once per stage
 wave in both modes.
@@ -23,10 +23,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 from faaslab import shuffle
-from faaslab.blobstore import Blobstore, StoreMetrics
+from faaslab.blobstore import Blobstore, Session, StoreMetrics
 from faaslab.errors import (
     ExecutionError,
     MemoryBudgetError,
@@ -56,6 +57,9 @@ from faaslab.workflow import (
 
 GB = 1e9
 
+# Block volume billed for the whole life of a VM exchange, in GB.
+VM_VOLUME_GB = 100.0
+
 ENCODED_TEMPLATE = "encoded/{stage}/{index}"
 
 
@@ -83,27 +87,9 @@ class ExecHooks:
 @dataclass
 class EngineOptions:
     vm_mem_gb: float = 32.0
-    vm_volume_gb: float = 100.0
     external_sort: bool = False
-    host_parallelism: int | None = None
     progress: ProgressFn | None = None
     hooks: ExecHooks | None = None
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """One worker's assignment within a stage.
-
-    The memory budget is what the executing unit may materialize at
-    once; function tasks get the configured function memory, the VM task
-    its machine memory.
-    """
-
-    stage_id: str
-    worker: int
-    input_keys: tuple[str, ...]
-    output_prefix: str
-    memory_budget: int
 
 
 @dataclass(frozen=True)
@@ -134,6 +120,43 @@ class RunReport:
         for stage in self.stages:
             total += stage.latency.total
         return total
+
+
+def request_laws(
+    kind: StageKind,
+    exchange: ExchangeStrategy,
+    w: int,
+    n_in: int,
+    size: float = 0.0,
+    sample_bytes: int = shuffle.DEFAULT_SAMPLE_BYTES,
+    ratio: float = DEFAULT_COMPRESSION_RATIO,
+) -> StoreMetrics:
+    """Store requests of one stage with w workers and n_in input objects.
+
+    Counts are exact for both modes:
+    - serverless sort: GET = 2*n_in + w^2 (one sampler range GET and one
+      read per input, w^2 partition reads), PUT = w^2 + w (partitions
+      and sorted outputs);
+    - VM sort: GET = n_in, PUT = w;
+    - encode: GET = PUT = n_in.
+
+    Byte counters are estimates from the stage's input `size`: the
+    sampler reads min(sample_bytes, size / n_in) of each input, and an
+    encode stage writes size / ratio.
+    """
+    if kind is StageKind.ENCODE:
+        return StoreMetrics(
+            put_count=n_in, get_count=n_in, bytes_in=int(size / ratio), bytes_out=int(size)
+        )
+    if exchange is ExchangeStrategy.VM:
+        return StoreMetrics(put_count=w, get_count=n_in, bytes_in=int(size), bytes_out=int(size))
+    sample = n_in * min(sample_bytes, size / max(n_in, 1))
+    return StoreMetrics(
+        put_count=w * w + w,
+        get_count=2 * n_in + w * w,
+        bytes_in=int(2 * size),
+        bytes_out=int(2 * size + sample),
+    )
 
 
 class WorkerPool:
@@ -187,32 +210,6 @@ class WorkerPool:
                 raise failure
 
 
-class _StageClock:
-    """Phase timing over either clock kind."""
-
-    def __init__(self, store: Blobstore):
-        self.store = store
-        self.clock = store.clock
-        self.virtual = store.clock.virtual
-
-    def now(self) -> float:
-        return self.clock.now()
-
-    def phase_start(self) -> float:
-        """Open a new shaping window and return the phase start time."""
-        self.store.reset_shaping_window()
-        return self.clock.now()
-
-    def charge(self, seconds: float) -> None:
-        """Advance virtual time; a no-op on a wall clock (real work ran)."""
-        if self.virtual and seconds > 0:
-            self.clock.sleep(seconds)
-
-    def delay(self, seconds: float) -> None:
-        """Injected delay (cold start, provisioning) in both modes."""
-        self.clock.sleep(seconds)
-
-
 def _resolve_input(spec: WorkflowSpec, store: Blobstore) -> DataRef:
     objects = store.peek_prefix(spec.input.prefix)
     if not objects:
@@ -226,12 +223,43 @@ def _ref_size(ref: DataRef) -> int:
     return sum(size for _, size in ref.objects or ())
 
 
-def _round_robin(items: tuple, w: int) -> list[list]:
-    return [list(items[i::w]) for i in range(w)]
-
-
 def _stage_ratio(stage: StageSpec) -> float:
     return float(stage.options.get("ratio", DEFAULT_COMPRESSION_RATIO))
+
+
+def _sample_bytes(stage: StageSpec) -> int:
+    return int(stage.options.get("sample_bytes", shuffle.DEFAULT_SAMPLE_BYTES))
+
+
+def _fetch(session: Session, objects, track) -> Iterator[bytes]:
+    """GET each (key, size) object in order."""
+    for key, _ in objects:
+        payload = session.get_object(key)
+        if track:
+            track(len(payload))
+        yield payload
+
+
+def _write_sorted(session: Session, stage_id: str, reducer: int, records, track) -> tuple[str, int]:
+    """PUT one sorted output range; returns its (key, size)."""
+    payload = records_to_tsv(records)
+    if track:
+        track(len(payload))
+    key = shuffle.output_key(stage_id, reducer)
+    session.put_object(key, payload)
+    return key, len(payload)
+
+
+def _cleanup_stage_outputs(store: Blobstore, stage: StageSpec) -> None:
+    """Failed stages leave no outputs behind."""
+    prefixes = (
+        [f"part/{stage.id}/", f"sorted/{stage.id}/"]
+        if stage.kind is StageKind.SORT_EXCHANGE
+        else [f"encoded/{stage.id}/"]
+    )
+    for prefix in prefixes:
+        for key, _ in store.peek_prefix(prefix):
+            store.delete_object(key)
 
 
 class _Run:
@@ -249,6 +277,8 @@ class _Run:
         self.store = store
         self.options = options
         self.profiles = spec.profiles
+        # what one function task may hold in memory at once
+        self.fn_budget = int(spec.profiles.compute.fn_mem_gb * GB)
         self.busy_times: list[float] = []
         self.busy_workers: list[int] = []
         self.vm_seconds = 0.0
@@ -276,32 +306,48 @@ class _Run:
             self.busy_workers,
             self.metrics_so_far,
             self.vm_seconds,
-            self.options.vm_volume_gb if self.vm_used else 0.0,
+            VM_VOLUME_GB if self.vm_used else 0.0,
             self.profiles.prices,
             self.profiles.compute,
         )
 
+    def _resolve_w(self, size: float, n_in: int, store_profile) -> int:
+        """The declared parallelism, or the optimizer's choice for auto."""
+        spec = self.spec
+        if spec.parallelism is not None:
+            w = spec.parallelism
+        elif size > 0:
+            ratio = next(
+                (_stage_ratio(s) for s in spec.stages if s.kind is StageKind.ENCODE),
+                DEFAULT_COMPRESSION_RATIO,
+            )
+            w = optimal_worker_count(
+                size, n_in, store_profile, self.profiles.compute, spec.w_max, ratio
+            )
+        else:
+            w = 1
+        self.resolved_w = w
+        return w
+
     def _record_stage(
-        self,
-        stage: StageSpec,
-        workers: int,
-        latency: LatencyBreakdown,
-        requests: StoreMetrics,
-        vm_stage: bool,
+        self, stage: StageSpec, latency: LatencyBreakdown, requests: StoreMetrics
     ) -> None:
+        vm_stage = (
+            stage.kind is StageKind.SORT_EXCHANGE and self.spec.exchange is ExchangeStrategy.VM
+        )
         busy = latency.total - latency.startup
         if vm_stage:
             self.vm_seconds += latency.total
             self.vm_used = True
         else:
             self.busy_times.append(busy)
-            self.busy_workers.append(workers)
+            self.busy_workers.append(self.resolved_w)
         self.metrics_so_far = self.metrics_so_far + requests
         self.stage_reports.append(
             StageReport(
                 stage_id=stage.id,
                 kind=stage.kind.value,
-                workers=workers,
+                workers=self.resolved_w,
                 latency=latency,
                 requests=requests,
                 busy_seconds=0.0 if vm_stage else busy,
@@ -329,77 +375,39 @@ class _Run:
 
     def run_modeled(self) -> RunReport:
         spec = self.spec
-        store_profile = self.profiles.store
-        compute = self.profiles.compute
+        store, compute = self.profiles.store, self.profiles.compute
         if spec.input.size_bytes is None:
             raise ValidationError(["modeled runs need input.size_bytes"])
         size = float(spec.input.size_bytes)
-        n_in = spec.input.object_count or 1
-        if spec.parallelism is not None:
-            w = spec.parallelism
-        elif size > 0:
-            ratio = next(
-                (
-                    _stage_ratio(s)
-                    for s in spec.stages
-                    if s.kind is StageKind.ENCODE
-                ),
-                DEFAULT_COMPRESSION_RATIO,
-            )
-            w = optimal_worker_count(size, n_in, store_profile, compute, spec.w_max, ratio)
-        else:
-            w = 1
-        self.resolved_w = w
-
-        current_size = size
-        current_count = n_in
+        count = spec.input.object_count or 1
+        w = self._resolve_w(size, count, store)
         for stage in spec.stages:
-            if stage.kind is StageKind.SORT_EXCHANGE:
-                if spec.exchange is ExchangeStrategy.SERVERLESS:
-                    latency = (
-                        shuffle_latency_model(current_size, w, current_count, store_profile, compute)
-                        if current_size > 0
-                        else LatencyBreakdown(startup=compute.fn_startup)
-                    )
-                    sample = current_count * min(
-                        shuffle.DEFAULT_SAMPLE_BYTES, current_size / max(current_count, 1)
-                    )
-                    requests = StoreMetrics(
-                        put_count=w * w + w,
-                        get_count=2 * current_count + w * w,
-                        bytes_in=int(2 * current_size),
-                        bytes_out=int(2 * current_size + sample),
-                    )
-                    self._record_stage(stage, w, latency, requests, vm_stage=False)
-                else:
-                    latency = (
-                        vm_exchange_latency_model(current_size, current_count, w, store_profile, compute)
-                        if current_size > 0
-                        else LatencyBreakdown(startup=compute.vm_provision)
-                    )
-                    requests = StoreMetrics(
-                        put_count=w,
-                        get_count=current_count,
-                        bytes_in=int(current_size),
-                        bytes_out=int(current_size),
-                    )
-                    self._record_stage(stage, w, latency, requests, vm_stage=True)
-                current_count = w
-            else:
-                ratio = _stage_ratio(stage)
+            ratio = _stage_ratio(stage)
+            requests = request_laws(
+                stage.kind, spec.exchange, w, count, size, _sample_bytes(stage), ratio
+            )
+            if stage.kind is StageKind.ENCODE:
                 latency = (
-                    encode_latency_model(current_size, w, ratio, store_profile, compute)
-                    if current_size > 0
+                    encode_latency_model(size, w, ratio, store, compute)
+                    if size > 0
                     else LatencyBreakdown(startup=compute.fn_startup)
                 )
-                requests = StoreMetrics(
-                    put_count=current_count,
-                    get_count=current_count,
-                    bytes_in=int(current_size / ratio),
-                    bytes_out=int(current_size),
+                size = size / ratio
+            elif spec.exchange is ExchangeStrategy.VM:
+                latency = (
+                    vm_exchange_latency_model(size, count, w, store, compute)
+                    if size > 0
+                    else LatencyBreakdown(startup=compute.vm_provision)
                 )
-                self._record_stage(stage, w, latency, requests, vm_stage=False)
-                current_size = current_size / ratio
+                count = w
+            else:
+                latency = (
+                    shuffle_latency_model(size, w, count, store, compute)
+                    if size > 0
+                    else LatencyBreakdown(startup=compute.fn_startup)
+                )
+                count = w
+            self._record_stage(stage, latency, requests)
         return self._finish()
 
     # -- emulated mode ---------------------------------------------------------
@@ -409,430 +417,248 @@ class _Run:
         store = self.store
         if store is None:
             raise ValidationError(["emulated runs need a store with the input objects"])
-        inputs = _resolve_input(spec, store)
-        size = _ref_size(inputs)
-        n_in = len(inputs.objects)
-        compute = self.profiles.compute
-        if spec.parallelism is not None:
-            w = spec.parallelism
-        elif size > 0:
-            ratio = next(
-                (_stage_ratio(s) for s in spec.stages if s.kind is StageKind.ENCODE),
-                DEFAULT_COMPRESSION_RATIO,
-            )
-            w = optimal_worker_count(size, n_in, store.profile, compute, spec.w_max, ratio)
-        else:
-            w = 1
-        self.resolved_w = w
-
-        host = self.options.host_parallelism or os.cpu_count() or 4
-        pool = WorkerPool(min(w, host))
-
-        current = inputs
+        current = _resolve_input(spec, store)
+        w = self._resolve_w(_ref_size(current), len(current.objects), store.profile)
+        self.pool = WorkerPool(min(w, os.cpu_count() or 4))
         for stage in spec.stages:
+            if stage.kind is StageKind.ENCODE:
+                execute = self._encode
+            elif spec.exchange is ExchangeStrategy.VM:
+                execute = self._sort_vm
+            else:
+                execute = self._sort_serverless
+            before = store.store_metrics()
             try:
-                current, latency, requests, vm_stage = self._run_stage_emulated(
-                    stage, current, w, pool, store
-                )
-            except TaskError as exc:
-                if isinstance(exc.cause, MemoryBudgetError):
+                current, latency = execute(stage, current)
+            except BaseException as exc:
+                _cleanup_stage_outputs(store, stage)
+                if isinstance(exc, TaskError) and isinstance(exc.cause, MemoryBudgetError):
                     raise ExecutionError(stage.id, exc.cause) from exc.cause
-                raise ExecutionError(stage.id, exc) from exc
-            except MemoryBudgetError as exc:
-                raise ExecutionError(stage.id, exc) from exc
-            self._record_stage(stage, w, latency, requests, vm_stage)
+                if isinstance(exc, (TaskError, MemoryBudgetError)):
+                    raise ExecutionError(stage.id, exc) from exc
+                raise
+            self._record_stage(stage, latency, store.store_metrics() - before)
         return self._finish()
 
-    def _run_stage_emulated(
+    def _phase(
         self,
         stage: StageSpec,
-        inputs: DataRef,
-        w: int,
-        pool: WorkerPool,
-        store: Blobstore,
-    ):
-        before = store.store_metrics()
-        try:
-            if stage.kind is StageKind.SORT_EXCHANGE:
-                if self.spec.exchange is ExchangeStrategy.SERVERLESS:
-                    outputs, latency = _sort_serverless(
-                        stage, inputs, w, pool, store, self.profiles, self.options, self._emit
-                    )
-                    vm_stage = False
-                else:
-                    outputs, latency = _sort_vm(
-                        stage, inputs, w, store, self.profiles, self.options, self._emit
-                    )
-                    vm_stage = True
-            else:
-                outputs, latency = _encode_stage(
-                    stage, inputs, w, pool, store, self.profiles, self.options, self._emit
+        name: str,
+        fraction: float,
+        tasks: list[Callable[[], None]],
+        delay: float = 0.0,
+    ) -> float:
+        """Run one barrier phase and return its elapsed clock time.
+
+        Opens a new shaping window, waits out `delay` (cold start or VM
+        provisioning), runs the tasks on the pool with task i as worker
+        i, and emits the phase's progress event.
+        """
+        store = self.store
+        hooks = self.options.hooks
+        on_start = hooks.on_task_start if hooks else None
+
+        def started(worker: int, task):
+            def run():
+                if on_start:
+                    on_start(stage.id, name, worker)
+                task()
+
+            return run
+
+        store.reset_shaping_window()
+        t0 = store.clock.now()
+        store.clock.sleep(delay)
+        self.pool.run_phase([started(i, task) for i, task in enumerate(tasks)], store.clock)
+        elapsed = store.clock.now() - t0
+        self._emit(stage.id, name, fraction)
+        return elapsed
+
+    def _charge(self, seconds: float) -> None:
+        """Advance virtual time by modeled compute; a no-op on a wall clock (real work ran)."""
+        clock = self.store.clock
+        if clock.virtual and seconds > 0:
+            clock.sleep(seconds)
+
+    def _tracker(self, stage: StageSpec, worker: int):
+        hooks = self.options.hooks
+        if hooks and hooks.on_buffer:
+            return lambda nbytes: hooks.on_buffer(stage.id, worker, nbytes)
+        return None
+
+    def _assign(self, role: str, objects: tuple) -> list[list]:
+        """Deal objects round-robin to the w functions, within their memory."""
+        w = self.resolved_w
+        assigned = [list(objects[i::w]) for i in range(w)]
+        for worker, objs in enumerate(assigned):
+            total = sum(size for _, size in objs)
+            if total > self.fn_budget:
+                raise MemoryBudgetError(
+                    f"{role} {worker} assigned {total} bytes, budget {self.fn_budget}"
                 )
-                vm_stage = False
-        except BaseException:
-            _cleanup_stage_outputs(store, stage)
-            raise
-        requests = store.store_metrics() - before
-        return outputs, latency, requests, vm_stage
+        return assigned
 
+    def _sort_serverless(self, stage: StageSpec, inputs: DataRef):
+        store, compute, w = self.store, self.profiles.compute, self.resolved_w
+        sample_bytes = _sample_bytes(stage)
+        objects = inputs.objects
+        assigned = self._assign("mapper", objects)
+        sessions = [store.session() for _ in range(w)]
+        sampler_sessions = [store.session() for _ in objects]
+        startup = self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
 
-def _cleanup_stage_outputs(store: Blobstore, stage: StageSpec) -> None:
-    """Failed stages leave no outputs behind."""
-    prefixes = (
-        [f"part/{stage.id}/", f"sorted/{stage.id}/"]
-        if stage.kind is StageKind.SORT_EXCHANGE
-        else [f"encoded/{stage.id}/"]
-    )
-    for prefix in prefixes:
-        for key, _ in store.peek_prefix(prefix):
-            store.delete_object(key)
+        # map reads and the sampler's range GETs run concurrently in one
+        # input_read phase; the plan is built at the phase barrier, before
+        # any record is partitioned
+        payloads: list = [None] * w
+        samples: list = [None] * len(objects)
 
+        def read(worker: int):
+            track = self._tracker(stage, worker)
+            payloads[worker] = list(_fetch(sessions[worker], assigned[worker], track))
 
-def _hook_task(options: EngineOptions, stage: str, phase: str, worker: int) -> None:
-    hooks = options.hooks
-    if hooks and hooks.on_task_start:
-        hooks.on_task_start(stage, phase, worker)
-
-
-def _tracker(options: EngineOptions, stage: str, worker: int):
-    hooks = options.hooks
-    if hooks and hooks.on_buffer:
-        return lambda nbytes: hooks.on_buffer(stage, worker, nbytes)
-    return None
-
-
-def _fn_budget(profiles) -> int:
-    return int(profiles.compute.fn_mem_gb * GB)
-
-
-def _sort_serverless(
-    stage: StageSpec,
-    inputs: DataRef,
-    w: int,
-    pool: WorkerPool,
-    store: Blobstore,
-    profiles,
-    options: EngineOptions,
-    emit,
-):
-    sclock = _StageClock(store)
-    compute = profiles.compute
-    budget = _fn_budget(profiles)
-    sample_bytes = int(stage.options.get("sample_bytes", shuffle.DEFAULT_SAMPLE_BYTES))
-    objects = inputs.objects
-    assigned = _round_robin(objects, w)
-    tasks = [
-        TaskSpec(stage.id, worker, tuple(k for k, _ in objs), f"part/{stage.id}/", budget)
-        for worker, objs in enumerate(assigned)
-    ]
-    for task, objs in zip(tasks, assigned):
-        total = sum(size for _, size in objs)
-        if total > task.memory_budget:
-            raise MemoryBudgetError(
-                f"mapper {task.worker} assigned {total} bytes, budget {task.memory_budget}"
-            )
-
-    sessions = [store.session() for _ in range(w)]
-    sampler_sessions = [store.session() for _ in objects]
-
-    t0 = sclock.now()
-    sclock.delay(compute.fn_startup)
-    startup = sclock.now() - t0
-    emit(stage.id, "startup", 0.0)
-
-    # map reads and the sampler's range GETs run concurrently in one
-    # input_read phase; the plan is built at the phase barrier, before
-    # any record is partitioned
-    t0 = sclock.phase_start()
-    payloads: list[list[bytes]] = [[] for _ in range(w)]
-    sample_payloads: list = [None] * len(objects)
-
-    def read_task(worker: int):
-        def run():
-            _hook_task(options, stage.id, "input_read", worker)
-            track = _tracker(options, stage.id, worker)
-            for key in tasks[worker].input_keys:
-                payload = sessions[worker].get_object(key)
-                if track:
-                    track(len(payload))
-                payloads[worker].append(payload)
-
-        return run
-
-    def sample_task(index: int):
-        def run():
-            _hook_task(options, stage.id, "sample", w + index)
+        def sample(index: int):
             key, size = objects[index]
-            head = sampler_sessions[index].get_object(key, (0, min(sample_bytes, size)))
-            sample_payloads[index] = (head, size)
+            samples[index] = shuffle.sample_object(sampler_sessions[index], key, size, sample_bytes)
 
-        return run
+        readers = [partial(read, i) for i in range(w)]
+        samplers = [partial(sample, i) for i in range(len(objects))]
+        input_read = self._phase(stage, "input_read", 0.3, readers + samplers)
+        keys = [key for keys in samples for key in keys]
+        plan = shuffle.plan_partitions(keys, w) if keys else shuffle.ShufflePlan(w, ())
 
-    pool.run_phase(
-        [read_task(i) for i in range(w)] + [sample_task(i) for i in range(len(objects))],
-        sclock.clock,
-    )
-    samples: list = []
-    for head, size in sample_payloads:
-        complete = head if len(head) >= size else head[: head.rfind(b"\n") + 1]
-        samples.extend(shuffle.SORT_KEY(r) for r in tsv_to_records(complete))
-    plan = shuffle.plan_partitions(samples, w) if samples or w == 1 else shuffle.ShufflePlan(w, ())
-    input_read = sclock.now() - t0
-    emit(stage.id, "input_read", 0.3)
+        fragments: list = [None] * w
 
-    t0 = sclock.phase_start()
-    fragments: list[list] = [None] * w
-
-    def map_compute_task(worker: int):
-        def run():
-            _hook_task(options, stage.id, "sort_compute", worker)
+        def partition(worker: int):
             nbytes = sum(len(p) for p in payloads[worker])
             records = []
             for payload in payloads[worker]:
                 records.extend(tsv_to_records(payload))
-            payloads[worker] = []
+            payloads[worker] = None
             fragments[worker] = shuffle.partition_records(records, plan)
-            sclock.charge(nbytes / compute.fn_sort_rate)
+            self._charge(nbytes / compute.fn_sort_rate)
 
-        return run
+        sort_compute = self._phase(
+            stage, "sort_compute", 0.5, [partial(partition, i) for i in range(w)]
+        )
 
-    pool.run_phase([map_compute_task(i) for i in range(w)], sclock.clock)
-    sort_compute = sclock.now() - t0
-    emit(stage.id, "sort_compute", 0.5)
-
-    t0 = sclock.phase_start()
-
-    def map_write_task(worker: int):
-        def run():
-            _hook_task(options, stage.id, "partition_write", worker)
-            track = _tracker(options, stage.id, worker)
-            shuffle.write_fragments(
-                fragments[worker], plan, stage.id, worker, sessions[worker], track
-            )
+        def scatter(worker: int):
+            track = self._tracker(stage, worker)
+            shuffle.write_fragments(fragments[worker], stage.id, worker, sessions[worker], track)
             fragments[worker] = None
 
-        return run
+        partition_write = self._phase(
+            stage, "partition_write", 0.65, [partial(scatter, i) for i in range(w)]
+        )
+        gathered: list = [None] * w
 
-    pool.run_phase([map_write_task(i) for i in range(w)], sclock.clock)
-    partition_write = sclock.now() - t0
-    emit(stage.id, "partition_write", 0.65)
-
-    t0 = sclock.phase_start()
-    reducer_payloads: list[list[bytes]] = [None] * w
-
-    def reduce_read_task(worker: int):
-        def run():
-            _hook_task(options, stage.id, "partition_read", worker)
+        def gather(worker: int):
             got = shuffle.read_fragments(worker, w, sessions[worker], stage.id)
             total = sum(len(p) for p in got)
-            if total > budget:
+            if total > self.fn_budget:
                 raise MemoryBudgetError(
-                    f"reducer {worker} holds {total} bytes, budget {budget}"
+                    f"reducer {worker} holds {total} bytes, budget {self.fn_budget}"
                 )
-            reducer_payloads[worker] = got
+            gathered[worker] = got
 
-        return run
-
-    pool.run_phase([reduce_read_task(i) for i in range(w)], sclock.clock)
-    partition_read = sclock.now() - t0
-    emit(stage.id, "partition_read", 0.85)
-
-    t0 = sclock.phase_start()
-    out_entries: list = [None] * w
-
-    def reduce_write_task(worker: int):
-        def run():
-            _hook_task(options, stage.id, "output_write", worker)
-            track = _tracker(options, stage.id, worker)
-            records = shuffle.merge_fragments(reducer_payloads[worker])
-            reducer_payloads[worker] = None
-            payload = records_to_tsv(records)
-            if track:
-                track(len(payload))
-            key = shuffle.output_key(stage.id, worker)
-            sessions[worker].put_object(key, payload)
-            out_entries[worker] = (key, len(payload))
-
-        return run
-
-    pool.run_phase([reduce_write_task(i) for i in range(w)], sclock.clock)
-    output_write = sclock.now() - t0
-    emit(stage.id, "output_write", 1.0)
-
-    latency = LatencyBreakdown(
-        startup=startup,
-        input_read=input_read,
-        sort_compute=sort_compute,
-        partition_write=partition_write,
-        partition_read=partition_read,
-        output_write=output_write,
-    )
-    outputs = DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(out_entries))
-    return outputs, latency
-
-
-def _sort_vm(
-    stage: StageSpec,
-    inputs: DataRef,
-    w_out: int,
-    store: Blobstore,
-    profiles,
-    options: EngineOptions,
-    emit,
-):
-    sclock = _StageClock(store)
-    compute = profiles.compute
-    task = TaskSpec(
-        stage.id,
-        0,
-        tuple(k for k, _ in inputs.objects),
-        f"sorted/{stage.id}/",
-        int(options.vm_mem_gb * GB),
-    )
-    budget = task.memory_budget
-    size = _ref_size(inputs)
-    if size > budget and not options.external_sort:
-        raise MemoryBudgetError(
-            f"input of {size} bytes exceeds VM memory budget of {budget}"
+        partition_read = self._phase(
+            stage, "partition_read", 0.85, [partial(gather, i) for i in range(w)]
         )
-    session = store.session(conn_bandwidth=compute.vm_bandwidth)
-    track = _tracker(options, stage.id, 0)
+        outputs: list = [None] * w
 
-    t0 = sclock.now()
-    sclock.delay(compute.vm_provision)
-    startup = sclock.now() - t0
-    emit(stage.id, "startup", 0.0)
+        def reduce(worker: int):
+            records = shuffle.merge_fragments(gathered[worker])
+            gathered[worker] = None
+            track = self._tracker(stage, worker)
+            outputs[worker] = _write_sorted(sessions[worker], stage.id, worker, records, track)
 
-    if size > budget:
-        # external fallback interleaves reads and spills; its whole
-        # duration is reported under sort_compute
-        t0 = sclock.phase_start()
-        _hook_task(options, stage.id, "sort_compute", 0)
-        entries = shuffle.vm_sort_exchange(
-            inputs.objects, w_out, session, stage.id, budget, external_sort=True, track=track
+        output_write = self._phase(
+            stage, "output_write", 1.0, [partial(reduce, i) for i in range(w)]
         )
-        sclock.charge(size / compute.vm_sort_rate)
-        sort_compute = sclock.now() - t0
-        emit(stage.id, "sort_compute", 1.0)
-        latency = LatencyBreakdown(startup=startup, sort_compute=sort_compute)
-        outputs = DataRef(
-            inputs.bucket,
-            f"sorted/{stage.id}/",
-            objects=tuple((e.key, e.byte_size) for e in entries),
+        latency = LatencyBreakdown(
+            startup=startup,
+            input_read=input_read,
+            sort_compute=sort_compute,
+            partition_write=partition_write,
+            partition_read=partition_read,
+            output_write=output_write,
         )
-        return outputs, latency
+        return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs)), latency
 
-    t0 = sclock.phase_start()
-    _hook_task(options, stage.id, "input_read", 0)
-    payloads = []
-    for key in task.input_keys:
-        payload = session.get_object(key)
-        if track:
-            track(len(payload))
-        payloads.append(payload)
-    input_read = sclock.now() - t0
-    emit(stage.id, "input_read", 0.35)
-
-    t0 = sclock.phase_start()
-    _hook_task(options, stage.id, "sort_compute", 0)
-    records = []
-    for payload in payloads:
-        records.extend(tsv_to_records(payload))
-    payloads = None
-    records.sort()
-    sclock.charge(size / compute.vm_sort_rate)
-    sort_compute = sclock.now() - t0
-    emit(stage.id, "sort_compute", 0.7)
-
-    t0 = sclock.phase_start()
-    _hook_task(options, stage.id, "output_write", 0)
-    out_entries = []
-    for reducer, chunk in enumerate(shuffle.split_sorted(records, w_out)):
-        payload = records_to_tsv(chunk)
-        if track:
-            track(len(payload))
-        key = shuffle.output_key(stage.id, reducer)
-        session.put_object(key, payload)
-        out_entries.append((key, len(payload)))
-    output_write = sclock.now() - t0
-    emit(stage.id, "output_write", 1.0)
-
-    latency = LatencyBreakdown(
-        startup=startup,
-        input_read=input_read,
-        sort_compute=sort_compute,
-        output_write=output_write,
-    )
-    outputs = DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(out_entries))
-    return outputs, latency
-
-
-def _encode_stage(
-    stage: StageSpec,
-    inputs: DataRef,
-    w: int,
-    pool: WorkerPool,
-    store: Blobstore,
-    profiles,
-    options: EngineOptions,
-    emit,
-):
-    sclock = _StageClock(store)
-    compute = profiles.compute
-    budget = _fn_budget(profiles)
-    objects = inputs.objects
-    assigned = _round_robin(tuple(enumerate(objects)), w)
-    tasks = [
-        TaskSpec(
-            stage.id,
-            worker,
-            tuple(key for _, (key, _) in objs),
-            f"encoded/{stage.id}/",
-            budget,
-        )
-        for worker, objs in enumerate(assigned)
-    ]
-    for task, objs in zip(tasks, assigned):
-        total = sum(size for _, (_, size) in objs)
-        if total > task.memory_budget:
+    def _sort_vm(self, stage: StageSpec, inputs: DataRef):
+        compute, w = self.profiles.compute, self.resolved_w
+        budget = int(self.options.vm_mem_gb * GB)
+        size = _ref_size(inputs)
+        if size > budget and not self.options.external_sort:
             raise MemoryBudgetError(
-                f"encoder {task.worker} assigned {total} bytes, budget {task.memory_budget}"
+                f"input of {size} bytes exceeds VM memory budget of {budget}"
             )
-    sessions = [store.session() for _ in range(w)]
+        session = self.store.session(conn_bandwidth=compute.vm_bandwidth)
+        track = self._tracker(stage, 0)
+        startup = self._phase(stage, "startup", 0.0, [], delay=compute.vm_provision)
+        outputs = []
 
-    t0 = sclock.now()
-    sclock.delay(compute.fn_startup)
-    startup = sclock.now() - t0
-    emit(stage.id, "startup", 0.0)
+        def write(ranges):
+            for reducer, records in enumerate(ranges):
+                outputs.append(_write_sorted(session, stage.id, reducer, records, track))
 
-    t0 = sclock.phase_start()
-    payloads: list[list[tuple[int, bytes]]] = [[] for _ in range(w)]
+        if size > budget:
+            # external fallback interleaves reads and spills; its whole
+            # duration is reported under sort_compute
+            def external():
+                write(shuffle.external_sort(_fetch(session, inputs.objects, track), w, budget))
+                self._charge(size / compute.vm_sort_rate)
 
-    def read_task(worker: int):
-        def run():
-            _hook_task(options, stage.id, "input_read", worker)
-            track = _tracker(options, stage.id, worker)
-            for index, (key, _) in assigned[worker]:
-                payload = sessions[worker].get_object(key)
-                if track:
-                    track(len(payload))
-                payloads[worker].append((index, payload))
+            sort_compute = self._phase(stage, "sort_compute", 1.0, [external])
+            latency = LatencyBreakdown(startup=startup, sort_compute=sort_compute)
+        else:
+            payloads = []
+            records = []
 
-        return run
+            def read():
+                payloads.extend(_fetch(session, inputs.objects, track))
 
-    pool.run_phase([read_task(i) for i in range(w)], sclock.clock)
-    input_read = sclock.now() - t0
-    emit(stage.id, "input_read", 0.35)
+            def sort():
+                for payload in payloads:
+                    records.extend(tsv_to_records(payload))
+                payloads.clear()
+                records.sort()
+                self._charge(size / compute.vm_sort_rate)
 
-    t0 = sclock.phase_start()
-    encoded: list[list[tuple[int, bytes]]] = [[] for _ in range(w)]
+            input_read = self._phase(stage, "input_read", 0.35, [read])
+            sort_compute = self._phase(stage, "sort_compute", 0.7, [sort])
+            output_write = self._phase(
+                stage, "output_write", 1.0, [lambda: write(shuffle.split_sorted(records, w))]
+            )
+            latency = LatencyBreakdown(
+                startup=startup,
+                input_read=input_read,
+                sort_compute=sort_compute,
+                output_write=output_write,
+            )
+        return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs)), latency
 
-    def encode_task(worker: int):
-        def run():
-            _hook_task(options, stage.id, "encode", worker)
-            track = _tracker(options, stage.id, worker)
+    def _encode(self, stage: StageSpec, inputs: DataRef):
+        store, compute, w = self.store, self.profiles.compute, self.resolved_w
+        objects = inputs.objects
+        # worker i encodes objects i, i + w, i + 2w, ...
+        assigned = self._assign("encoder", objects)
+        sessions = [store.session() for _ in range(w)]
+        startup = self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
+        payloads: list = [None] * w
+
+        def read(worker: int):
+            track = self._tracker(stage, worker)
+            payloads[worker] = list(_fetch(sessions[worker], assigned[worker], track))
+
+        input_read = self._phase(stage, "input_read", 0.35, [partial(read, i) for i in range(w)])
+        blocks: list = [None] * w
+
+        def encode(worker: int):
+            track = self._tracker(stage, worker)
             nbytes = 0
-            for index, payload in payloads[worker]:
+            encoded = []
+            for payload in payloads[worker]:
                 nbytes += len(payload)
                 records = (
                     decode_block(payload)
@@ -842,100 +668,33 @@ def _encode_stage(
                 block = encode_block(records)
                 if track:
                     track(len(block))
-                encoded[worker].append((index, block))
-            payloads[worker] = []
-            sclock.charge(nbytes / compute.fn_encode_rate)
+                encoded.append(block)
+            payloads[worker] = None
+            blocks[worker] = encoded
+            self._charge(nbytes / compute.fn_encode_rate)
 
-        return run
+        encode_s = self._phase(stage, "encode", 0.7, [partial(encode, i) for i in range(w)])
+        outputs: list = [None] * len(objects)
 
-    pool.run_phase([encode_task(i) for i in range(w)], sclock.clock)
-    encode_s = sclock.now() - t0
-    emit(stage.id, "encode", 0.7)
-
-    t0 = sclock.phase_start()
-    out_entries: dict[int, tuple[str, int]] = {}
-
-    def write_task(worker: int):
-        def run():
-            _hook_task(options, stage.id, "output_write", worker)
-            for index, block in encoded[worker]:
-                key = ENCODED_TEMPLATE.format(stage=stage.id, index=index)
+        def write(worker: int):
+            written = []
+            for j, block in enumerate(blocks[worker]):
+                key = ENCODED_TEMPLATE.format(stage=stage.id, index=worker + j * w)
                 sessions[worker].put_object(key, block)
-                out_entries[index] = (key, len(block))
-            encoded[worker] = []
+                written.append((key, len(block)))
+            outputs[worker::w] = written
+            blocks[worker] = None
 
-        return run
-
-    pool.run_phase([write_task(i) for i in range(w)], sclock.clock)
-    output_write = sclock.now() - t0
-    emit(stage.id, "output_write", 1.0)
-
-    latency = LatencyBreakdown(
-        startup=startup,
-        input_read=input_read,
-        encode=encode_s,
-        output_write=output_write,
-    )
-    ordered = tuple(out_entries[i] for i in sorted(out_entries))
-    outputs = DataRef(inputs.bucket, f"encoded/{stage.id}/", objects=ordered)
-    return outputs, latency
-
-
-def run_stage(
-    stage: StageSpec,
-    inputs: DataRef,
-    w: int,
-    pool: WorkerPool,
-    store: Blobstore,
-    profiles,
-    exchange: ExchangeStrategy = ExchangeStrategy.SERVERLESS,
-    options: EngineOptions | None = None,
-) -> tuple[DataRef, StageReport]:
-    """Run one stage against a store; fails atomically.
-
-    On any task failure the stage's output objects are deleted before the
-    error propagates (TaskError with the worker index, or
-    MemoryBudgetError when a task would exceed its budget).
-    """
-    options = options or EngineOptions()
-    if inputs.objects is None:
-        inputs = replace(
-            inputs, objects=tuple(store.peek_prefix(inputs.prefix))
+        output_write = self._phase(
+            stage, "output_write", 1.0, [partial(write, i) for i in range(w)]
         )
-    before = store.store_metrics()
-    emit = lambda *a: None  # noqa: E731 - progress handled by run_workflow
-    try:
-        if stage.kind is StageKind.SORT_EXCHANGE:
-            if exchange is ExchangeStrategy.SERVERLESS:
-                outputs, latency = _sort_serverless(
-                    stage, inputs, w, pool, store, profiles, options, emit
-                )
-                vm_stage = False
-            else:
-                outputs, latency = _sort_vm(stage, inputs, w, store, profiles, options, emit)
-                vm_stage = True
-        else:
-            outputs, latency = _encode_stage(
-                stage, inputs, w, pool, store, profiles, options, emit
-            )
-            vm_stage = False
-    except BaseException as exc:
-        _cleanup_stage_outputs(store, stage)
-        if isinstance(exc, TaskError) and isinstance(exc.cause, MemoryBudgetError):
-            raise exc.cause from exc
-        raise
-    requests = store.store_metrics() - before
-    busy = latency.total - latency.startup
-    report = StageReport(
-        stage_id=stage.id,
-        kind=stage.kind.value,
-        workers=w,
-        latency=latency,
-        requests=requests,
-        busy_seconds=0.0 if vm_stage else busy,
-        vm_seconds=latency.total if vm_stage else 0.0,
-    )
-    return outputs, report
+        latency = LatencyBreakdown(
+            startup=startup,
+            input_read=input_read,
+            encode=encode_s,
+            output_write=output_write,
+        )
+        return DataRef(inputs.bucket, f"encoded/{stage.id}/", objects=tuple(outputs)), latency
 
 
 def run_workflow(
@@ -950,8 +709,10 @@ def run_workflow(
     Emulated mode needs a store already holding the input objects; the
     store's clock decides wall versus virtual timing. Modeled mode needs
     the input's declared size. Auto parallelism is resolved by the
-    optimizer before execution and recorded in the report. Deterministic
-    given (spec, mode, seed); under a virtual clock, timings are too.
+    optimizer before execution and recorded in the report. A failed
+    stage raises ExecutionError naming it, after deleting its outputs.
+    Deterministic given (spec, mode, seed); under a virtual clock,
+    timings are too.
     """
     mode = Mode(mode)
     violations = validate_workflow(spec)

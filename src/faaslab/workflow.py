@@ -32,6 +32,9 @@ DEFAULT_W_MAX = 256
 
 AUTO = "auto"
 
+# The one block codec the encode stage implements (docs/codec.md).
+CODEC = "mcp1"
+
 
 class ExchangeStrategy(str, enum.Enum):
     SERVERLESS = "serverless"
@@ -156,6 +159,8 @@ def _parse_stage(data: Any, index: int) -> StageSpec:
         options[key] = value
     if kind is StageKind.ENCODE and "ratio" in options and options["ratio"] < 1:
         raise SchemaError(f"{path}.options.ratio", f"must be >= 1, got {options['ratio']}")
+    if kind is StageKind.ENCODE and options.get("codec", CODEC) != CODEC:
+        raise SchemaError(f"{path}.options.codec", f"must be {CODEC!r}, got {options['codec']!r}")
     if kind is StageKind.SORT_EXCHANGE and "sample_bytes" in options and options["sample_bytes"] < 1:
         raise SchemaError(f"{path}.options.sample_bytes", "must be >= 1")
     return StageSpec(stage_id, kind, options)

@@ -256,7 +256,7 @@ def test_faaslab_profile_env_override(paper_workflow, tmp_path, capsys, monkeypa
 def test_run_emulate_malformed_input_line_exit_1(desk_workflow, tmp_path, capsys, bad):
     store = tmp_path / "s"
     run_cli(capsys, "generate", "--records", "2000", "--objects", "4", "--store", str(store))
-    # the head of object 0 is sampled at a phase barrier, outside the worker pool
+    # object 0's head is parsed by its sampler task in the sort stage's input_read phase
     first = store / "data" / "raw%2F0000"
     first.write_bytes(bad + first.read_bytes())
     code, _, err = run_cli(
@@ -265,4 +265,5 @@ def test_run_emulate_malformed_input_line_exit_1(desk_workflow, tmp_path, capsys
     )
     assert code == 1
     assert "column" in err
+    assert "sort" in err
     assert "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,11 +12,16 @@ from faaslab.engine import (
     ExecHooks,
     Mode,
     RunReport,
-    WorkerPool,
-    run_stage,
+    request_laws,
     run_workflow,
 )
-from faaslab.errors import ExecutionError, MemoryBudgetError, TaskError, ValidationError
+from faaslab.errors import (
+    ExecutionError,
+    MemoryBudgetError,
+    ParseError,
+    TaskError,
+    ValidationError,
+)
 from faaslab.methpipe import decode_block, generate_synthetic, split_into_objects
 from faaslab.perfmodel import (
     ComputeProfile,
@@ -140,26 +146,33 @@ def test_wall_clock_run_completes():
 
 # --- request accounting -------------------------------------------------------------
 
-def test_request_count_laws_serverless():
-    records = generate_synthetic(8000, seed=2, shuffled=True)
-    store = seeded_store(records, 8)
-    report = run_workflow(two_stage_spec(), Mode.EMULATED, store=store)
+def check_request_laws(exchange, w, n_objects):
+    """Emulated per-stage requests equal request_laws: counts, and sort-stage bytes."""
+    records = generate_synthetic(6000, seed=16, shuffled=True)
+    store = seeded_store(records, n_objects, store_profile=FAST_STORE)
+    spec = two_stage_spec(profiles(store=FAST_STORE), exchange, w, sort={"sample_bytes": 512})
+    report = run_workflow(spec, Mode.EMULATED, store=store)
+    size = sum(size for _, size in store.peek_prefix("raw/"))
     sort_stage, enc_stage = report.stages
-    assert sort_stage.requests.get_count == 2 * 8 + 64
-    assert sort_stage.requests.put_count == 64 + 8
-    assert enc_stage.requests.get_count == 8
-    assert enc_stage.requests.put_count == 8
+    laws = request_laws(StageKind.SORT_EXCHANGE, exchange, w, n_objects, size, sample_bytes=512)
+    assert sort_stage.requests == laws
+    laws = request_laws(StageKind.ENCODE, exchange, w, w, size)
+    assert (enc_stage.requests.put_count, enc_stage.requests.get_count) == (
+        laws.put_count,
+        laws.get_count,
+    )
+    assert len(store.peek_prefix("sorted/sort/")) == len(store.peek_prefix("encoded/enc/")) == w
+
+def test_request_count_laws_serverless():
+    check_request_laws(ExchangeStrategy.SERVERLESS, 8, 8)
 
 def test_request_count_laws_vm():
-    records = generate_synthetic(8000, seed=2, shuffled=True)
-    store = seeded_store(records, 8)
-    spec = two_stage_spec(exchange=ExchangeStrategy.VM)
-    report = run_workflow(spec, Mode.EMULATED, store=store)
-    sort_stage, enc_stage = report.stages
-    assert sort_stage.requests.get_count == 8
-    assert sort_stage.requests.put_count == 8
-    assert enc_stage.requests.get_count == 8
-    assert enc_stage.requests.put_count == 8
+    check_request_laws(ExchangeStrategy.VM, 8, 8)
+
+@pytest.mark.parametrize("exchange", [ExchangeStrategy.SERVERLESS, ExchangeStrategy.VM])
+@pytest.mark.parametrize("w, n_objects", [(1, 1), (4, 4), (4, 6), (8, 3)])
+def test_request_count_laws_per_shape(exchange, w, n_objects):
+    check_request_laws(exchange, w, n_objects)
 
 def test_report_conservation():
     records = generate_synthetic(6000, seed=3, shuffled=True)
@@ -173,39 +186,15 @@ def test_report_conservation():
     assert total == report.store_metrics
     assert after - before == total
 
-def test_run_stage_encode_single_worker_deltas():
-    records = generate_synthetic(500, seed=4)
-    store = Blobstore(FAST_STORE, clock=VirtualClock())
-    from faaslab.methpipe import records_to_tsv
-
-    store.seed_object("in/0", records_to_tsv(records))
-    stage = StageSpec("enc", StageKind.ENCODE)
-    outputs, report = run_stage(
-        stage,
-        DataRef("data", "in/"),
-        1,
-        WorkerPool(1),
-        store,
-        profiles(store=FAST_STORE),
-    )
-    assert report.requests.get_count == 1
-    assert report.requests.put_count == 1
-    assert len(outputs.objects) == 1
-
-def test_run_stage_sort_deltas_w4():
-    records = generate_synthetic(4000, seed=7, shuffled=True)
-    store = seeded_store(records, 4, store_profile=FAST_STORE)
-    stage = StageSpec("sort", StageKind.SORT_EXCHANGE)
-    _, report = run_stage(
-        stage,
-        DataRef("data", "raw/"),
-        4,
-        WorkerPool(1),
-        store,
-        profiles(store=FAST_STORE),
-    )
-    assert report.requests.get_count == 4 + 4 + 16
-    assert report.requests.put_count == 16 + 4
+def test_modeled_sort_bytes_use_stage_sample_bytes():
+    records = generate_synthetic(40_000, seed=17, shuffled=True)
+    store = seeded_store(records, 8)
+    spec = two_stage_spec(w=8, sort={"sample_bytes": 4096})
+    emulated = run_workflow(spec, Mode.EMULATED, store=store).stages[0].requests
+    size = sum(size for _, size in store.peek_prefix("raw/"))
+    declared = replace(spec.input, size_bytes=float(size), object_count=8)
+    modeled = run_workflow(replace(spec, input=declared), Mode.MODELED).stages[0].requests
+    assert modeled == emulated
 
 
 # --- failure handling ------------------------------------------------------------------
@@ -221,18 +210,16 @@ def test_failing_task_cleans_stage_outputs():
             calls["n"] += 1
             raise RuntimeError("synthetic fault")
 
-    stage = StageSpec("sort", StageKind.SORT_EXCHANGE)
-    with pytest.raises(TaskError) as err:
-        run_stage(
-            stage,
-            DataRef("data", "raw/"),
-            4,
-            WorkerPool(1),
-            store,
-            profiles(store=FAST_STORE),
+    with pytest.raises(ExecutionError) as err:
+        run_workflow(
+            two_stage_spec(profiles(store=FAST_STORE), w=4),
+            Mode.EMULATED,
+            store=store,
             options=EngineOptions(hooks=ExecHooks(on_task_start=explode)),
         )
-    assert err.value.worker == 2
+    assert err.value.stage_id == "sort"
+    assert isinstance(err.value.cause, TaskError)
+    assert err.value.cause.worker == 2
     assert calls["n"] == 1
     assert store.list_prefix("part/sort/") == []
     assert store.list_prefix("sorted/sort/") == []
@@ -256,6 +243,28 @@ def test_run_workflow_wraps_stage_failure():
     # sort-stage outputs stay, encode outputs are cleaned
     assert store.list_prefix("sorted/sort/") != []
     assert store.list_prefix("encoded/enc/") == []
+
+
+@pytest.mark.parametrize(
+    "exchange, worker",
+    [(ExchangeStrategy.SERVERLESS, 4), (ExchangeStrategy.VM, 0)],
+    ids=["sampler", "vm"],
+)
+def test_parse_error_names_stage(exchange, worker):
+    # serverless: object 0's sampler (worker w + 0) parses the bad line
+    # first; VM: the one VM task parses it in sort_compute
+    payloads = split_into_objects(generate_synthetic(2000, seed=18, shuffled=True), 4)
+    payloads[0] = b"chr1\tx\t5\t+\t1\t2\n" + payloads[0]
+    store = Blobstore(DESK_STORE, clock=VirtualClock())
+    for i, payload in enumerate(payloads):
+        store.seed_object(f"raw/{i:04d}", payload)
+    with pytest.raises(ExecutionError) as err:
+        run_workflow(two_stage_spec(exchange=exchange, w=4), Mode.EMULATED, store=store)
+    assert err.value.stage_id == "sort"
+    assert isinstance(err.value.cause, TaskError)
+    assert err.value.cause.worker == worker
+    assert isinstance(err.value.cause.cause, ParseError)
+    assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
 
 
 # --- memory budget -----------------------------------------------------------------------
@@ -337,17 +346,15 @@ def test_modeled_vm_matches_direct_model():
 
 def test_modeled_requires_size_hint():
     spec = modeled_spec()
-    from dataclasses import replace
-
     bad = replace(spec, input=DataRef("data", "raw/"))
     with pytest.raises(ValidationError):
         run_workflow(bad, Mode.MODELED)
 
 def test_modeled_counts_follow_laws():
     report = run_workflow(modeled_spec(), Mode.MODELED)
-    assert report.stages[0].requests.get_count == 2 * 8 + 64
-    assert report.stages[0].requests.put_count == 64 + 8
-    assert report.stages[1].requests.get_count == 8
+    sort_laws = request_laws(StageKind.SORT_EXCHANGE, ExchangeStrategy.SERVERLESS, 8, 8, 3.5e9)
+    encode_laws = request_laws(StageKind.ENCODE, ExchangeStrategy.SERVERLESS, 8, 8, 3.5e9, ratio=10)
+    assert [s.requests for s in report.stages] == [sort_laws, encode_laws]
 
 def test_auto_parallelism_resolved_and_recorded():
     spec = modeled_spec(parallelism=None)
@@ -360,8 +367,6 @@ def test_auto_parallelism_emulated():
     records = generate_synthetic(4000, seed=13, shuffled=True)
     store = seeded_store(records, 4)
     spec = two_stage_spec(w=8)
-    from dataclasses import replace
-
     auto = replace(spec, parallelism=None, w_max=16)
     report = run_workflow(auto, Mode.EMULATED, store=store)
     size = sum(s for _, s in store.list_prefix("raw/")) - report.store_metrics.bytes_in

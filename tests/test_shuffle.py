@@ -8,29 +8,65 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faaslab.blobstore import Blobstore, StoreProfile, WallClock
-from faaslab.errors import DomainError, MemoryBudgetError, MissingPartition
-from faaslab.methpipe import MethRecord, generate_synthetic, tsv_to_records
+from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock, WallClock
+from faaslab.engine import EngineOptions, Mode, run_workflow
+from faaslab.errors import DomainError, ExecutionError, MemoryBudgetError, MissingPartition
+from faaslab.methpipe import MethRecord, generate_synthetic, split_into_objects, tsv_to_records
 from faaslab.methpipe.records import SORT_KEY
+from faaslab.perfmodel import builtin_profiles
 from faaslab.shuffle import (
     ShufflePlan,
+    external_sort,
     merge_fragments,
-    merge_partition,
-    partition_and_write,
     partition_key,
     partition_records,
     plan_partitions,
     read_fragments,
-    sample_keys,
+    sample_object,
     split_sorted,
-    vm_sort_exchange,
+    write_fragments,
 )
+from faaslab.workflow import DataRef, ExchangeStrategy, StageKind, StageSpec, WorkflowSpec
 
 INF = math.inf
 
 
 def fast_store():
     return Blobstore(StoreProfile(0.0, INF, INF, INF), clock=WallClock())
+
+
+def map_side(records, plan, mapper, session, stage):
+    """One mapper of the all-to-all exchange: partition, then write w fragments."""
+    write_fragments(partition_records(records, plan), stage, mapper, session)
+
+
+def reduce_side(reducer, w, session, stage):
+    """One reducer: read its w fragments and merge them."""
+    return merge_fragments(read_fragments(reducer, w, session, stage))
+
+
+def sort_only_run(exchange, records, n_objects, w, options=None):
+    """run_workflow over a sort-only workflow; returns the store and report."""
+    store = Blobstore(StoreProfile(0.0, INF, INF, INF), clock=VirtualClock())
+    for i, payload in enumerate(split_into_objects(records, n_objects)):
+        store.seed_object(f"raw/{i}", payload)
+    spec = WorkflowSpec(
+        name="sort-only",
+        input=DataRef("data", "raw/"),
+        exchange=exchange,
+        stages=(StageSpec("s", StageKind.SORT_EXCHANGE),),
+        profiles=builtin_profiles("desk-v1"),
+        parallelism=w,
+    )
+    report = run_workflow(spec, Mode.EMULATED, store=store, options=options)
+    return store, report
+
+
+def sorted_outputs(store, stage="s"):
+    keys = sorted(
+        (k for k, _ in store.peek_prefix(f"sorted/{stage}/")), key=lambda k: int(k.rsplit("/", 1)[1])
+    )
+    return [tsv_to_records(store.get_object(k)) for k in keys]
 
 
 def rec(chrom, start, cov=1, meth=50, strand="+"):
@@ -125,8 +161,8 @@ def test_partition_permutation_law(records, w):
 
 def test_zero_records_still_writes_w_objects():
     store = fast_store()
-    entries = partition_and_write([], ShufflePlan(3, ()), 0, store.session(), "sort")
-    assert len(entries) == 3
+    map_side([], ShufflePlan(3, ()), 0, store.session(), "sort")
+    assert store.store_metrics().put_count == 3
     assert [k for k, _ in store.list_prefix("part/sort/")] == [
         "part/sort/0-0",
         "part/sort/0-1",
@@ -141,7 +177,7 @@ def test_map_phase_writes_w_squared_objects():
     plan = plan_partitions([SORT_KEY(r) for r in records], w)
     per_mapper = [records[i::w] for i in range(w)]
     for mapper in range(w):
-        partition_and_write(per_mapper[mapper], plan, mapper, store.session(), "sort")
+        map_side(per_mapper[mapper], plan, mapper, store.session(), "sort")
     listed = store.list_prefix("part/")
     assert len(listed) == 16
     assert store.store_metrics().put_count == 16
@@ -157,13 +193,12 @@ def test_merge_two_fragments():
     merged = merge_fragments([a, b])
     assert [r[1] for r in merged] == [1, 2, 3, 4]
 
-def test_merge_partition_single_mapper_copy_through():
+def test_merge_single_mapper_copy_through():
     store = fast_store()
     records = [rec("chr1", n) for n in (5, 1, 3)]
-    partition_and_write(records, ShufflePlan(1, ()), 0, store.session(), "s")
-    entry = merge_partition(0, 1, store.session(), "s")
-    assert entry.record_count == 3
-    out = tsv_to_records(store.get_object("sorted/s/0"))
+    map_side(records, ShufflePlan(1, ()), 0, store.session(), "s")
+    out = reduce_side(0, 1, store.session(), "s")
+    assert len(out) == 3
     assert out == sorted(records)
 
 def test_merge_missing_partition_names_object():
@@ -178,28 +213,23 @@ def test_full_exchange_matches_oracle():
     records = generate_synthetic(20_000, seed=6, shuffled=True)
     plan = plan_partitions([SORT_KEY(r) for r in records[:4000]], w)
     for mapper in range(w):
-        partition_and_write(records[mapper::w], plan, mapper, store.session(), "x")
-    for reducer in range(w):
-        merge_partition(reducer, w, store.session(), "x")
-    merge_gets = store.store_metrics().get_count
+        map_side(records[mapper::w], plan, mapper, store.session(), "x")
     out = []
     mins_maxes = []
     for reducer in range(w):
-        chunk = tsv_to_records(store.get_object(f"sorted/x/{reducer}"))
+        chunk = reduce_side(reducer, w, store.session(), "x")
         out.extend(chunk)
         if chunk:
             mins_maxes.append((SORT_KEY(chunk[0]), SORT_KEY(chunk[-1])))
     assert out == sorted(records)
     for (_, prev_max), (next_min, _) in zip(mins_maxes, mins_maxes[1:]):
         assert next_min > prev_max
-    assert merge_gets == w * w
+    assert store.store_metrics().get_count == w * w
 
 
 # --- vm exchange ----------------------------------------------------------------------------
 
 def seeded_inputs(store, records, n_objects):
-    from faaslab.methpipe import split_into_objects
-
     payloads = split_into_objects(records, n_objects)
     objects = []
     for i, payload in enumerate(payloads):
@@ -209,64 +239,48 @@ def seeded_inputs(store, records, n_objects):
     return objects
 
 def test_vm_exchange_single_output():
-    store = fast_store()
     records = generate_synthetic(5000, seed=2, shuffled=True)
-    objects = seeded_inputs(store, records, 4)
-    entries = vm_sort_exchange(objects, 1, store.session(), "vm", mem_budget=1 << 30)
-    assert len(entries) == 1
-    assert tsv_to_records(store.get_object("sorted/vm/0")) == sorted(records)
+    store, _ = sort_only_run(ExchangeStrategy.VM, records, 4, 1)
+    assert sorted_outputs(store) == [sorted(records)]
 
 def test_vm_exchange_request_counts():
-    store = fast_store()
     records = generate_synthetic(3000, seed=4, shuffled=True)
-    objects = seeded_inputs(store, records, 8)
-    vm_sort_exchange(objects, 8, store.session(), "vm", mem_budget=1 << 30)
-    metrics = store.store_metrics()
-    assert metrics.get_count == 8
-    assert metrics.put_count == 8
+    _, report = sort_only_run(ExchangeStrategy.VM, records, 8, 8)
+    assert report.store_metrics.get_count == 8
+    assert report.store_metrics.put_count == 8
 
 def test_vm_exchange_budget_enforced():
-    store = fast_store()
     records = generate_synthetic(2000, seed=8, shuffled=True)
-    objects = seeded_inputs(store, records, 2)
-    with pytest.raises(MemoryBudgetError):
-        vm_sort_exchange(objects, 2, store.session(), "vm", mem_budget=1000)
+    with pytest.raises(ExecutionError) as err:
+        sort_only_run(ExchangeStrategy.VM, records, 2, 2, EngineOptions(vm_mem_gb=1e-6))
+    assert isinstance(err.value.cause, MemoryBudgetError)
 
 def test_vm_external_sort_fallback_equivalent():
-    store = fast_store()
     records = generate_synthetic(8000, seed=9, shuffled=True)
-    objects = seeded_inputs(store, records, 4)
-    entries = vm_sort_exchange(
-        objects, 4, store.session(), "vm", mem_budget=10_000, external_sort=True
+    payloads = split_into_objects(records, 4)
+    ranges = list(external_sort(iter(payloads), 4, mem_budget=10_000))
+    assert ranges == split_sorted(sorted(records), 4)
+
+    store, report = sort_only_run(
+        ExchangeStrategy.VM, records, 4, 4, EngineOptions(vm_mem_gb=1e-5, external_sort=True)
     )
-    exchange_metrics = store.store_metrics()
-    out = []
-    for entry in entries:
-        out.extend(tsv_to_records(store.get_object(entry.key)))
-    assert out == sorted(records)
-    assert exchange_metrics.get_count == 4
-    assert exchange_metrics.put_count == 4
+    assert [r for chunk in sorted_outputs(store) for r in chunk] == sorted(records)
+    assert report.store_metrics.get_count == 4
+    assert report.store_metrics.put_count == 4
+
+def test_external_sort_merges_many_runs():
+    records = generate_synthetic(80_000, seed=19, shuffled=True)
+    payloads = split_into_objects(records, 16)
+    ranges = list(external_sort(payloads, 3, mem_budget=1))
+    assert ranges == split_sorted(sorted(records), 3)
 
 def test_cross_strategy_equivalence():
     w = 8
     records = generate_synthetic(20_000, seed=10, shuffled=True)
-
-    serverless_store = fast_store()
-    plan = plan_partitions([SORT_KEY(r) for r in records[:2000]], w)
-    for mapper in range(w):
-        partition_and_write(records[mapper::w], plan, mapper, serverless_store.session(), "s")
-    serverless_out = []
-    for reducer in range(w):
-        merge_partition(reducer, w, serverless_store.session(), "s")
-        serverless_out.extend(tsv_to_records(serverless_store.get_object(f"sorted/s/{reducer}")))
-
-    vm_store = fast_store()
-    objects = seeded_inputs(vm_store, records, w)
-    entries = vm_sort_exchange(objects, w, vm_store.session(), "s", mem_budget=1 << 30)
-    vm_out = []
-    for entry in entries:
-        vm_out.extend(tsv_to_records(vm_store.get_object(entry.key)))
-
+    serverless_store, _ = sort_only_run(ExchangeStrategy.SERVERLESS, records, w, w)
+    vm_store, _ = sort_only_run(ExchangeStrategy.VM, records, w, w)
+    serverless_out = [r for chunk in sorted_outputs(serverless_store) for r in chunk]
+    vm_out = [r for chunk in sorted_outputs(vm_store) for r in chunk]
     assert serverless_out == vm_out == sorted(records)
 
 
@@ -278,11 +292,12 @@ def test_split_sorted_counts():
     assert [len(c) for c in chunks] == [3, 3, 2, 2]
     assert [r for c in chunks for r in c] == records
 
-def test_sample_keys_counts_one_get_per_object():
+def test_sample_object_counts_one_get_per_object():
     store = fast_store()
     records = generate_synthetic(4000, seed=12, shuffled=True)
     objects = seeded_inputs(store, records, 5)
-    keys = sample_keys(store.session(), objects, sample_bytes=4096)
+    session = store.session()
+    keys = [k for key, size in objects for k in sample_object(session, key, size, sample_bytes=4096)]
     assert store.store_metrics().get_count == 5
     assert keys
     assert all(isinstance(k, tuple) and len(k) == 4 for k in keys)

@@ -84,6 +84,10 @@ def test_malformed_json():
         (dict(stages=[{"id": "e", "kind": "encode", "options": {"ratio": 0.5}}]), "ratio"),
         (dict(profiles={"store": {"req_latency": -1}}), "store"),
         (dict(profiles={"fabric": {}}), "profiles.fabric"),
+        (
+            dict(stages=[{"id": "s", "kind": "sort"}, {"id": "e", "kind": "encode", "options": {"codec": "zstd"}}]),
+            "stages[1].options.codec",
+        ),
     ],
 )
 def test_schema_errors_carry_paths(overrides, path_fragment):
@@ -117,10 +121,11 @@ def test_input_hints_parsed():
 def test_sample_bytes_option():
     spec = parse_workflow(doc(stages=[
         {"id": "sort", "kind": "sort", "options": {"sample_bytes": 4096}},
-        {"id": "encode", "kind": "encode", "options": {"ratio": 12}},
+        {"id": "encode", "kind": "encode", "options": {"ratio": 12, "codec": "mcp1"}},
     ]))
     assert spec.stages[0].options["sample_bytes"] == 4096
     assert spec.stages[1].options["ratio"] == 12
+    assert spec.stages[1].options["codec"] == "mcp1"
 
 
 # --- validation ------------------------------------------------------------------
