@@ -2,22 +2,25 @@
 
 Stands in for a cloud object store: per-request latency, per-connection
 bandwidth, aggregate bandwidth across connections, and a global
-operations-per-second cap. Three token buckets implement the shaping
-(one request bucket, one aggregate byte bucket, one per-connection byte
-bucket); a request first takes one request token, then streams its bytes
-in chunks through both byte buckets.
+operations-per-second cap. Three `RateMeter`s implement the shaping
+(one request meter, one aggregate byte meter, one per-connection byte
+meter); a request first takes one request token, then streams its bytes
+in chunks through both byte meters.
 
-Two timing regimes share that bucket logic:
+Both timing regimes share that one meter; only the clock differs:
 
-* wall clock: `reserve` schedules against real time and callers sleep,
-  with bounded burst accumulation so observed throughput stays capped
-  over any window a few times larger than burst/rate;
-* virtual clock: a pure grant-curve meter advances a simulated clock,
-  so identical call sequences give bit-identical timings.
+* wall clock: `reserve` schedules against real time and callers sleep;
+  an idle meter restarts its window, so no burst is banked and observed
+  throughput stays capped over any window;
+* virtual clock: `reserve` advances a simulated clock, so identical
+  call sequences give bit-identical timings. The shared request and
+  aggregate meters carry idle capacity until the engine's phase-barrier
+  reset, because concurrent workers are simulated out of time order.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import threading
 import time
@@ -144,115 +147,75 @@ class VirtualClock:
         self._t = t
 
 
-class TokenBucket:
-    """Wall-clock limiter: capped accumulation, debt-based waits."""
+class RateMeter:
+    """The one rate limiter, for both clocks: a fluid grant curve.
 
-    def __init__(self, rate: float, burst: float):
-        self.rate = rate
-        self.burst = max(burst, 1e-9)
-        self._tokens = self.burst
-        self._last: float | None = None
-        self._lock = threading.Lock()
-
-    def reserve(self, amount: float, now: float) -> float:
-        """Consume `amount`; return the time the grant completes."""
-        if self.rate == float("inf") or amount <= 0:
-            return now
-        with self._lock:
-            if self._last is None:
-                self._last = now
-            elif now > self._last:
-                self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
-                self._last = now
-            self._tokens -= amount
-            if self._tokens >= 0:
-                return now
-            return self._last + (-self._tokens) / self.rate
-
-
-class VirtualPipeMeter:
-    """Virtual-time limiter for one connection: a serial fluid pipe.
-
-    Safe for a single owner issuing requests in time order: each grant
-    occupies the pipe for amount/rate starting at max(cursor, now) and
-    the return value is the transfer completion time.
-    """
-
-    def __init__(self, rate: float):
-        self.rate = rate
-        self._vt = float("-inf")
-
-    def reserve(self, amount: float, now: float) -> float:
-        if self.rate == float("inf") or amount <= 0:
-            return now
-        start = self._vt if self._vt > now else now
-        done = start + amount / self.rate
-        self._vt = done
-        return done
-
-    def reset_window(self, origin: float) -> None:
-        pass
-
-
-class VirtualWindowMeter:
-    """Virtual-time limiter shared by logically concurrent clients.
-
-    Sequential simulation of concurrent workers presents requests out of
-    time order, so a serial cursor would queue a later-processed worker
-    behind an earlier one's whole timeline. Instead this meter bounds
-    cumulative grants by rate * (t - window origin): a fluid capacity
-    curve. The engine resets the window at every phase barrier, so no
-    idle capacity is carried across phases.
-
-    Token semantics (pipe=False) return the grant instant of the k-th
-    unit; pipe semantics return the transfer completion, which is also
+    Cumulative grants since the window origin stay at or below
+    rate * (t - origin). Token semantics (pipe=False) return the grant
+    instant; pipe semantics return the transfer completion, which is
     never earlier than now + amount/rate (one client cannot exceed the
-    shared rate by itself).
+    rate by itself).
+
+    A meter restarts its window once it has gone idle, so idle time
+    banks no burst; for one owner issuing in time order that is a
+    serial pipe. A `now` before the origin (a wall-clock thread that
+    read the time before another took the lock) arrives at the origin,
+    so it cannot overlap a grant already made.
+
+    With `carry_idle` the meter keeps idle capacity until `reset_window`
+    and an earlier `now` moves the origin back instead: the virtual
+    clock's shared meters need this, because the sequential simulation
+    of concurrent workers presents requests out of time order. The
+    engine resets the window at every phase barrier.
     """
 
-    def __init__(self, rate: float, pipe: bool):
+    def __init__(self, rate: float, pipe: bool, carry_idle: bool = False):
         self.rate = rate
         self.pipe = pipe
+        self.carry_idle = carry_idle
         self._origin: float | None = None
         self._used = 0.0
+        self._lock = threading.Lock()
 
     def reset_window(self, origin: float) -> None:
-        self._origin = origin
-        self._used = 0.0
+        with self._lock:
+            self._origin = origin
+            self._used = 0.0
 
     def reserve(self, amount: float, now: float) -> float:
-        if self.rate == float("inf") or amount <= 0:
+        """Consume `amount` at `now`; return when the caller may go on."""
+        rate = self.rate
+        if rate == float("inf") or amount <= 0:
             return now
-        if self._origin is None or now < self._origin:
-            self._origin = now
-        if self.pipe:
+        with self._lock:
+            origin = self._origin
+            if origin is None or (not self.carry_idle and origin + self._used / rate <= now):
+                origin = self._origin = now
+                self._used = 0.0
+            elif now < origin:
+                if self.carry_idle:
+                    origin = self._origin = now
+                else:
+                    now = origin
+            if self.pipe:
+                self._used += amount
+                earliest = origin + self._used / rate
+                own = now + amount / rate
+                return own if own > earliest else earliest
+            grant = origin + self._used / rate
             self._used += amount
-            earliest = self._origin + self._used / self.rate
-            own = now + amount / self.rate
-            return own if own > earliest else earliest
-        grant = self._origin + self._used / self.rate
-        self._used += amount
-        return grant if grant > now else now
-
-
-def _make_bucket(rate: float, burst: float, virtual: bool, pipe: bool):
-    if virtual:
-        return VirtualWindowMeter(rate, pipe)
-    return TokenBucket(rate, burst)
+            return grant if grant > now else now
 
 
 class Session:
-    """One logical connection: its own bandwidth bucket, shared store."""
+    """One logical connection: its own bandwidth meter, shared store."""
 
     def __init__(self, store: "Blobstore", conn_bandwidth: float):
         self._store = store
         self.conn_bandwidth = conn_bandwidth
-        # a connection has one owner issuing in time order, so the serial
-        # pipe meter is exact for it
-        if store.clock.virtual:
-            self._bucket = VirtualPipeMeter(conn_bandwidth)
-        else:
-            self._bucket = TokenBucket(conn_bandwidth, min(conn_bandwidth, store.chunk_bytes))
+        # a connection has one owner issuing in time order, so it never
+        # needs to carry idle capacity
+        self._meter = RateMeter(conn_bandwidth, pipe=True)
 
     def put_object(self, key: str, payload: bytes):
         return self._store._put(self, key, payload)
@@ -306,7 +269,7 @@ class _DiskBacking:
             with open(self._path(key), "wb") as fh:
                 fh.write(payload)
         except OSError as exc:
-            if exc.errno == 28:  # ENOSPC
+            if exc.errno == errno.ENOSPC:
                 raise CapacityError(f"disk backing full writing {key!r}") from exc
             raise
         self._sizes[key] = len(payload)
@@ -340,14 +303,9 @@ class Blobstore:
         self.clock = clock if clock is not None else WallClock()
         self.bucket = bucket
         self.chunk_bytes = chunk_bytes
-        virtual = self.clock.virtual
-        self._req_bucket = _make_bucket(profile.ops_rate_cap, 1.0, virtual, pipe=False)
-        self._agg_bucket = _make_bucket(
-            profile.aggregate_bandwidth,
-            min(profile.aggregate_bandwidth, chunk_bytes),
-            virtual,
-            pipe=True,
-        )
+        carry_idle = self.clock.virtual
+        self._req_meter = RateMeter(profile.ops_rate_cap, pipe=False, carry_idle=carry_idle)
+        self._agg_meter = RateMeter(profile.aggregate_bandwidth, pipe=True, carry_idle=carry_idle)
         if profile.backing == MEMORY_BACKING:
             self._backing = _MemoryBacking()
         else:
@@ -360,23 +318,21 @@ class Blobstore:
         return Session(self, conn_bandwidth or self.profile.conn_bandwidth)
 
     def reset_shaping_window(self) -> None:
-        """Start a new shaping window for the shared buckets.
+        """Start a new shaping window for the shared meters.
 
-        Called by the engine at phase barriers in virtual mode so idle
-        aggregate capacity never carries across phases; a no-op under a
-        wall clock, where real time already governs accumulation.
+        Called by the engine at every phase barrier, so idle capacity
+        never carries across phases.
         """
-        if self.clock.virtual:
-            now = self.clock.now()
-            self._req_bucket.reset_window(now)
-            self._agg_bucket.reset_window(now)
+        now = self.clock.now()
+        self._req_meter.reset_window(now)
+        self._agg_meter.reset_window(now)
 
     # -- shaping -----------------------------------------------------------
 
     def _shape(self, session: Session, nbytes: int) -> None:
         clock = self.clock
         now = clock.now()
-        token_at = self._req_bucket.reserve(1.0, now)
+        token_at = self._req_meter.reserve(1.0, now)
         # request latency runs from issue and overlaps any wait on the
         # ops cap; bytes flow once both have passed
         latency_done = now + self.profile.req_latency
@@ -385,8 +341,8 @@ class Blobstore:
         while remaining > 0:
             chunk = remaining if remaining < self.chunk_bytes else self.chunk_bytes
             now = clock.now()
-            ready = session._bucket.reserve(chunk, now)
-            ready_agg = self._agg_bucket.reserve(chunk, now)
+            ready = session._meter.reserve(chunk, now)
+            ready_agg = self._agg_meter.reserve(chunk, now)
             clock.sleep_until(ready_agg if ready_agg > ready else ready)
             remaining -= chunk
 
@@ -435,9 +391,8 @@ class Blobstore:
 
     def list_prefix(self, prefix: str) -> list[tuple[str, int]]:
         """All (key, size) pairs under the prefix, lexicographically ordered."""
+        result = self.peek_prefix(prefix)
         with self._lock:
-            keys = sorted(k for k in self._backing.keys() if k.startswith(prefix))
-            result = [(k, self._backing.size(k)) for k in keys]
             self._metrics = replace(self._metrics, list_count=self._metrics.list_count + 1)
         return result
 
@@ -456,13 +411,6 @@ class Blobstore:
             self._metrics = replace(
                 self._metrics, delete_count=self._metrics.delete_count + 1
             )
-
-    def object_size(self, key: str) -> int:
-        with self._lock:
-            try:
-                return self._backing.size(key)
-            except (KeyError, FileNotFoundError):
-                raise NotFound(f"no object {key!r}") from None
 
     def seed_object(self, key: str, payload: bytes) -> None:
         """Load an object without shaping or metrics; for run setup only."""

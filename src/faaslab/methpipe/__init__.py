@@ -5,7 +5,6 @@ from faaslab.methpipe.records import (
     SORT_KEY,
     parse_meth_record,
     records_to_tsv,
-    sort_key,
     tsv_to_records,
 )
 from faaslab.methpipe.synth import generate_synthetic, split_into_objects
@@ -28,7 +27,6 @@ __all__ = [
     "is_encoded_block",
     "parse_meth_record",
     "records_to_tsv",
-    "sort_key",
     "split_into_objects",
     "tsv_to_records",
 ]

@@ -48,11 +48,6 @@ class MethRecord(NamedTuple):
 SORT_KEY = operator.itemgetter(0, 1, 2, 3)
 
 
-def sort_key(record: MethRecord):
-    """Return the (chrom, start, end, strand) sort key of a record."""
-    return SORT_KEY(record)
-
-
 def _int_field(text: str, column: int, name: str) -> int:
     try:
         return int(text)

@@ -193,11 +193,11 @@ def external_sort(
     """Sort inputs beyond the memory budget; yield w_out sorted ranges.
 
     Parses the payloads in order, spills a sorted run to local disk each
-    time about a quarter of the budget (at least 1 MiB) is buffered, then
+    time about a quarter of the budget is buffered, then
     k-way merges the runs and yields the same ranges `split_sorted`
     would cut from the fully sorted records.
     """
-    chunk_cap = max(mem_budget // 4, 1 << 20)
+    chunk_cap = max(mem_budget // 4, 1)
     with tempfile.TemporaryDirectory(prefix="faaslab-extsort-") as tmp:
         runs: list[str] = []
         buffer: list[MethRecord] = []

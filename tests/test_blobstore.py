@@ -1,6 +1,7 @@
 """Object store emulator: durability, metrics exactness, shaping."""
 
 import math
+import random
 import threading
 import time
 
@@ -8,6 +9,7 @@ import pytest
 
 from faaslab.blobstore import (
     Blobstore,
+    RateMeter,
     StoreMetrics,
     StoreProfile,
     VirtualClock,
@@ -278,6 +280,69 @@ def test_aggregate_bytes_soundness_windows():
                 break
             total += events[i][1]
         assert total <= limit
+
+def test_wall_shaping_banks_no_burst():
+    # 1 MB at 4 MB/s takes 0.25 s on a fresh store and after an idle gap
+    # alike: neither a new connection nor idle time grants a burst
+    store = make_store(StoreProfile(0.0, 4e6, 4e6, INF))
+    payload = b"\x00" * 1_000_000
+    durations = []
+    for key in ("a", "b"):
+        if durations:
+            time.sleep(0.5)
+        t0 = time.monotonic()
+        store.put_object(key, payload)
+        durations.append(time.monotonic() - t0)
+    assert min(durations) >= 0.9 * 0.25
+
+
+# --- rate meter -------------------------------------------------------------------
+
+@pytest.mark.parametrize("pipe", [True, False])
+def test_meter_restarts_when_idle(pipe):
+    meter = RateMeter(10.0, pipe=pipe)
+    assert meter.reserve(5.0, now=2.0) == (2.5 if pipe else 2.0)
+    # idle since 2.5: the window restarts at 100, no capacity is banked
+    assert meter.reserve(5.0, now=100.0) == (100.5 if pipe else 100.0)
+    assert meter.reserve(5.0, now=100.0) == (101.0 if pipe else 100.5)
+
+@pytest.mark.parametrize("pipe", [True, False])
+def test_meter_now_before_origin_arrives_at_origin(pipe):
+    # a wall-clock thread can read the time, then take the lock after a
+    # later reader opened the window; its grant must not overlap that one
+    meter = RateMeter(10.0, pipe=pipe)
+    first = meter.reserve(5.0, now=2.0)
+    second = meter.reserve(5.0, now=1.0)
+    assert second == pytest.approx(first + 0.5)
+
+def test_meter_carry_idle_moves_origin_back():
+    # an earlier worker simulated after a later one uses the capacity
+    # before the later one's requests instead of queueing behind them
+    meter = RateMeter(10.0, pipe=True, carry_idle=True)
+    assert meter.reserve(10.0, now=5.0) == 6.0
+    assert meter.reserve(10.0, now=0.0) == 2.0
+
+@pytest.mark.parametrize("pipe", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_meter_carry_idle_out_of_order_within_rate(pipe, seed):
+    rng = random.Random(seed)
+    rate = 50.0
+    meter = RateMeter(rate, pipe=pipe, carry_idle=True)
+    calls = [(rng.uniform(0.0, 10.0), rng.choice([1.0, rng.uniform(0.1, 20.0)])) for _ in range(200)]
+    grants = []
+    for now, amount in calls:
+        at = meter.reserve(amount, now)
+        assert at >= now
+        if pipe:
+            assert at >= now + amount / rate
+        grants.append((at, amount))
+    origin = min(now for now, _ in calls)
+    # token semantics return the instant a grant starts, so the grant
+    # being made may run past t by its own amount
+    slack = 0.0 if pipe else max(amount for _, amount in calls)
+    for t, _ in grants:
+        granted = sum(amount for at, amount in grants if at <= t)
+        assert granted <= rate * (t - origin) * (1 + 1e-12) + slack
 
 
 # --- virtual clock ------------------------------------------------------------------

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from faaslab.cli import main
+from faaslab.engine import request_laws
 from faaslab.perfmodel import builtin_profiles, profiles_to_dict
-from faaslab.report import parse_report
+from faaslab.report import parse_report, report_to_json
+from faaslab.workflow import ExchangeStrategy, StageKind
 
 PAPER_DOC = {
     "version": "v1",
@@ -139,6 +141,26 @@ def test_run_emulate_small_input(desk_workflow, tmp_path, capsys):
     report = parse_report(out)
     assert report.stages[0].requests.get_count == 80
     assert report.stages[0].requests.put_count == 72
+
+def test_run_emulate_wall_clock(desk_workflow, tmp_path, capsys):
+    run_cli(capsys, "generate", "--records", "300", "--objects", "4",
+            "--store", str(tmp_path / "s"))
+    code, out, _ = run_cli(
+        capsys, "run", "--workflow", desk_workflow, "--mode", "emulate", "--clock", "wall",
+        "--store", str(tmp_path / "s"), "--json",
+    )
+    assert code == 0
+    report = parse_report(out)
+    assert report_to_json(report) == out
+    sort_stage, encode_stage = report.stages
+    for stage, laws in (
+        (sort_stage, request_laws(StageKind.SORT_EXCHANGE, ExchangeStrategy.SERVERLESS, 8, 4)),
+        (encode_stage, request_laws(StageKind.ENCODE, ExchangeStrategy.SERVERLESS, 8, 8)),
+    ):
+        assert (stage.requests.put_count, stage.requests.get_count) == (
+            laws.put_count,
+            laws.get_count,
+        )
 
 def test_run_missing_workflow_exit_2(capsys):
     assert run_cli(capsys, "run", "--workflow", "/nope.json", "--mode", "model")[0] == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faaslab import shuffle
 from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock, WallClock
 from faaslab.engine import EngineOptions, Mode, run_workflow
 from faaslab.errors import DomainError, ExecutionError, MemoryBudgetError, MissingPartition
@@ -273,6 +274,23 @@ def test_external_sort_merges_many_runs():
     payloads = split_into_objects(records, 16)
     ranges = list(external_sort(payloads, 3, mem_budget=1))
     assert ranges == split_sorted(sorted(records), 3)
+
+def test_external_sort_honours_small_budget(monkeypatch):
+    # a 100 KB budget over about 146 KB of input cannot sort in one run
+    runs_merged = []
+    real_merge = shuffle.heapq.merge
+
+    def merge(*runs):
+        runs_merged.append(len(runs))
+        return real_merge(*runs)
+
+    monkeypatch.setattr(shuffle.heapq, "merge", merge)
+    records = generate_synthetic(6000, seed=31, shuffled=True)
+    payloads = split_into_objects(records, 6)
+    assert sum(map(len, payloads)) > 100_000
+    ranges = list(external_sort(payloads, 4, mem_budget=100_000))
+    assert ranges == split_sorted(sorted(records), 4)
+    assert runs_merged and runs_merged[0] > 1
 
 def test_cross_strategy_equivalence():
     w = 8
