@@ -11,6 +11,12 @@ prices) are solved so the modeled totals land on the reference point.
 None of the resulting numbers is a measured constant; they are a
 consistent fit, committed so runs are reproducible.
 
+Every figure is read from the engine's modeled reference run
+(`reference_run`), so the fit applies the engine's count laws and
+billing rules. Rates are fitted around the I/O time of a run with
+infinite compute rates. Each unknown price is solved from a run billing
+it at 1.0, whose cost component then equals the billed quantity.
+
 Usage: python scripts/calibrate.py [--check]
 `--check` verifies the committed files still reproduce the fit instead
 of rewriting them.
@@ -22,21 +28,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from faaslab.blobstore import StoreMetrics, StoreProfile
-from faaslab.engine import VM_VOLUME_GB, request_laws
-from faaslab.perfmodel import (
-    ComputeProfile,
-    PriceSheet,
-    Profiles,
-    compute_cost,
-    encode_latency_model,
-    profiles_to_dict,
-    shuffle_latency_model,
-    vm_exchange_latency_model,
-)
-from faaslab.workflow import ExchangeStrategy, StageKind
+from faaslab.blobstore import StoreProfile
+from faaslab.engine import Mode, RunReport, run_workflow
+from faaslab.perfmodel import ComputeProfile, CostBreakdown, PriceSheet, Profiles, profiles_to_dict
+from faaslab.workflow import DataRef, ExchangeStrategy, StageKind, StageSpec, WorkflowSpec
 
 PROFILE_DIR = Path(__file__).resolve().parent.parent / "src" / "faaslab" / "profiles"
 
@@ -68,11 +66,26 @@ def _round_sig(value: float, digits: int = 3) -> float:
     return float(f"{value:.{digits}g}")
 
 
-def reference_requests(exchange: ExchangeStrategy) -> StoreMetrics:
-    """Store requests of the reference sort+encode run, by the engine's count laws."""
-    sort = request_laws(StageKind.SORT_EXCHANGE, exchange, W, N_IN, S)
-    encode = request_laws(StageKind.ENCODE, exchange, W, W, S, ratio=RATIO)
-    return sort + encode
+def reference_run(profiles: Profiles, exchange: ExchangeStrategy) -> RunReport:
+    """The engine's modeled sort+encode run at the reference scale."""
+    spec = WorkflowSpec(
+        name="reference",
+        input=DataRef("data", "raw/", size_bytes=S, object_count=N_IN),
+        exchange=exchange,
+        stages=(
+            StageSpec("sort", StageKind.SORT_EXCHANGE),
+            StageSpec("encode", StageKind.ENCODE, {"ratio": RATIO}),
+        ),
+        profiles=profiles,
+        parallelism=W,
+    )
+    return run_workflow(spec, Mode.MODELED)
+
+
+def _solve_price(target: float, cost: CostBreakdown, component: str) -> float:
+    """The price of `component`, billed at 1.0 in `cost`, that brings the total to `target`."""
+    billed = getattr(cost, component)
+    return _round_sig((target - (cost.total - billed)) / billed, 2)
 
 
 def fit_calibrated() -> Profiles:
@@ -80,10 +93,13 @@ def fit_calibrated() -> Profiles:
     inf_compute = ComputeProfile(
         FN_STARTUP, FN_MEM_GB, math.inf, math.inf, 0.0, VM_BW, math.inf
     )
+    unit = PriceSheet(1.0, PRICE_INVOCATION, PRICE_PUT, PRICE_GET, 1.0, PRICE_VOL_GB_S)
 
-    # I/O-only phase times, with compute rates infinite
-    io_sort = shuffle_latency_model(S, W, N_IN, store, inf_compute).total - FN_STARTUP
-    io_enc = encode_latency_model(S, W, RATIO, store, inf_compute).total - FN_STARTUP
+    # I/O-only stage times: compute rates infinite, provisioning free
+    io_only = Profiles(store, inf_compute, unit)
+    serverless_io = reference_run(io_only, ExchangeStrategy.SERVERLESS)
+    io_sort, io_enc = (stage.busy_seconds for stage in serverless_io.stages)
+    vm_io = reference_run(io_only, ExchangeStrategy.VM).stages[0].vm_seconds
 
     compute_budget = REF_SERVERLESS_S - 2 * FN_STARTUP - io_sort - io_enc
     if compute_budget <= 0:
@@ -96,8 +112,6 @@ def fit_calibrated() -> Profiles:
         FN_STARTUP + io_enc + share / fn_encode_rate
     )
 
-    pipe = min(VM_BW, AGG_BW)
-    vm_io = 2 * S / pipe + (N_IN + W) * REQ_LATENCY
     vm_budget = REF_VM_S - enc_total - vm_io
     if vm_budget <= 0:
         raise SystemExit("shape parameters leave no room for the VM stage")
@@ -110,31 +124,11 @@ def fit_calibrated() -> Profiles:
 
     # price fit: serverless target sets the GB-second price, VM target
     # the per-second VM price
-    sort_total = shuffle_latency_model(S, W, N_IN, store, compute).total
-    enc_total = encode_latency_model(S, W, RATIO, store, compute).total
-    busy = (sort_total - FN_STARTUP) + (enc_total - FN_STARTUP)
-    requests_s = reference_requests(ExchangeStrategy.SERVERLESS)
-    req_cost_s = requests_s.put_count * PRICE_PUT + requests_s.get_count * PRICE_GET
-    inv_cost_s = 2 * W * PRICE_INVOCATION
-    price_gb_s = _round_sig(
-        (REF_SERVERLESS_COST - req_cost_s - inv_cost_s) / (W * FN_MEM_GB * busy), 2
-    )
-
-    vm_total = vm_exchange_latency_model(S, N_IN, W, store, compute).total
-    vm_seconds = vm_total
-    enc_busy = enc_total - FN_STARTUP
-    fn_cost_v = W * enc_busy * FN_MEM_GB * price_gb_s
-    requests_v = reference_requests(ExchangeStrategy.VM)
-    req_cost_v = requests_v.put_count * PRICE_PUT + requests_v.get_count * PRICE_GET
-    inv_cost_v = W * PRICE_INVOCATION
-    vol_cost_v = VM_VOLUME_GB * vm_seconds * PRICE_VOL_GB_S
-    price_vm_s = _round_sig(
-        (REF_VM_COST - fn_cost_v - req_cost_v - inv_cost_v - vol_cost_v) / vm_seconds, 2
-    )
-
-    prices = PriceSheet(
-        price_gb_s, PRICE_INVOCATION, PRICE_PUT, PRICE_GET, price_vm_s, PRICE_VOL_GB_S
-    )
+    serverless = reference_run(Profiles(store, compute, unit), ExchangeStrategy.SERVERLESS)
+    price_gb_s = _solve_price(REF_SERVERLESS_COST, serverless.cost, "fn_compute")
+    unit = replace(unit, price_gb_s=price_gb_s)
+    vm = reference_run(Profiles(store, compute, unit), ExchangeStrategy.VM)
+    prices = replace(unit, price_vm_s=_solve_price(REF_VM_COST, vm.cost, "vm_time"))
     return Profiles(store=store, compute=compute, prices=prices)
 
 
@@ -149,36 +143,13 @@ def desk_profiles(calibrated: Profiles) -> Profiles:
 
 
 def summarize(profiles: Profiles) -> dict:
-    store, compute, prices = profiles.store, profiles.compute, profiles.prices
-    sort_total = shuffle_latency_model(S, W, N_IN, store, compute).total
-    enc_total = encode_latency_model(S, W, RATIO, store, compute).total
-    vm_total = vm_exchange_latency_model(S, N_IN, W, store, compute).total
-    serverless_latency = sort_total + enc_total
-    vm_latency = vm_total + enc_total
-
-    cost_s = compute_cost(
-        [sort_total - compute.fn_startup, enc_total - compute.fn_startup],
-        [W, W],
-        reference_requests(ExchangeStrategy.SERVERLESS),
-        0.0,
-        0.0,
-        prices,
-        compute,
-    ).total
-    cost_v = compute_cost(
-        [enc_total - compute.fn_startup],
-        [W],
-        reference_requests(ExchangeStrategy.VM),
-        vm_total,
-        VM_VOLUME_GB,
-        prices,
-        compute,
-    ).total
+    serverless = reference_run(profiles, ExchangeStrategy.SERVERLESS)
+    vm = reference_run(profiles, ExchangeStrategy.VM)
     return {
-        "serverless_latency_s": serverless_latency,
-        "vm_latency_s": vm_latency,
-        "serverless_cost": cost_s,
-        "vm_cost": cost_v,
+        "serverless_latency_s": serverless.end_to_end_s,
+        "vm_latency_s": vm.end_to_end_s,
+        "serverless_cost": serverless.cost.total,
+        "vm_cost": vm.cost.total,
     }
 
 

@@ -159,55 +159,28 @@ def request_laws(
     )
 
 
-class WorkerPool:
-    """Bounded pool with barrier semantics per phase.
+def _run_tasks(tasks: list[Callable[[], None]], clock, parallelism: int) -> None:
+    """Run one phase's tasks behind a barrier.
 
     Under a virtual clock, tasks run sequentially in index order, each
     starting from the phase's start cursor; the phase ends at the latest
     task finish, which is what w-wide concurrency would observe. Under a
-    wall clock they run concurrently on a bounded thread pool. Either
-    way the first failure is raised as a TaskError with the worker index.
+    wall clock they run concurrently on a bounded thread pool, and every
+    task finishes before the lowest-index failure is raised.
     """
-
-    def __init__(self, parallelism: int):
-        self.parallelism = max(1, parallelism)
-
-    def run_phase(self, tasks: list[Callable[[], None]], clock) -> None:
-        if clock.virtual:
-            t0 = clock.now()
-            finishes = [t0]
-            for index, task in enumerate(tasks):
-                clock.seek(t0)
-                try:
-                    task()
-                except TaskError:
-                    raise
-                except BaseException as exc:
-                    raise TaskError(index, exc) from exc
-                finishes.append(clock.now())
-            clock.seek(max(finishes))
-            return
-        if len(tasks) <= 1 or self.parallelism == 1:
-            for index, task in enumerate(tasks):
-                try:
-                    task()
-                except TaskError:
-                    raise
-                except BaseException as exc:
-                    raise TaskError(index, exc) from exc
-            return
-        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            futures = [pool.submit(task) for task in tasks]
-            failure: TaskError | None = None
-            for index, future in enumerate(futures):
-                try:
-                    future.result()
-                except TaskError as exc:
-                    failure = failure or exc
-                except BaseException as exc:
-                    failure = failure or TaskError(index, exc)
-            if failure is not None:
-                raise failure
+    if clock.virtual:
+        t0 = clock.now()
+        finishes = [t0]
+        for task in tasks:
+            clock.seek(t0)
+            task()
+            finishes.append(clock.now())
+        clock.seek(max(finishes))
+        return
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(task) for task in tasks]
+    for future in futures:
+        future.result()
 
 
 def _resolve_input(spec: WorkflowSpec, store: Blobstore) -> DataRef:
@@ -279,11 +252,7 @@ class _Run:
         self.profiles = spec.profiles
         # what one function task may hold in memory at once
         self.fn_budget = int(spec.profiles.compute.fn_mem_gb * GB)
-        self.busy_times: list[float] = []
-        self.busy_workers: list[int] = []
-        self.vm_seconds = 0.0
-        self.vm_used = False
-        self.metrics_so_far = StoreMetrics()
+        # the run's only accounting state: cost and totals derive from it
         self.stage_reports: list[StageReport] = []
 
     # -- shared plumbing ---------------------------------------------------
@@ -300,13 +269,29 @@ class _Run:
             }
         )
 
+    def _bills_as_vm(self, kind: str) -> bool:
+        return kind == StageKind.SORT_EXCHANGE and self.spec.exchange is ExchangeStrategy.VM
+
+    def _store_metrics(self) -> StoreMetrics:
+        return sum((report.requests for report in self.stage_reports), StoreMetrics())
+
     def _cost_so_far(self) -> CostBreakdown:
+        """Bill the recorded stages; the VM sort stage also bills its volume."""
+        busy_seconds, workers = [], []
+        vm_seconds, vol_gb = 0.0, 0.0
+        for report in self.stage_reports:
+            if self._bills_as_vm(report.kind):
+                vm_seconds += report.vm_seconds
+                vol_gb = VM_VOLUME_GB
+            else:
+                busy_seconds.append(report.busy_seconds)
+                workers.append(report.workers)
         return compute_cost(
-            self.busy_times,
-            self.busy_workers,
-            self.metrics_so_far,
-            self.vm_seconds,
-            VM_VOLUME_GB if self.vm_used else 0.0,
+            busy_seconds,
+            workers,
+            self._store_metrics(),
+            vm_seconds,
+            vol_gb,
             self.profiles.prices,
             self.profiles.compute,
         )
@@ -332,17 +317,7 @@ class _Run:
     def _record_stage(
         self, stage: StageSpec, latency: LatencyBreakdown, requests: StoreMetrics
     ) -> None:
-        vm_stage = (
-            stage.kind is StageKind.SORT_EXCHANGE and self.spec.exchange is ExchangeStrategy.VM
-        )
-        busy = latency.total - latency.startup
-        if vm_stage:
-            self.vm_seconds += latency.total
-            self.vm_used = True
-        else:
-            self.busy_times.append(busy)
-            self.busy_workers.append(self.resolved_w)
-        self.metrics_so_far = self.metrics_so_far + requests
+        vm_stage = self._bills_as_vm(stage.kind)
         self.stage_reports.append(
             StageReport(
                 stage_id=stage.id,
@@ -350,14 +325,13 @@ class _Run:
                 workers=self.resolved_w,
                 latency=latency,
                 requests=requests,
-                busy_seconds=0.0 if vm_stage else busy,
+                busy_seconds=0.0 if vm_stage else latency.total - latency.startup,
                 vm_seconds=latency.total if vm_stage else 0.0,
             )
         )
         self._emit(stage.id, "stage-complete", 1.0)
 
     def _finish(self) -> RunReport:
-        cost = self._cost_so_far()
         report = RunReport(
             mode=self.mode.value,
             workflow=self.spec.name,
@@ -365,8 +339,8 @@ class _Run:
             seed=self.seed,
             parallelism=self.resolved_w,
             stages=tuple(self.stage_reports),
-            cost=cost,
-            store_metrics=self.metrics_so_far,
+            cost=self._cost_so_far(),
+            store_metrics=self._store_metrics(),
         )
         self._emit("-", "done", 1.0)
         return report
@@ -386,28 +360,16 @@ class _Run:
             requests = request_laws(
                 stage.kind, spec.exchange, w, count, size, _sample_bytes(stage), ratio
             )
+            # models are looked up by name here, so they can be patched on this module
             if stage.kind is StageKind.ENCODE:
-                latency = (
-                    encode_latency_model(size, w, ratio, store, compute)
-                    if size > 0
-                    else LatencyBreakdown(startup=compute.fn_startup)
-                )
-                size = size / ratio
+                model, args, delay = encode_latency_model, (size, w, ratio), compute.fn_startup
             elif spec.exchange is ExchangeStrategy.VM:
-                latency = (
-                    vm_exchange_latency_model(size, count, w, store, compute)
-                    if size > 0
-                    else LatencyBreakdown(startup=compute.vm_provision)
-                )
-                count = w
+                model, args, delay = vm_exchange_latency_model, (size, count, w), compute.vm_provision
             else:
-                latency = (
-                    shuffle_latency_model(size, w, count, store, compute)
-                    if size > 0
-                    else LatencyBreakdown(startup=compute.fn_startup)
-                )
-                count = w
+                model, args, delay = shuffle_latency_model, (size, w, count), compute.fn_startup
+            latency = model(*args, store, compute) if size > 0 else LatencyBreakdown(startup=delay)
             self._record_stage(stage, latency, requests)
+            size, count = (size / ratio, count) if stage.kind is StageKind.ENCODE else (size, w)
         return self._finish()
 
     # -- emulated mode ---------------------------------------------------------
@@ -418,8 +380,7 @@ class _Run:
         if store is None:
             raise ValidationError(["emulated runs need a store with the input objects"])
         current = _resolve_input(spec, store)
-        w = self._resolve_w(_ref_size(current), len(current.objects), store.profile)
-        self.pool = WorkerPool(min(w, os.cpu_count() or 4))
+        self._resolve_w(_ref_size(current), len(current.objects), store.profile)
         for stage in spec.stages:
             if stage.kind is StageKind.ENCODE:
                 execute = self._encode
@@ -451,8 +412,9 @@ class _Run:
         """Run one barrier phase and return its elapsed clock time.
 
         Opens a new shaping window, waits out `delay` (cold start or VM
-        provisioning), runs the tasks on the pool with task i as worker
-        i, and emits the phase's progress event.
+        provisioning), runs the tasks with task i as worker i, and emits
+        the phase's progress event. A failing task raises TaskError with
+        its worker index.
         """
         store = self.store
         hooks = self.options.hooks
@@ -460,16 +422,20 @@ class _Run:
 
         def started(worker: int, task):
             def run():
-                if on_start:
-                    on_start(stage.id, name, worker)
-                task()
+                try:
+                    if on_start:
+                        on_start(stage.id, name, worker)
+                    task()
+                except BaseException as exc:
+                    raise TaskError(worker, exc) from exc
 
             return run
 
         store.reset_shaping_window()
         t0 = store.clock.now()
         store.clock.sleep(delay)
-        self.pool.run_phase([started(i, task) for i, task in enumerate(tasks)], store.clock)
+        tasks = [started(i, task) for i, task in enumerate(tasks)]
+        _run_tasks(tasks, store.clock, min(self.resolved_w, os.cpu_count() or 4))
         elapsed = store.clock.now() - t0
         self._emit(stage.id, name, fraction)
         return elapsed

@@ -69,17 +69,6 @@ class PriceSheet:
                 raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
-_PHASES = (
-    "startup",
-    "input_read",
-    "sort_compute",
-    "partition_write",
-    "partition_read",
-    "output_write",
-    "encode",
-)
-
-
 @dataclass(frozen=True)
 class LatencyBreakdown:
     startup: float = 0.0
@@ -109,7 +98,7 @@ class LatencyBreakdown:
         return d
 
 
-_COST_COMPONENTS = ("fn_compute", "storage_requests", "vm_time", "vm_volume", "invocations")
+_PHASES = tuple(f.name for f in fields(LatencyBreakdown))
 
 
 @dataclass(frozen=True)
@@ -134,6 +123,9 @@ class CostBreakdown:
         d = {name: getattr(self, name) for name in _COST_COMPONENTS}
         d["total"] = self.total
         return d
+
+
+_COST_COMPONENTS = tuple(f.name for f in fields(CostBreakdown))
 
 
 def _require_positive(**values: float) -> None:
@@ -233,7 +225,7 @@ def optimal_worker_count(
 
 
 def compute_cost(
-    busy_times: list[float],
+    busy_seconds: list[float],
     workers: list[int],
     metrics: StoreMetrics,
     vm_seconds: float,
@@ -243,16 +235,16 @@ def compute_cost(
 ) -> CostBreakdown:
     """Dollar cost of a run.
 
-    `busy_times` and `workers` are aligned per function stage; billable
+    `busy_seconds` and `workers` are aligned per function stage; billable
     time excludes the startup wave, which providers do not charge for.
     """
-    if len(busy_times) != len(workers):
-        raise DomainError("busy_times and workers must align per stage")
+    if len(busy_seconds) != len(workers):
+        raise DomainError("busy_seconds and workers must align per stage")
     if vm_seconds < 0 or vol_gb < 0:
         raise DomainError("vm_seconds and vol_gb must be >= 0")
     fn_compute = 0.0
     calls = 0
-    for busy, w in zip(busy_times, workers):
+    for busy, w in zip(busy_seconds, workers):
         if busy < 0 or w < 0:
             raise DomainError("per-stage busy time and workers must be >= 0")
         fn_compute += w * busy * compute.fn_mem_gb * prices.price_gb_s

@@ -46,14 +46,9 @@ def report_to_json(report: RunReport) -> str:
     return json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
-def _latency_from_dict(data: dict) -> LatencyBreakdown:
-    fields = {k: v for k, v in data.items() if k != "total"}
-    return LatencyBreakdown(**fields)
-
-
-def _cost_from_dict(data: dict) -> CostBreakdown:
-    fields = {k: v for k, v in data.items() if k != "total"}
-    return CostBreakdown(**fields)
+def _breakdown_from_dict(cls, data: dict):
+    """Rebuild a latency or cost breakdown; its total is recomputed, not read."""
+    return cls(**{k: v for k, v in data.items() if k != "total"})
 
 
 def parse_report(text: str) -> RunReport:
@@ -69,7 +64,7 @@ def parse_report(text: str) -> RunReport:
                 stage_id=s["id"],
                 kind=s["kind"],
                 workers=s["workers"],
-                latency=_latency_from_dict(s["latency"]),
+                latency=_breakdown_from_dict(LatencyBreakdown, s["latency"]),
                 requests=StoreMetrics(**s["requests"]),
                 busy_seconds=s["busy_seconds"],
                 vm_seconds=s["vm_seconds"],
@@ -83,7 +78,7 @@ def parse_report(text: str) -> RunReport:
             seed=data["seed"],
             parallelism=data["parallelism"],
             stages=stages,
-            cost=_cost_from_dict(data["cost"]),
+            cost=_breakdown_from_dict(CostBreakdown, data["cost"]),
             store_metrics=StoreMetrics(**data["store_metrics"]),
         )
     except (KeyError, TypeError) as exc:

@@ -135,11 +135,12 @@ def test_emulated_determinism_byte_identical():
     assert first[0] == second[0]
     assert first[1] == second[1]
 
-def test_wall_clock_run_completes():
+@pytest.mark.parametrize("exchange", [ExchangeStrategy.SERVERLESS, ExchangeStrategy.VM])
+def test_wall_clock_run_completes(exchange):
     records = generate_synthetic(2000, seed=6, shuffled=True)
     store = seeded_store(records, 4, store_profile=FAST_STORE, clock=WallClock())
     prof = profiles(store=FAST_STORE, fn_startup=0.01, vm_provision=0.01)
-    report = run_workflow(two_stage_spec(prof, w=4), Mode.EMULATED, store=store)
+    report = run_workflow(two_stage_spec(prof, exchange, w=4), Mode.EMULATED, store=store)
     assert decoded_outputs(store) == sorted(records)
     assert report.end_to_end_s > 0
 
@@ -199,9 +200,10 @@ def test_modeled_sort_bytes_use_stage_sample_bytes():
 
 # --- failure handling ------------------------------------------------------------------
 
-def test_failing_task_cleans_stage_outputs():
+@pytest.mark.parametrize("clock", [VirtualClock, WallClock], ids=["virtual", "wall"])
+def test_failing_task_cleans_stage_outputs(clock):
     records = generate_synthetic(3000, seed=8, shuffled=True)
-    store = seeded_store(records, 4, store_profile=FAST_STORE)
+    store = seeded_store(records, 4, store_profile=FAST_STORE, clock=clock())
 
     calls = {"n": 0}
 
@@ -212,7 +214,7 @@ def test_failing_task_cleans_stage_outputs():
 
     with pytest.raises(ExecutionError) as err:
         run_workflow(
-            two_stage_spec(profiles(store=FAST_STORE), w=4),
+            two_stage_spec(profiles(store=FAST_STORE, fn_startup=0.01, vm_provision=0.01), w=4),
             Mode.EMULATED,
             store=store,
             options=EngineOptions(hooks=ExecHooks(on_task_start=explode)),
