@@ -1,21 +1,13 @@
-"""In-process object store emulator with deterministic traffic shaping.
+"""In-process object store emulator and the replay that times it.
 
-Stands in for a cloud object store: per-request latency, per-connection
-bandwidth, aggregate bandwidth across connections, and a global
-operations-per-second cap. Three `RateMeter`s implement the shaping
-(one request meter, one aggregate byte meter, one per-connection byte
-meter); a request first takes one request token, then streams its bytes
-in chunks through both byte meters.
-
-Both timing regimes share that one meter; only the clock differs:
-
-* wall clock: `reserve` schedules against real time and callers sleep;
-  an idle meter restarts its window, so no burst is banked and observed
-  throughput stays capped over any window;
-* virtual clock: `reserve` advances a simulated clock, so identical
-  call sequences give bit-identical timings. The shared request and
-  aggregate meters carry idle capacity until the engine's phase-barrier
-  reset, because concurrent workers are simulated out of time order.
+Stands in for a cloud object store with four limits: per-request
+latency, per-connection bandwidth, aggregate bandwidth across
+connections, and a global operations-per-second cap. The store itself
+moves bytes and counts requests without taking any time; while a task
+runs, each request is appended to the task's operation log. `replay`
+then computes a phase's timeline from its tasks' logs with one pure
+function, so identical logs give bit-identical timings, whatever the
+host's cores, and there is one clock: the run's `VirtualClock`.
 """
 
 from __future__ import annotations
@@ -23,13 +15,12 @@ from __future__ import annotations
 import errno
 import os
 import threading
-import time
 import urllib.parse
 from dataclasses import dataclass, replace
 
 from faaslab.errors import CapacityError, NotFound, RangeError
 
-DEFAULT_CHUNK_BYTES = 1 << 20
+INF = float("inf")
 
 MEMORY_BACKING = "memory"
 DISK_PREFIX = "disk:"
@@ -106,28 +97,8 @@ class StoreMetrics:
         }
 
 
-class WallClock:
-    """Real time: monotonic now, real sleeps."""
-
-    virtual = False
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep_until(self, t: float) -> None:
-        delay = t - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-
-    def sleep(self, duration: float) -> None:
-        if duration > 0:
-            time.sleep(duration)
-
-
 class VirtualClock:
-    """Simulated time: a cursor the caller positions and operations advance."""
-
-    virtual = True
+    """Simulated time: the engine advances it by each phase's replayed span."""
 
     def __init__(self, start: float = 0.0):
         self._t = start
@@ -135,87 +106,98 @@ class VirtualClock:
     def now(self) -> float:
         return self._t
 
-    def sleep_until(self, t: float) -> None:
-        if t > self._t:
-            self._t = t
-
     def sleep(self, duration: float) -> None:
         if duration > 0:
             self._t += duration
 
-    def seek(self, t: float) -> None:
-        self._t = t
+
+def _fair_shares(caps: list[float], capacity: float) -> list[float]:
+    """Max-min fair split of `capacity` among flows capped at `caps`."""
+    if capacity == INF:
+        return list(caps)
+    order = sorted(range(len(caps)), key=caps.__getitem__)
+    shares = [0.0] * len(caps)
+    left = capacity
+    for rank, i in enumerate(order):
+        level = left / (len(caps) - rank)
+        if caps[i] > level:
+            for j in order[rank:]:
+                shares[j] = level
+            break
+        shares[i] = caps[i]
+        left -= caps[i]
+    return shares
 
 
-class RateMeter:
-    """The one rate limiter, for both clocks: a fluid grant curve.
+def replay(logs: list[list[tuple]], profile: StoreProfile, start: float = 0.0) -> list[float]:
+    """Finish time of each task of one phase, replayed from its operation log.
 
-    Cumulative grants since the window origin stay at or below
-    rate * (t - origin). Token semantics (pipe=False) return the grant
-    instant; pipe semantics return the transfer completion, which is
-    never earlier than now + amount/rate (one client cannot exceed the
-    rate by itself).
-
-    A meter restarts its window once it has gone idle, so idle time
-    banks no burst; for one owner issuing in time order that is a
-    serial pipe. A `now` before the origin (a wall-clock thread that
-    read the time before another took the lock) arrives at the origin,
-    so it cannot overlap a grant already made.
-
-    With `carry_idle` the meter keeps idle capacity until `reset_window`
-    and an earlier `now` moves the origin back instead: the virtual
-    clock's shared meters need this, because the sequential simulation
-    of concurrent workers presents requests out of time order. The
-    engine resets the window at every phase barrier.
+    Every task starts at `start` and runs its operations in order:
+    ("cpu", seconds) holds the task for that long; ("io", nbytes,
+    conn_bandwidth) is one request, in flight from issue to completion.
+    Request tokens are granted first come, first served in issue order
+    (ties to the lower task index): the n-th grant of the phase comes at
+    max(issue, start + (n-1)/ops_rate_cap). Request latency runs from
+    issue and overlaps the token wait; bytes flow once both have passed.
+    The requests in flight share the aggregate bandwidth max-min fairly,
+    each capped by its connection, and a request still waiting on its
+    latency or token holds its share without using it. Pure and
+    deterministic: equal logs give equal finish times.
     """
-
-    def __init__(self, rate: float, pipe: bool, carry_idle: bool = False):
-        self.rate = rate
-        self.pipe = pipe
-        self.carry_idle = carry_idle
-        self._origin: float | None = None
-        self._used = 0.0
-        self._lock = threading.Lock()
-
-    def reset_window(self, origin: float) -> None:
-        with self._lock:
-            self._origin = origin
-            self._used = 0.0
-
-    def reserve(self, amount: float, now: float) -> float:
-        """Consume `amount` at `now`; return when the caller may go on."""
-        rate = self.rate
-        if rate == float("inf") or amount <= 0:
-            return now
-        with self._lock:
-            origin = self._origin
-            if origin is None or (not self.carry_idle and origin + self._used / rate <= now):
-                origin = self._origin = now
-                self._used = 0.0
-            elif now < origin:
-                if self.carry_idle:
-                    origin = self._origin = now
-                else:
-                    now = origin
-            if self.pipe:
-                self._used += amount
-                earliest = origin + self._used / rate
-                own = now + amount / rate
-                return own if own > earliest else earliest
-            grant = origin + self._used / rate
-            self._used += amount
-            return grant if grant > now else now
+    latency, rate_cap = profile.req_latency, profile.ops_rate_cap
+    finish = [start] * len(logs)
+    position = [0] * len(logs)
+    due = {i: start for i in range(len(logs))}  # task -> when its next operation starts
+    flows: dict[int, list[float]] = {}  # task -> [ready, bytes left, connection cap, share]
+    granted = 0
+    t = start
+    changed = False
+    while due or flows:
+        for i in sorted(i for i, at in due.items() if at <= t):
+            del due[i]
+            log = logs[i]
+            if position[i] == len(log):
+                finish[i] = t
+                continue
+            op = log[position[i]]
+            position[i] += 1
+            if op[0] == "cpu":
+                due[i] = t + op[1]
+                continue
+            token = start + granted / rate_cap
+            granted += 1
+            flows[i] = [max(token, t + latency), op[1], op[2], 0.0]
+            changed = True
+        if changed:
+            shares = _fair_shares([flow[2] for flow in flows.values()], profile.aggregate_bandwidth)
+            for flow, share in zip(flows.values(), shares):
+                flow[3] = share
+            changed = False
+        step = min(due.values(), default=INF)
+        for ready, left, _, share in flows.values():
+            end = ready if ready > t else t + left / share
+            if end < step:
+                step = end
+        for i, flow in list(flows.items()):
+            ready, left, _, share = flow
+            if ready > t:
+                continue
+            if t + left / share <= step:
+                del flows[i]
+                due[i] = step
+                changed = True
+            else:
+                flow[1] = left - share * (step - t)
+        t = step
+    return finish
 
 
 class Session:
-    """One logical connection: its own bandwidth meter, shared store."""
+    """One logical connection to the shared store, with its own bandwidth cap."""
 
     def __init__(self, store: "Blobstore", conn_bandwidth: float):
         self._store = store
         self.conn_bandwidth = conn_bandwidth
-        # a connection has one owner issuing in time order, so it never
-        # needs to carry idle capacity
-        self._meter = RateMeter(conn_bandwidth, pipe=True)
 
     def put_object(self, key: str, payload: bytes):
         return self._store._put(self, key, payload)
@@ -290,22 +272,24 @@ class _DiskBacking:
 
 
 class Blobstore:
-    """Shaped key-to-blob store; all clients are in-process."""
+    """Key-to-blob store; all clients are in-process.
+
+    Requests take no time here. While `ops` is a list (the engine sets
+    one per running task), every PUT and GET appends its
+    ("io", nbytes, conn_bandwidth) entry to it, and `replay` turns the
+    logs into time; `clock` is the run's virtual clock.
+    """
 
     def __init__(
         self,
         profile: StoreProfile,
-        clock: WallClock | VirtualClock | None = None,
+        clock: VirtualClock | None = None,
         bucket: str = "data",
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     ):
         self.profile = profile
-        self.clock = clock if clock is not None else WallClock()
+        self.clock = clock if clock is not None else VirtualClock()
         self.bucket = bucket
-        self.chunk_bytes = chunk_bytes
-        carry_idle = self.clock.virtual
-        self._req_meter = RateMeter(profile.ops_rate_cap, pipe=False, carry_idle=carry_idle)
-        self._agg_meter = RateMeter(profile.aggregate_bandwidth, pipe=True, carry_idle=carry_idle)
+        self.ops: list[tuple] | None = None
         if profile.backing == MEMORY_BACKING:
             self._backing = _MemoryBacking()
         else:
@@ -317,41 +301,16 @@ class Blobstore:
     def session(self, conn_bandwidth: float | None = None) -> Session:
         return Session(self, conn_bandwidth or self.profile.conn_bandwidth)
 
-    def reset_shaping_window(self) -> None:
-        """Start a new shaping window for the shared meters.
-
-        Called by the engine at every phase barrier, so idle capacity
-        never carries across phases.
-        """
-        now = self.clock.now()
-        self._req_meter.reset_window(now)
-        self._agg_meter.reset_window(now)
-
-    # -- shaping -----------------------------------------------------------
-
-    def _shape(self, session: Session, nbytes: int) -> None:
-        clock = self.clock
-        now = clock.now()
-        token_at = self._req_meter.reserve(1.0, now)
-        # request latency runs from issue and overlaps any wait on the
-        # ops cap; bytes flow once both have passed
-        latency_done = now + self.profile.req_latency
-        clock.sleep_until(token_at if token_at > latency_done else latency_done)
-        remaining = nbytes
-        while remaining > 0:
-            chunk = remaining if remaining < self.chunk_bytes else self.chunk_bytes
-            now = clock.now()
-            ready = session._meter.reserve(chunk, now)
-            ready_agg = self._agg_meter.reserve(chunk, now)
-            clock.sleep_until(ready_agg if ready_agg > ready else ready)
-            remaining -= chunk
+    def _log(self, session: Session, nbytes: int) -> None:
+        if self.ops is not None:
+            self.ops.append(("io", nbytes, session.conn_bandwidth))
 
     # -- operations ----------------------------------------------------------
 
     def _put(self, session: Session, key: str, payload: bytes) -> PutReceipt:
         if not key:
             raise ValueError("object key must be non-empty")
-        self._shape(session, len(payload))
+        self._log(session, len(payload))
         with self._lock:
             self._backing.write(key, payload)
             self._metrics = replace(
@@ -374,7 +333,7 @@ class Blobstore:
                     f"range [{lo}, {hi}) invalid for object {key!r} of {len(payload)} bytes"
                 )
             payload = payload[lo:hi]
-        self._shape(session, len(payload))
+        self._log(session, len(payload))
         with self._lock:
             self._metrics = replace(
                 self._metrics,
@@ -413,7 +372,7 @@ class Blobstore:
             )
 
     def seed_object(self, key: str, payload: bytes) -> None:
-        """Load an object without shaping or metrics; for run setup only."""
+        """Load an object without logging or metrics; for run setup only."""
         with self._lock:
             self._backing.write(key, payload)
 

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 
-from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock, WallClock
+from faaslab.blobstore import Blobstore, StoreProfile
 from faaslab.engine import EngineOptions, Mode, RunReport, run_workflow
 from faaslab.errors import (
     FaaslabError,
@@ -64,13 +64,13 @@ def _unshaped_disk_store(root: str, bucket: str) -> Blobstore:
     profile = StoreProfile(
         0.0, float("inf"), float("inf"), float("inf"), backing=f"disk:{root}"
     )
-    return Blobstore(profile, clock=WallClock(), bucket=bucket)
+    return Blobstore(profile, bucket=bucket)
 
 
-def _build_run_store(spec: WorkflowSpec, store_dir: str, clock) -> Blobstore:
+def _build_run_store(spec: WorkflowSpec, store_dir: str) -> Blobstore:
     """Fresh run store seeded with the input objects from disk."""
     source = _unshaped_disk_store(store_dir, spec.input.bucket)
-    run_store = Blobstore(spec.profiles.store, clock=clock, bucket=spec.input.bucket)
+    run_store = Blobstore(spec.profiles.store, bucket=spec.input.bucket)
     objects = source.list_prefix(spec.input.prefix)
     for key, _ in objects:
         run_store.seed_object(key, source.get_object(key))
@@ -138,8 +138,7 @@ def _execute(spec: WorkflowSpec, args: argparse.Namespace) -> RunReport:
     options = EngineOptions(progress=_progress_printer)
     if mode is Mode.MODELED:
         return run_workflow(spec, mode, seed=args.seed, options=options)
-    clock = VirtualClock() if args.clock == "virtual" else WallClock()
-    store = _build_run_store(spec, args.store, clock)
+    store = _build_run_store(spec, args.store)
     return run_workflow(spec, mode, seed=args.seed, store=store, options=options)
 
 
@@ -219,14 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--json", action="store_true", help="emit the JSON report on stdout")
         cmd.add_argument("--store", default="faaslab-store", help="store root directory")
-        cmd.add_argument(
-            "--clock",
-            choices=["virtual", "wall"],
-            default="virtual",
-            help="emulated-mode timing source; virtual (default) accounts "
-            "w-wide concurrency deterministically regardless of host cores, "
-            "wall really sleeps and measures host time",
-        )
         cmd.set_defaults(fn=fn)
     return parser
 

@@ -1,13 +1,13 @@
 """Workflow execution in emulated and modeled modes.
 
-Emulated mode moves real bytes through the shaped store. Each stage runs
-as a sequence of phases with a full barrier between them (read, compute,
-write, ...), mirroring the breakdown the analytic model produces. With a
-wall clock, phase tasks run on a bounded thread pool and durations are
-measured; with a virtual clock, tasks run sequentially, every store
-operation advances simulated time, and compute is charged at the
-profile's processing rates, so the accounting assumes w-wide concurrency
-regardless of host cores and timings are bit-for-bit reproducible.
+Emulated mode moves real bytes through the store. Each stage runs as a
+sequence of phases with a full barrier between them (read, compute,
+write, ...), mirroring the breakdown the analytic model produces. A
+phase's tasks run one after another and take no time while they run:
+each records an operation log of its store requests and of its compute,
+charged at the profile's processing rates. `blobstore.replay` then
+computes the phase's w-wide concurrent timeline from the logs, so
+timings are bit-for-bit reproducible regardless of host cores.
 
 Modeled mode skips data movement entirely and evaluates the closed-form
 phase formulas, taking request counts from the exchange's exact count
@@ -19,15 +19,13 @@ wave in both modes.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator
 
 from faaslab import shuffle
-from faaslab.blobstore import Blobstore, Session, StoreMetrics
+from faaslab.blobstore import Blobstore, Session, StoreMetrics, replay
 from faaslab.errors import (
     ExecutionError,
     MemoryBudgetError,
@@ -157,30 +155,6 @@ def request_laws(
         bytes_in=int(2 * size),
         bytes_out=int(2 * size + sample),
     )
-
-
-def _run_tasks(tasks: list[Callable[[], None]], clock, parallelism: int) -> None:
-    """Run one phase's tasks behind a barrier.
-
-    Under a virtual clock, tasks run sequentially in index order, each
-    starting from the phase's start cursor; the phase ends at the latest
-    task finish, which is what w-wide concurrency would observe. Under a
-    wall clock they run concurrently on a bounded thread pool, and every
-    task finishes before the lowest-index failure is raised.
-    """
-    if clock.virtual:
-        t0 = clock.now()
-        finishes = [t0]
-        for task in tasks:
-            clock.seek(t0)
-            task()
-            finishes.append(clock.now())
-        clock.seek(max(finishes))
-        return
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(task) for task in tasks]
-    for future in futures:
-        future.result()
 
 
 def _resolve_input(spec: WorkflowSpec, store: Blobstore) -> DataRef:
@@ -409,42 +383,38 @@ class _Run:
         tasks: list[Callable[[], None]],
         delay: float = 0.0,
     ) -> float:
-        """Run one barrier phase and return its elapsed clock time.
+        """Run one barrier phase and return its elapsed virtual time.
 
-        Opens a new shaping window, waits out `delay` (cold start or VM
-        provisioning), runs the tasks with task i as worker i, and emits
-        the phase's progress event. A failing task raises TaskError with
-        its worker index.
+        Runs the tasks in index order, task i as worker i, each logging
+        its requests and compute charges; then replays the logs from
+        `delay` (cold start or VM provisioning), advances the clock by
+        the phase's span and emits the phase's progress event. A failing
+        task raises TaskError with its worker index and the phase.
         """
         store = self.store
         hooks = self.options.hooks
         on_start = hooks.on_task_start if hooks else None
-
-        def started(worker: int, task):
-            def run():
+        logs = []
+        try:
+            for worker, task in enumerate(tasks):
+                store.ops = []
+                logs.append(store.ops)
                 try:
                     if on_start:
                         on_start(stage.id, name, worker)
                     task()
                 except BaseException as exc:
-                    raise TaskError(worker, exc) from exc
-
-            return run
-
-        store.reset_shaping_window()
-        t0 = store.clock.now()
-        store.clock.sleep(delay)
-        tasks = [started(i, task) for i, task in enumerate(tasks)]
-        _run_tasks(tasks, store.clock, min(self.resolved_w, os.cpu_count() or 4))
-        elapsed = store.clock.now() - t0
+                    raise TaskError(worker, exc, name) from exc
+        finally:
+            store.ops = None
+        elapsed = max(replay(logs, store.profile, delay), default=delay)
+        store.clock.sleep(elapsed)
         self._emit(stage.id, name, fraction)
         return elapsed
 
     def _charge(self, seconds: float) -> None:
-        """Advance virtual time by modeled compute; a no-op on a wall clock (real work ran)."""
-        clock = self.store.clock
-        if clock.virtual and seconds > 0:
-            clock.sleep(seconds)
+        """Log modeled compute time in the running task's operation log."""
+        self.store.ops.append(("cpu", seconds))
 
     def _tracker(self, stage: StageSpec, worker: int):
         hooks = self.options.hooks
@@ -672,13 +642,12 @@ def run_workflow(
 ) -> RunReport:
     """Execute a workflow end to end and return its report.
 
-    Emulated mode needs a store already holding the input objects; the
-    store's clock decides wall versus virtual timing. Modeled mode needs
+    Emulated mode needs a store already holding the input objects, and
+    advances the store's virtual clock by each phase. Modeled mode needs
     the input's declared size. Auto parallelism is resolved by the
     optimizer before execution and recorded in the report. A failed
     stage raises ExecutionError naming it, after deleting its outputs.
-    Deterministic given (spec, mode, seed); under a virtual clock,
-    timings are too.
+    Deterministic given (spec, mode, seed), timings included.
     """
     mode = Mode(mode)
     violations = validate_workflow(spec)

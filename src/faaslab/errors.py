@@ -104,12 +104,13 @@ class ValidationError(FaaslabError):
 
 
 class TaskError(FaaslabError):
-    """A worker task failed; carries the worker index."""
+    """A worker task failed; carries the worker index and the phase."""
 
-    def __init__(self, worker: int, cause: BaseException):
+    def __init__(self, worker: int, cause: BaseException, phase: str):
         self.worker = worker
         self.cause = cause
-        super().__init__(f"worker {worker}: {cause!r}")
+        self.phase = phase
+        super().__init__(f"worker {worker} in {phase}: {cause!r}")
 
 
 class MemoryBudgetError(FaaslabError):

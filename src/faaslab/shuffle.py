@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from faaslab.blobstore import Session
-from faaslab.errors import DomainError, MissingPartition, NotFound
+from faaslab.errors import DomainError, MissingPartition, NotFound, ParseError
 from faaslab.methpipe.records import (
     CHUNK_BYTES,
     SORT_KEY,
@@ -107,10 +107,17 @@ def plan_partitions(samples: Sequence[SortKeyT], w: int) -> ShufflePlan:
 def sample_object(
     session: Session, key: str, size: int, sample_bytes: int = DEFAULT_SAMPLE_BYTES
 ) -> list[SortKeyT]:
-    """Sort keys of the complete lines in an object's head; one range GET."""
+    """Sort keys of the complete lines in an object's head; one range GET.
+
+    A malformed line raises ParseError naming the object.
+    """
     head = session.get_object(key, (0, min(sample_bytes, size)))
     complete = head if len(head) >= size else head[: head.rfind(b"\n") + 1]
-    return [SORT_KEY(record) for record in tsv_to_records(complete)]
+    try:
+        records = tsv_to_records(complete)
+    except ParseError as exc:
+        raise ParseError(exc.column, f"{exc.reason} in object {key!r}") from exc
+    return [SORT_KEY(record) for record in records]
 
 
 def partition_records(records: Iterable[MethRecord], plan: ShufflePlan) -> list[list[MethRecord]]:

@@ -35,6 +35,9 @@ AUTO = "auto"
 # The one block codec the encode stage implements (docs/codec.md).
 CODEC = "mcp1"
 
+# key prefixes the stages write their outputs under
+RESERVED_PREFIXES = ("part/", "sorted/", "encoded/")
+
 
 class ExchangeStrategy(str, enum.Enum):
     SERVERLESS = "serverless"
@@ -277,6 +280,12 @@ def validate_workflow(spec: WorkflowSpec) -> list[str]:
             violations.append("Encode precedes SortExchange")
     if spec.parallelism is not None and not 1 <= spec.parallelism <= spec.w_max:
         violations.append("parallelism out of range")
+    prefix = spec.input.prefix
+    clashes = [r for r in RESERVED_PREFIXES if r.startswith(prefix) or prefix.startswith(r)]
+    if clashes:
+        violations.append(
+            f"input prefix {prefix!r} overlaps the reserved output prefixes {', '.join(clashes)}"
+        )
     return violations
 
 

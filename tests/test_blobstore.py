@@ -1,21 +1,15 @@
-"""Object store emulator: durability, metrics exactness, shaping."""
+"""Object store emulator: durability, metrics exactness, operation logs, replay."""
 
 import math
-import random
 import threading
-import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from faaslab.blobstore import (
-    Blobstore,
-    RateMeter,
-    StoreMetrics,
-    StoreProfile,
-    VirtualClock,
-    WallClock,
-)
+from faaslab.blobstore import Blobstore, StoreMetrics, StoreProfile, VirtualClock, replay
 from faaslab.errors import NotFound, RangeError
+from faaslab.perfmodel import ComputeProfile, shuffle_latency_model, vm_exchange_latency_model
 
 INF = math.inf
 
@@ -24,8 +18,8 @@ def unshaped(backing="memory"):
     return StoreProfile(0.0, INF, INF, INF, backing=backing)
 
 
-def make_store(profile=None, clock=None, **kwargs):
-    return Blobstore(profile or unshaped(), clock=clock or WallClock(), **kwargs)
+def make_store(profile=None, **kwargs):
+    return Blobstore(profile or unshaped(), **kwargs)
 
 
 # --- profile invariants -----------------------------------------------------
@@ -184,211 +178,195 @@ def test_concurrent_read_after_write():
     assert not errors
 
 
-# --- wall-clock shaping ----------------------------------------------------------------
+# --- replay: closed forms ---------------------------------------------------------
+
+def io(nbytes, conn=INF):
+    return ("io", nbytes, conn)
+
+
+def task_log(store, requests):
+    """The operation log one task leaves by running `requests` on the store."""
+    store.ops = []
+    requests(store)
+    log, store.ops = store.ops, None
+    return log
+
+
+def test_requests_append_to_the_running_task_log():
+    store = make_store(StoreProfile(0.0, 4e6, 8e6, INF))
+    store.seed_object("a", b"0123456789")
+    session = store.session(conn_bandwidth=2e6)
+    log = task_log(store, lambda s: (s.put_object("b", b"xyz"), session.get_object("a", (2, 6))))
+    assert log == [io(3, 4e6), io(4, 2e6)]
+    # outside a task, requests log nothing and take no time
+    store.get_object("a")
+    assert store.ops is None
+    assert store.clock.now() == 0.0
 
 def test_shaped_put_duration_closed_form():
-    # 30 MB at 30 MB/s, no latency: 1.0 s within the 10% shaping tolerance
+    # 30 MB at 30 MB/s, no latency: 1.0 s
     profile = StoreProfile(0.0, 30e6, INF, INF)
-    store = make_store(profile)
-    payload = b"\x00" * 30_000_000
-    t0 = time.monotonic()
-    store.put_object("big", payload)
-    elapsed = time.monotonic() - t0
-    assert 0.9 <= elapsed <= 1.25
+    log = task_log(make_store(profile), lambda s: s.put_object("big", b"\x00" * 30_000_000))
+    assert replay([log], profile) == [pytest.approx(1.0, rel=1e-12)]
 
 def test_request_latency_floor():
     profile = StoreProfile(0.05, INF, INF, INF)
-    store = make_store(profile)
-    t0 = time.monotonic()
-    for i in range(4):
-        store.put_object(f"k{i}", b"x")
-    elapsed = time.monotonic() - t0
+    log = task_log(make_store(profile), lambda s: [s.put_object(f"k{i}", b"x") for i in range(4)])
+    (elapsed,) = replay([log], profile)
     assert elapsed >= 0.2 * 0.95
+    assert elapsed == pytest.approx(0.2, rel=1e-12)
 
 def test_concurrent_gets_bounded_by_aggregate():
-    # 64 x 1 MB with A = b = 32 MB/s: total bytes / A = 2.0 s floor
+    # 64 x 1 MB with A = b = 32 MB/s: total bytes / A = 2.0 s
     profile = StoreProfile(0.0, 32e6, 32e6, INF)
-    store = make_store(profile)
-    store.seed_object("obj", b"\x00" * 1_000_000)
-    results = []
-
-    def fetch():
-        session = store.session()
-        session.get_object("obj")
-        results.append(time.monotonic())
-
-    threads = [threading.Thread(target=fetch) for _ in range(64)]
-    t0 = time.monotonic()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = max(results) - t0
-    assert elapsed >= 2.0 * 0.97
-    assert elapsed <= 3.5
+    finishes = replay([[io(1_000_000, 32e6)]] * 64, profile)
+    assert min(finishes) >= 2.0 * (1 - 1e-12)
+    assert max(finishes) == pytest.approx(2.0, rel=1e-12)
 
 def test_ops_rate_soundness_windows():
     rate = 200.0
     profile = StoreProfile(0.0, INF, INF, rate)
-    store = make_store(profile)
-    done = []
-
-    def hammer(n):
-        for _ in range(n):
-            store.put_object("k", b"")
-            done.append(time.monotonic())
-
-    threads = [threading.Thread(target=hammer, args=(60,)) for _ in range(3)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    stamps = sorted(done)
+    # one request per task: each finish is that request's grant
+    stamps = sorted(replay([[io(0)]] * 180, profile))
     window = 0.3
-    limit = rate * window * 1.1 + 1  # +1 for the burst token
+    limit = rate * window * 1.1 + 1  # +1 for the grant at the window's start
     i = 0
     for j in range(len(stamps)):
         while stamps[j] - stamps[i] > window:
             i += 1
         assert j - i + 1 <= limit
-
-def test_aggregate_bytes_soundness_windows():
-    rate = 8e6
-    profile = StoreProfile(0.0, rate, rate, INF)
-    store = make_store(profile, chunk_bytes=1 << 16)
-    store.seed_object("obj", b"\x00" * 200_000)
-    done = []
-
-    def hammer(n):
-        session = store.session()
-        for _ in range(n):
-            session.get_object("obj")
-            done.append((time.monotonic(), 200_000))
-
-    threads = [threading.Thread(target=hammer, args=(20,)) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    events = sorted(done)
-    window = 0.5
-    limit = rate * window * 1.1 + (1 << 16)
-    for j in range(len(events)):
-        total = 0
-        for i in range(j, -1, -1):
-            if events[j][0] - events[i][0] > window:
-                break
-            total += events[i][1]
-        assert total <= limit
-
-def test_wall_shaping_banks_no_burst():
-    # 1 MB at 4 MB/s takes 0.25 s on a fresh store and after an idle gap
-    # alike: neither a new connection nor idle time grants a burst
-    store = make_store(StoreProfile(0.0, 4e6, 4e6, INF))
-    payload = b"\x00" * 1_000_000
-    durations = []
-    for key in ("a", "b"):
-        if durations:
-            time.sleep(0.5)
-        t0 = time.monotonic()
-        store.put_object(key, payload)
-        durations.append(time.monotonic() - t0)
-    assert min(durations) >= 0.9 * 0.25
+    # three workers of 60 back-to-back requests need the same 180 grants
+    assert max(replay([[io(0)] * 60] * 3, profile)) == pytest.approx(179 / rate)
 
 
-# --- rate meter -------------------------------------------------------------------
+# --- replay: sharing ------------------------------------------------------------------
 
-@pytest.mark.parametrize("pipe", [True, False])
-def test_meter_restarts_when_idle(pipe):
-    meter = RateMeter(10.0, pipe=pipe)
-    assert meter.reserve(5.0, now=2.0) == (2.5 if pipe else 2.0)
-    # idle since 2.5: the window restarts at 100, no capacity is banked
-    assert meter.reserve(5.0, now=100.0) == (100.5 if pipe else 100.0)
-    assert meter.reserve(5.0, now=100.0) == (101.0 if pipe else 100.5)
+def test_equal_workers_finish_together_under_aggregate_cap():
+    # 8 x 2 MB on a 64 MB/s store: every PUT gets 8 MB/s and ends at 0.25 s
+    profile = StoreProfile(0.0, 32e6, 64e6, INF)
+    finishes = replay([[io(2_000_000, 32e6)]] * 8, profile)
+    assert len(set(finishes)) == 1
+    assert finishes[0] == pytest.approx(0.25, rel=1e-12)
 
-@pytest.mark.parametrize("pipe", [True, False])
-def test_meter_now_before_origin_arrives_at_origin(pipe):
-    # a wall-clock thread can read the time, then take the lock after a
-    # later reader opened the window; its grant must not overlap that one
-    meter = RateMeter(10.0, pipe=pipe)
-    first = meter.reserve(5.0, now=2.0)
-    second = meter.reserve(5.0, now=1.0)
-    assert second == pytest.approx(first + 0.5)
+def test_ops_capped_workers_spread_below_w_over_r():
+    # 8 equal workers of 20 requests at 200 requests/s
+    w, rate = 8, 200.0
+    profile = StoreProfile(0.002, 32e6, 256e6, rate)
+    finishes = replay([[io(1000, 32e6)] * 20] * w, profile)
+    assert max(finishes) - min(finishes) < w / rate
+    assert max(finishes) >= (20 * w - 1) / rate
 
-def test_meter_carry_idle_moves_origin_back():
-    # an earlier worker simulated after a later one uses the capacity
-    # before the later one's requests instead of queueing behind them
-    meter = RateMeter(10.0, pipe=True, carry_idle=True)
-    assert meter.reserve(10.0, now=5.0) == 6.0
-    assert meter.reserve(10.0, now=0.0) == 2.0
+def test_waiting_request_holds_its_share():
+    # the second request is issued at 0.5 s and waits on its latency
+    # until 1.5 s, yet halves the first one's share from its issue on:
+    # the first moves 0.25 MB by 1.5 s, 0.5 MB more by 2.5 s, then the
+    # last 0.25 MB alone
+    profile = StoreProfile(1.0, 1e6, 1e6, INF)
+    first, second = replay([[io(1_000_000, 1e6)], [("cpu", 0.5), io(500_000, 1e6)]], profile)
+    assert second == pytest.approx(2.5, rel=1e-12)
+    assert first == pytest.approx(2.75, rel=1e-12)
 
-@pytest.mark.parametrize("pipe", [True, False])
-@pytest.mark.parametrize("seed", range(4))
-def test_meter_carry_idle_out_of_order_within_rate(pipe, seed):
-    rng = random.Random(seed)
-    rate = 50.0
-    meter = RateMeter(rate, pipe=pipe, carry_idle=True)
-    calls = [(rng.uniform(0.0, 10.0), rng.choice([1.0, rng.uniform(0.1, 20.0)])) for _ in range(200)]
-    grants = []
-    for now, amount in calls:
-        at = meter.reserve(amount, now)
-        assert at >= now
-        if pipe:
-            assert at >= now + amount / rate
-        grants.append((at, amount))
-    origin = min(now for now, _ in calls)
-    # token semantics return the instant a grant starts, so the grant
-    # being made may run past t by its own amount
-    slack = 0.0 if pipe else max(amount for _, amount in calls)
-    for t, _ in grants:
-        granted = sum(amount for at, amount in grants if at <= t)
-        assert granted <= rate * (t - origin) * (1 + 1e-12) + slack
+
+COMPUTE = ComputeProfile(0.4, 2.0, 24e6, 48e6, 3.0, 96e6, 40e6)
+
+
+@pytest.mark.parametrize("w", [1, 8, 32])
+@pytest.mark.parametrize(
+    "profile",
+    [
+        StoreProfile(0.002, 32e6, 2e9, 1e6),
+        StoreProfile(0.002, 64e6, 64e6, 1e6),
+        StoreProfile(0.05, 1e12, 1e13, INF),
+    ],
+    ids=["conn-bound", "aggregate-bound", "latency-bound"],
+)
+def test_replay_of_uniform_logs_is_the_model(profile, w):
+    S, n_in = 96e6, 2 * w
+    share = S / w
+    model = shuffle_latency_model(S, w, n_in, profile, COMPUTE)
+    conn = profile.conn_bandwidth
+    phases = {
+        "input_read": [[io(S / n_in, conn)] * (n_in // w)] * w,
+        "sort_compute": [[("cpu", share / COMPUTE.fn_sort_rate)]] * w,
+        "partition_write": [[io(share / w, conn)] * w] * w,
+    }
+    for phase, logs in phases.items():
+        finishes = replay(logs, profile)
+        assert max(finishes) == pytest.approx(getattr(model, phase), rel=1e-12, abs=0), phase
+    vm = vm_exchange_latency_model(S, n_in, w, profile, COMPUTE)
+    (vm_read,) = replay([[io(S / n_in, COMPUTE.vm_bandwidth)] * n_in], profile)
+    assert vm_read == pytest.approx(vm.input_read, rel=1e-12, abs=0)
+
+
+_op = st.one_of(
+    st.tuples(st.just("cpu"), st.floats(0.0, 0.5)),
+    st.tuples(
+        st.just("io"),
+        st.integers(0, 2_000_000),
+        st.sampled_from([1e6, 8e6, 32e6, INF]),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    logs=st.lists(st.lists(_op, max_size=8), min_size=1, max_size=6),
+    latency=st.floats(0.0, 0.01),
+    aggregate=st.sampled_from([1e6, 4e6, 64e6, INF]),
+    rate=st.sampled_from([10.0, 200.0, 1e4, INF]),
+    start=st.floats(0.0, 100.0),
+)
+def test_replay_respects_every_limit(logs, latency, aggregate, rate, start):
+    profile = StoreProfile(latency, 1e6, aggregate, rate)
+    finishes = replay(logs, profile, start)
+    assert finishes == replay([list(log) for log in logs], profile, start)
+    slack = 1e-9
+    requests = [op for log in logs for op in log if op[0] == "io"]
+    for log, finish in zip(logs, finishes):
+        alone = sum(latency + op[1] / op[2] if op[0] == "io" else op[1] for op in log)
+        assert finish >= start + alone - slack * (1 + start + alone)
+    last = max(finishes)
+    if requests:
+        moved = sum(op[1] for op in requests) / aggregate
+        assert last >= start + moved - slack * (1 + start + moved)
+        assert last >= start + (len(requests) - 1) / rate - slack * (1 + start)
 
 
 # --- virtual clock ------------------------------------------------------------------
 
 def test_virtual_timings_deterministic():
     def run():
-        clock = VirtualClock()
         profile = StoreProfile(0.001, 10e6, 40e6, 100.0)
-        store = Blobstore(profile, clock=clock)
-        stamps = []
+        store = Blobstore(profile, clock=VirtualClock())
         sessions = [store.session() for _ in range(4)]
-        for i, session in enumerate(sessions):
-            session.put_object(f"k{i}", b"\x00" * 500_000)
-            stamps.append(clock.now())
-        for i, session in enumerate(sessions):
-            session.get_object(f"k{i}")
-            stamps.append(clock.now())
-        return stamps
+        logs = [
+            task_log(store, lambda s, i=i, session=session: (
+                session.put_object(f"k{i}", b"\x00" * 500_000), session.get_object(f"k{i}")
+            ))
+            for i, session in enumerate(sessions)
+        ]
+        return replay(logs, profile)
 
     assert run() == run()
 
 def test_virtual_put_matches_closed_form():
-    clock = VirtualClock()
     profile = StoreProfile(0.5, 10e6, INF, INF)
-    store = Blobstore(profile, clock=clock)
-    store.put_object("a", b"\x00" * 10_000_000)
+    log = task_log(Blobstore(profile), lambda s: s.put_object("a", b"\x00" * 10_000_000))
     # latency + size/bandwidth
-    assert clock.now() == pytest.approx(1.5, rel=1e-9)
+    assert replay([log], profile) == [pytest.approx(1.5, rel=1e-9)]
 
 def test_virtual_request_cap_spacing():
-    clock = VirtualClock()
     profile = StoreProfile(0.0, INF, INF, 10.0)
-    store = Blobstore(profile, clock=clock)
-    for i in range(21):
-        store.put_object(f"k{i}", b"")
+    log = task_log(Blobstore(profile), lambda s: [s.put_object(f"k{i}", b"") for i in range(21)])
     # 21 requests at 10/s: the last token is granted at 2.0s
-    assert clock.now() == pytest.approx(2.0, rel=1e-9)
+    assert replay([log], profile) == [pytest.approx(2.0, rel=1e-9)]
 
 def test_virtual_no_idle_credit_after_reset():
-    clock = VirtualClock()
     profile = StoreProfile(0.0, 1e6, 1e6, INF)
-    store = Blobstore(profile, clock=clock)
-    store.put_object("a", b"\x00" * 1_000_000)
-    assert clock.now() == pytest.approx(1.0)
-    clock.seek(10.0)
-    store.reset_shaping_window()
-    store.put_object("b", b"\x00" * 1_000_000)
-    # idle time between windows grants no burst
-    assert clock.now() == pytest.approx(11.0)
+    assert replay([[io(1_000_000, 1e6)]], profile) == [pytest.approx(1.0)]
+    # a phase replayed later starts with no credit from the idle time
+    assert replay([[io(1_000_000, 1e6)]], profile, start=10.0) == [pytest.approx(11.0)]
+    # nor does idle time inside a task bank a burst
+    assert replay([[io(1_000_000, 1e6), ("cpu", 9.0), io(1_000_000, 1e6)]], profile) == [
+        pytest.approx(11.0)
+    ]

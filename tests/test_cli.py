@@ -142,11 +142,11 @@ def test_run_emulate_small_input(desk_workflow, tmp_path, capsys):
     assert report.stages[0].requests.get_count == 80
     assert report.stages[0].requests.put_count == 72
 
-def test_run_emulate_wall_clock(desk_workflow, tmp_path, capsys):
+def test_run_emulate_json_round_trips_and_follows_laws(desk_workflow, tmp_path, capsys):
     run_cli(capsys, "generate", "--records", "300", "--objects", "4",
             "--store", str(tmp_path / "s"))
     code, out, _ = run_cli(
-        capsys, "run", "--workflow", desk_workflow, "--mode", "emulate", "--clock", "wall",
+        capsys, "run", "--workflow", desk_workflow, "--mode", "emulate",
         "--store", str(tmp_path / "s"), "--json",
     )
     assert code == 0
@@ -287,5 +287,26 @@ def test_run_emulate_malformed_input_line_exit_1(desk_workflow, tmp_path, capsys
     )
     assert code == 1
     assert "column" in err
-    assert "sort" in err
+    # stage, phase and object key
+    assert "'sort'" in err
+    assert "input_read" in err
+    assert "raw/0000" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("prefix", ["", "sorted/"])
+def test_run_reserved_input_prefix_exit_2(tmp_path, capsys, prefix):
+    # a prefix overlapping the stage outputs would read a previous run's
+    # outputs as input; it is rejected before the store is opened
+    doc = dict(PAPER_DOC)
+    doc["input"] = {"bucket": "data", "prefix": prefix}
+    doc["profiles"] = profiles_to_dict(builtin_profiles("desk-v1"))
+    wf = tmp_path / "wf.json"
+    wf.write_text(json.dumps(doc))
+    store = tmp_path / "s"
+    code, _, err = run_cli(
+        capsys, "run", "--workflow", str(wf), "--mode", "emulate", "--store", str(store)
+    )
+    assert code == 2
+    assert "reserved" in err
+    assert not store.exists()

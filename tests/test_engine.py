@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from faaslab.blobstore import Blobstore, StoreMetrics, StoreProfile, VirtualClock, WallClock
+from faaslab.blobstore import Blobstore, StoreMetrics, StoreProfile, VirtualClock
 from faaslab.engine import (
     EngineOptions,
     ExecHooks,
@@ -78,8 +78,8 @@ def two_stage_spec(prof=None, exchange=ExchangeStrategy.SERVERLESS, w=8, **stage
     )
 
 
-def seeded_store(records, n_objects, store_profile=DESK_STORE, clock=None):
-    store = Blobstore(store_profile, clock=clock or VirtualClock())
+def seeded_store(records, n_objects, store_profile=DESK_STORE):
+    store = Blobstore(store_profile, clock=VirtualClock())
     for i, payload in enumerate(split_into_objects(records, n_objects)):
         store.seed_object(f"raw/{i:04d}", payload)
     return store
@@ -136,9 +136,10 @@ def test_emulated_determinism_byte_identical():
     assert first[1] == second[1]
 
 @pytest.mark.parametrize("exchange", [ExchangeStrategy.SERVERLESS, ExchangeStrategy.VM])
-def test_wall_clock_run_completes(exchange):
+def test_unshaped_run_completes(exchange):
+    # infinite rates and zero latency: every request replays in no time
     records = generate_synthetic(2000, seed=6, shuffled=True)
-    store = seeded_store(records, 4, store_profile=FAST_STORE, clock=WallClock())
+    store = seeded_store(records, 4, store_profile=FAST_STORE)
     prof = profiles(store=FAST_STORE, fn_startup=0.01, vm_provision=0.01)
     report = run_workflow(two_stage_spec(prof, exchange, w=4), Mode.EMULATED, store=store)
     assert decoded_outputs(store) == sorted(records)
@@ -200,10 +201,9 @@ def test_modeled_sort_bytes_use_stage_sample_bytes():
 
 # --- failure handling ------------------------------------------------------------------
 
-@pytest.mark.parametrize("clock", [VirtualClock, WallClock], ids=["virtual", "wall"])
-def test_failing_task_cleans_stage_outputs(clock):
+def test_failing_task_cleans_stage_outputs():
     records = generate_synthetic(3000, seed=8, shuffled=True)
-    store = seeded_store(records, 4, store_profile=FAST_STORE, clock=clock())
+    store = seeded_store(records, 4, store_profile=FAST_STORE)
 
     calls = {"n": 0}
 
@@ -222,6 +222,7 @@ def test_failing_task_cleans_stage_outputs(clock):
     assert err.value.stage_id == "sort"
     assert isinstance(err.value.cause, TaskError)
     assert err.value.cause.worker == 2
+    assert err.value.cause.phase == "partition_write"
     assert calls["n"] == 1
     assert store.list_prefix("part/sort/") == []
     assert store.list_prefix("sorted/sort/") == []
@@ -248,13 +249,14 @@ def test_run_workflow_wraps_stage_failure():
 
 
 @pytest.mark.parametrize(
-    "exchange, worker",
-    [(ExchangeStrategy.SERVERLESS, 4), (ExchangeStrategy.VM, 0)],
+    "exchange, worker, phase",
+    [(ExchangeStrategy.SERVERLESS, 4, "input_read"), (ExchangeStrategy.VM, 0, "sort_compute")],
     ids=["sampler", "vm"],
 )
-def test_parse_error_names_stage(exchange, worker):
+def test_parse_error_names_stage(exchange, worker, phase):
     # serverless: object 0's sampler (worker w + 0) parses the bad line
-    # first; VM: the one VM task parses it in sort_compute
+    # first and names the object; VM: the one VM task parses it in
+    # sort_compute
     payloads = split_into_objects(generate_synthetic(2000, seed=18, shuffled=True), 4)
     payloads[0] = b"chr1\tx\t5\t+\t1\t2\n" + payloads[0]
     store = Blobstore(DESK_STORE, clock=VirtualClock())
@@ -265,7 +267,10 @@ def test_parse_error_names_stage(exchange, worker):
     assert err.value.stage_id == "sort"
     assert isinstance(err.value.cause, TaskError)
     assert err.value.cause.worker == worker
+    assert err.value.cause.phase == phase
     assert isinstance(err.value.cause.cause, ParseError)
+    if phase == "input_read":
+        assert "raw/0000" in str(err.value)
     assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faaslab import shuffle
-from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock, WallClock
+from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock
 from faaslab.engine import EngineOptions, Mode, run_workflow
 from faaslab.errors import DomainError, ExecutionError, MemoryBudgetError, MissingPartition
 from faaslab.methpipe import MethRecord, generate_synthetic, split_into_objects, tsv_to_records
@@ -33,7 +33,7 @@ INF = math.inf
 
 
 def fast_store():
-    return Blobstore(StoreProfile(0.0, INF, INF, INF), clock=WallClock())
+    return Blobstore(StoreProfile(0.0, INF, INF, INF), clock=VirtualClock())
 
 
 def map_side(records, plan, mapper, session, stage):

@@ -175,6 +175,26 @@ def test_validate_mutants_each_break_one_invariant():
         violations = validate_workflow(mutant)
         assert expected in violations, (expected, violations)
 
+@pytest.mark.parametrize(
+    "prefix, clashes",
+    [
+        ("", "part/, sorted/, encoded/"),
+        ("p", "part/"),
+        ("part/", "part/"),
+        ("sorted/sort/", "sorted/"),
+        ("encoded", "encoded/"),
+    ],
+)
+def test_validate_rejects_reserved_input_prefixes(prefix, clashes):
+    spec = valid_spec(input=DataRef("data", prefix))
+    assert validate_workflow(spec) == [
+        f"input prefix {prefix!r} overlaps the reserved output prefixes {clashes}"
+    ]
+
+@pytest.mark.parametrize("prefix", ["raw/", "partition/", "sorted_in/", "in/encoded/"])
+def test_validate_accepts_unreserved_input_prefixes(prefix):
+    assert validate_workflow(valid_spec(input=DataRef("data", prefix))) == []
+
 def test_validate_reports_all_violations():
     spec = valid_spec(
         stages=(
@@ -195,7 +215,7 @@ _spec_strategy = st.builds(
     input=st.builds(
         DataRef,
         bucket=st.sampled_from(["data", "bkt"]),
-        prefix=st.sampled_from(["raw/", "in/", ""]),
+        prefix=st.sampled_from(["raw/", "in/", "in"]),
         size_bytes=st.one_of(st.none(), st.floats(min_value=1, max_value=1e12)),
         object_count=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
     ),
