@@ -33,7 +33,7 @@ from faaslab.errors import (
     ValidationError,
 )
 from faaslab.methpipe.codec import decode_block, encode_block, is_encoded_block
-from faaslab.methpipe.records import records_to_tsv, tsv_to_records
+from faaslab.methpipe.records import records_to_tsv, tsv_to_records, tsv_to_rows
 from faaslab.perfmodel import (
     DEFAULT_COMPRESSION_RATIO,
     CostBreakdown,
@@ -187,9 +187,10 @@ def _fetch(session: Session, objects, track) -> Iterator[bytes]:
         yield payload
 
 
-def _write_sorted(session: Session, stage_id: str, reducer: int, records, track) -> tuple[str, int]:
+def _write_sorted(
+    session: Session, stage_id: str, reducer: int, payload: bytes, track
+) -> tuple[str, int]:
     """PUT one sorted output range; returns its (key, size)."""
-    payload = records_to_tsv(records)
     if track:
         track(len(payload))
     key = shuffle.output_key(stage_id, reducer)
@@ -467,11 +468,11 @@ class _Run:
 
         def partition(worker: int):
             nbytes = sum(len(p) for p in payloads[worker])
-            records = []
-            for payload in payloads[worker]:
-                records.extend(tsv_to_records(payload))
+            rows = []
+            for (key, _), payload in zip(assigned[worker], payloads[worker]):
+                rows.extend(shuffle.parse_object(tsv_to_rows, payload, key))
             payloads[worker] = None
-            fragments[worker] = shuffle.partition_records(records, plan)
+            fragments[worker] = shuffle.partition_records(rows, plan)
             self._charge(nbytes / compute.fn_sort_rate)
 
         sort_compute = self._phase(
@@ -503,10 +504,10 @@ class _Run:
         outputs: list = [None] * w
 
         def reduce(worker: int):
-            records = shuffle.merge_fragments(gathered[worker])
+            payload = shuffle.merge_fragments(gathered[worker])
             gathered[worker] = None
             track = self._tracker(stage, worker)
-            outputs[worker] = _write_sorted(sessions[worker], stage.id, worker, records, track)
+            outputs[worker] = _write_sorted(sessions[worker], stage.id, worker, payload, track)
 
         output_write = self._phase(
             stage, "output_write", 1.0, [partial(reduce, i) for i in range(w)]
@@ -536,7 +537,8 @@ class _Run:
 
         def write(ranges):
             for reducer, records in enumerate(ranges):
-                outputs.append(_write_sorted(session, stage.id, reducer, records, track))
+                payload = records_to_tsv(records)
+                outputs.append(_write_sorted(session, stage.id, reducer, payload, track))
 
         if size > budget:
             # external fallback interleaves reads and spills; its whole
@@ -555,8 +557,8 @@ class _Run:
                 payloads.extend(_fetch(session, inputs.objects, track))
 
             def sort():
-                for payload in payloads:
-                    records.extend(tsv_to_records(payload))
+                for (key, _), payload in zip(inputs.objects, payloads):
+                    records.extend(shuffle.parse_object(tsv_to_records, payload, key))
                 payloads.clear()
                 records.sort()
                 self._charge(size / compute.vm_sort_rate)

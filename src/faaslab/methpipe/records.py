@@ -18,6 +18,10 @@ exactly like ``MethRecord``; ``parse_meth_record`` returns a ``MethRecord``.
 Internal lines are parsed in batches; a batch with any other line falls
 back to ``parse_meth_record`` line by line (see ``tsv_to_records``).
 
+``tsv_to_rows`` returns rows: those 6-tuples with the record's canonical
+line (the bytes ``record_lines`` writes for it) as a seventh field, so a
+sorted set of rows is serialized by joining lines (``rows_to_tsv``).
+
 Sort order is (chrom, start, end, strand), compared field by field.
 Chromosome names compare in raw byte order, so "chr10" sorts before "chr2";
 the pipeline only needs a total order, not the genomics natural order.
@@ -26,8 +30,9 @@ the pipeline only needs a total order, not the genomics natural order.
 from __future__ import annotations
 
 import operator
+import re
 import sys
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from faaslab.errors import ParseError
 
@@ -46,6 +51,9 @@ class MethRecord(NamedTuple):
 # Key for sorting records: equal keys compare equal regardless of
 # coverage or methylation percent.
 SORT_KEY = operator.itemgetter(0, 1, 2, 3)
+
+# A row's canonical line (see tsv_to_rows).
+_LINE = operator.itemgetter(6)
 
 
 def _int_field(text: str, column: int, name: str) -> int:
@@ -115,7 +123,7 @@ def record_lines(records: Iterable[MethRecord]) -> list[bytes]:
     for chrom, start, end, strand, coverage, meth_pct in records:
         cb = chrom_cache.get(chrom)
         if cb is None:
-            cb = chrom_cache[chrom] = chrom.encode("ascii")
+            cb = chrom_cache[chrom] = chrom.encode("utf-8")
         append(b"%s\t%d\t%d\t%c\t%d\t%d" % (cb, start, end, ord(strand), coverage, meth_pct))
     return lines
 
@@ -134,11 +142,24 @@ CHUNK_BYTES = 1 << 16
 _STRAND_TEXT = {b"+": "+", b"-": "-"}
 
 
-def _parse_chunk(chunk: bytes) -> list[tuple] | None:
+def _chunks(payload: bytes) -> Iterator[bytes]:
+    """Cut a payload after a newline every CHUNK_BYTES or so; each chunk ends with one."""
+    size = len(payload)
+    start = 0
+    while start < size:
+        stop = payload.find(b"\n", start + CHUNK_BYTES - 1) + 1 or size
+        chunk = payload[start:stop]
+        yield chunk if chunk[-1:] == b"\n" else chunk + b"\n"
+        start = stop
+
+
+def _parse_chunk(chunk: bytes) -> tuple[list[list[bytes]], tuple] | None:
     """Batch-parse a newline-terminated chunk of internal 6-column lines.
 
-    Returns None when any line is not a valid internal line, in which case
-    the caller parses the chunk line by line.
+    Returns the raw bytes of the four number columns and the six record
+    columns in MethRecord field order, or None when any line is not a
+    valid internal line, in which case the caller parses the chunk line
+    by line.
     """
     if b"\r" in chunk:
         return None
@@ -163,11 +184,9 @@ def _parse_chunk(chunk: bytes) -> list[tuple] | None:
     raw_strands = fields[3::6]
     if not set(raw_strands) <= _STRAND_TEXT.keys():
         return None
+    numbers = [fields[1::6], fields[2::6], fields[4::6], fields[5::6]]
     try:
-        starts = list(map(int, fields[1::6]))
-        ends = list(map(int, fields[2::6]))
-        coverages = list(map(int, fields[4::6]))
-        meths = list(map(int, fields[5::6]))
+        starts, ends, coverages, meths = [list(map(int, column)) for column in numbers]
     except ValueError:
         return None
     if (
@@ -178,16 +197,15 @@ def _parse_chunk(chunk: bytes) -> list[tuple] | None:
         or any(map(operator.le, ends, starts))
     ):
         return None
-    return list(
-        zip(
-            map(names.__getitem__, raw_chroms),
-            starts,
-            ends,
-            map(_STRAND_TEXT.__getitem__, raw_strands),
-            coverages,
-            meths,
-        )
+    columns = (
+        map(names.__getitem__, raw_chroms),
+        starts,
+        ends,
+        map(_STRAND_TEXT.__getitem__, raw_strands),
+        coverages,
+        meths,
     )
+    return numbers, columns
 
 
 def _parse_lines(chunk: bytes) -> list[tuple]:
@@ -217,14 +235,57 @@ def tsv_to_records(payload: bytes) -> list[tuple]:
     raise ParseError naming their column.
     """
     out: list[tuple] = []
-    size = len(payload)
-    start = 0
-    while start < size:
-        stop = payload.find(b"\n", start + CHUNK_BYTES - 1) + 1 or size
-        chunk = payload[start:stop]
-        if chunk[-1:] != b"\n":
-            chunk += b"\n"
-        records = _parse_chunk(chunk)
-        out.extend(_parse_lines(chunk) if records is None else records)
-        start = stop
+    for chunk in _chunks(payload):
+        parsed = _parse_chunk(chunk)
+        out.extend(_parse_lines(chunk) if parsed is None else zip(*parsed[1]))
     return out
+
+
+# A number written with a leading zero; int() accepts it, record_lines
+# would not write it.
+_LEADING_ZERO = re.compile(rb"\t0[0-9]")
+
+
+def _is_canonical(chunk: bytes, numbers: list[list[bytes]]) -> bool:
+    """Whether a batch-parsed chunk's lines are the ones record_lines writes.
+
+    Chrom and strand bytes always are. A number is when it is plain ASCII
+    digits without a leading zero; int() also accepts "+7", " 7", "7_0"
+    and "007".
+    """
+    return (
+        all(b"".join(column).isdigit() for column in numbers)
+        and _LEADING_ZERO.search(chunk) is None
+    )
+
+
+def tsv_to_rows(payload: bytes) -> list[tuple]:
+    """Parse a TSV payload into rows ``(*record, line)``.
+
+    ``record`` is what tsv_to_records returns and ``line`` is its
+    canonical line, the bytes record_lines writes for it, so errors and
+    records are those of tsv_to_records. A batch chunk whose lines are
+    already canonical keeps its own line bytes; every other chunk is
+    serialized with record_lines. Rows sort exactly as their records:
+    ``line`` is a function of the six fields, so it only breaks ties
+    between identical records, whose lines are identical.
+    """
+    out: list[tuple] = []
+    for chunk in _chunks(payload):
+        parsed = _parse_chunk(chunk)
+        if parsed is not None and _is_canonical(chunk, parsed[0]):
+            lines = chunk.split(b"\n")
+            lines.pop()
+            out.extend(zip(*parsed[1], lines))
+        else:
+            records = _parse_lines(chunk) if parsed is None else list(zip(*parsed[1]))
+            out.extend(map(tuple.__add__, records, zip(record_lines(records))))
+    return out
+
+
+def rows_to_tsv(rows: Iterable[tuple]) -> bytes:
+    """Join rows' lines; equals records_to_tsv of the rows' records."""
+    lines = list(map(_LINE, rows))
+    if not lines:
+        return b""
+    return b"\n".join(lines) + b"\n"

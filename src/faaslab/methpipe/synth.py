@@ -9,6 +9,7 @@ flips in runs rather than per site.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 from faaslab.methpipe.records import MethRecord, record_lines
@@ -73,14 +74,15 @@ def split_into_objects(records: list[MethRecord], k: int) -> list[bytes]:
     """Serialize records into k TSV payloads balanced by byte size.
 
     Greedy least-loaded assignment keeps payload sizes within one record's
-    bytes of each other. Deterministic: ties go to the lowest index.
+    bytes of each other. Deterministic: ties go to the lowest index, which
+    the heap of (size, index) pairs yields first.
     """
     if k < 1:
         raise ValueError(f"object count must be >= 1, got {k}")
     buckets: list[list[bytes]] = [[] for _ in range(k)]
-    sizes = [0] * k
+    loads = [(0, i) for i in range(k)]  # ascending, so already a heap
     for line in record_lines(records):
-        i = sizes.index(min(sizes))
+        size, i = loads[0]
         buckets[i].append(line)
-        sizes[i] += len(line) + 1
+        heapq.heapreplace(loads, (size + len(line) + 1, i))
     return [b"\n".join(bucket) + b"\n" if bucket else b"" for bucket in buckets]

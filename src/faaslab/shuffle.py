@@ -3,7 +3,9 @@
 Serverless path: sample every input object's head, derive
 range-partition boundaries, have each of w mappers sort and write one
 fragment object per reducer (w*w objects through the store), then let
-each reducer merge its w sorted fragments into one sorted output.
+each reducer merge its w sorted fragments into one sorted output. Both
+sides sort rows (`tsv_to_rows`) and write payloads by joining the rows'
+canonical lines, so neither serializes a record again.
 
 VM path: gather every input object into one machine, sort globally
 (spilling sorted runs to local disk when the input exceeds memory), and
@@ -32,7 +34,9 @@ from faaslab.methpipe.records import (
     SORT_KEY,
     MethRecord,
     records_to_tsv,
+    rows_to_tsv,
     tsv_to_records,
+    tsv_to_rows,
 )
 
 SortKeyT = tuple[str, int, int, str]
@@ -104,6 +108,14 @@ def plan_partitions(samples: Sequence[SortKeyT], w: int) -> ShufflePlan:
     return ShufflePlan(w, tuple(boundaries))
 
 
+def parse_object(parse: Callable[[bytes], list], payload: bytes, key: str) -> list:
+    """parse(payload), with a ParseError naming the object it came from."""
+    try:
+        return parse(payload)
+    except ParseError as exc:
+        raise ParseError(exc.column, f"{exc.reason} in object {key!r}") from exc
+
+
 def sample_object(
     session: Session, key: str, size: int, sample_bytes: int = DEFAULT_SAMPLE_BYTES
 ) -> list[SortKeyT]:
@@ -113,41 +125,37 @@ def sample_object(
     """
     head = session.get_object(key, (0, min(sample_bytes, size)))
     complete = head if len(head) >= size else head[: head.rfind(b"\n") + 1]
-    try:
-        records = tsv_to_records(complete)
-    except ParseError as exc:
-        raise ParseError(exc.column, f"{exc.reason} in object {key!r}") from exc
-    return [SORT_KEY(record) for record in records]
+    return [SORT_KEY(record) for record in parse_object(tsv_to_records, complete, key)]
 
 
-def partition_records(records: Iterable[MethRecord], plan: ShufflePlan) -> list[list[MethRecord]]:
-    """Split records into w sorted fragments by key range.
+def partition_records(rows: Iterable[tuple], plan: ShufflePlan) -> list[bytes]:
+    """Split rows (see `tsv_to_rows`) into w sorted fragment payloads by key range.
 
     Sorts once, then cuts the sorted list at each boundary; bisect_right
-    keeps a key equal to a boundary in the lower range.
+    keeps a key equal to a boundary in the lower range. A fragment's
+    payload joins its rows' lines.
     """
-    ordered = sorted(records)
+    ordered = sorted(rows)
     fragments = []
     lo = 0
     for boundary in plan.boundaries:
         hi = bisect_right(ordered, boundary, lo, key=SORT_KEY)
-        fragments.append(ordered[lo:hi])
+        fragments.append(rows_to_tsv(ordered[lo:hi]))
         lo = hi
-    fragments.append(ordered[lo:])
-    fragments.extend([] for _ in range(plan.w - len(fragments)))
+    fragments.append(rows_to_tsv(ordered[lo:]))
+    fragments.extend(b"" for _ in range(plan.w - len(fragments)))
     return fragments
 
 
 def write_fragments(
-    fragments: list[list[MethRecord]],
+    fragments: list[bytes],
     stage: str,
     mapper: int,
     session: Session,
     track: Tracker | None = None,
 ) -> None:
     """Mapper side: PUT one object per reducer, empty fragments included."""
-    for reducer, fragment in enumerate(fragments):
-        payload = records_to_tsv(fragment)
+    for reducer, payload in enumerate(fragments):
         if track:
             track(len(payload))
         session.put_object(partition_key(stage, mapper, reducer), payload)
@@ -167,17 +175,17 @@ def read_fragments(
     return payloads
 
 
-def merge_fragments(payloads: list[bytes]) -> list[MethRecord]:
-    """Merge sorted fragments into one sorted list.
+def merge_fragments(payloads: list[bytes]) -> bytes:
+    """Merge sorted fragment payloads into one sorted output payload.
 
-    Parses the concatenated fragments once; list.sort finds the w sorted
-    runs and merges them.
+    Parses the concatenated fragments once into rows; list.sort finds
+    the w sorted runs and merges them, and the output joins their lines.
     """
-    records = tsv_to_records(
+    rows = tsv_to_rows(
         b"".join(p if p.endswith(b"\n") or not p else p + b"\n" for p in payloads)
     )
-    records.sort()
-    return records
+    rows.sort()
+    return rows_to_tsv(rows)
 
 
 def _range_counts(n: int, w_out: int) -> list[int]:

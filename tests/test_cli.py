@@ -294,6 +294,31 @@ def test_run_emulate_malformed_input_line_exit_1(desk_workflow, tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_run_emulate_bad_line_past_sampled_head_names_object(tmp_path, capsys):
+    doc = dict(PAPER_DOC)
+    doc["input"] = {"bucket": "data", "prefix": "raw/"}
+    doc["stages"] = [
+        {"id": "sort", "kind": "sort", "options": {"sample_bytes": 512}},
+        {"id": "encode", "kind": "encode"},
+    ]
+    doc["profiles"] = profiles_to_dict(builtin_profiles("desk-v1"))
+    wf = tmp_path / "wf.json"
+    wf.write_text(json.dumps(doc))
+    store = tmp_path / "s"
+    run_cli(capsys, "generate", "--records", "2000", "--objects", "4", "--store", str(store))
+    # past the sampled head, so mapper 1 parses it in sort_compute
+    second = store / "data" / "raw%2F0001"
+    second.write_bytes(second.read_bytes() + b"chr1\tx\t5\t+\t1\t2\n")
+    code, _, err = run_cli(
+        capsys, "run", "--workflow", str(wf), "--mode", "emulate", "--store", str(store)
+    )
+    assert code == 1
+    assert "'sort'" in err
+    assert "worker 1 in sort_compute" in err
+    assert "raw/0001" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("prefix", ["", "sorted/"])
 def test_run_reserved_input_prefix_exit_2(tmp_path, capsys, prefix):
     # a prefix overlapping the stage outputs would read a previous run's

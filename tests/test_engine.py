@@ -22,7 +22,7 @@ from faaslab.errors import (
     TaskError,
     ValidationError,
 )
-from faaslab.methpipe import decode_block, generate_synthetic, split_into_objects
+from faaslab.methpipe import decode_block, generate_synthetic, records_to_tsv, split_into_objects
 from faaslab.perfmodel import (
     ComputeProfile,
     PriceSheet,
@@ -272,6 +272,47 @@ def test_parse_error_names_stage(exchange, worker, phase):
     if phase == "input_read":
         assert "raw/0000" in str(err.value)
     assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
+
+
+@pytest.mark.parametrize(
+    "exchange, worker",
+    [(ExchangeStrategy.SERVERLESS, 1), (ExchangeStrategy.VM, 0)],
+    ids=["mapper", "vm"],
+)
+def test_sort_compute_parse_error_names_object(exchange, worker):
+    # the samplers read 512 bytes of each object's head, so the bad last
+    # line of raw/0001 is first parsed in sort_compute, by mapper 1 or by
+    # the one VM task
+    payloads = split_into_objects(generate_synthetic(2000, seed=18, shuffled=True), 4)
+    payloads[1] += b"chr1\tx\t5\t+\t1\t2\n"
+    store = Blobstore(DESK_STORE, clock=VirtualClock())
+    for i, payload in enumerate(payloads):
+        store.seed_object(f"raw/{i:04d}", payload)
+    spec = two_stage_spec(exchange=exchange, w=4, sort={"sample_bytes": 512})
+    with pytest.raises(ExecutionError) as err:
+        run_workflow(spec, Mode.EMULATED, store=store)
+    cause = err.value.cause
+    assert isinstance(cause, TaskError)
+    assert (cause.worker, cause.phase) == (worker, "sort_compute")
+    assert isinstance(cause.cause, ParseError)
+    assert cause.cause.column == 2
+    assert "raw/0001" in str(err.value)
+    assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
+
+
+def test_non_ascii_chrom_sorts_identically_and_round_trips():
+    names = {"chr1": "chr1", "chr2": "chré", "chr3": "染色体3", "chr4": "chr4"}
+    records = [
+        r._replace(chrom=names[r.chrom]) for r in generate_synthetic(3000, seed=27, shuffled=True)
+    ]
+    expected = records_to_tsv(sorted(records))
+    assert "chré".encode() in expected
+    for exchange in ExchangeStrategy:
+        store = seeded_store(records, 4)
+        run_workflow(two_stage_spec(exchange=exchange, w=3), Mode.EMULATED, store=store)
+        payloads = [store.get_object(k) for k, _ in store.list_prefix("sorted/sort/")]
+        assert b"".join(payloads) == expected
+        assert decoded_outputs(store) == sorted(records)
 
 
 # --- memory budget -----------------------------------------------------------------------

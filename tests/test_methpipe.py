@@ -1,6 +1,8 @@
 """Record parsing, synthetic generation, and codec tests."""
 
 import gzip
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +24,14 @@ from faaslab.methpipe import (
     generate_synthetic,
     parse_meth_record,
     records_to_tsv,
+    rows_to_tsv,
     split_into_objects,
     tsv_to_records,
+    tsv_to_rows,
 )
+from faaslab.methpipe import records as records_module
 from faaslab.methpipe.codec import MAGIC
-from faaslab.methpipe.records import CHUNK_BYTES
+from faaslab.methpipe.records import CHUNK_BYTES, record_lines
 
 
 # --- parsing ---------------------------------------------------------------
@@ -123,6 +128,29 @@ def test_split_single_record_many_objects():
     payloads = split_into_objects(generate_synthetic(1, seed=0), 3)
     assert sum(1 for p in payloads if p) == 1
     assert sum(1 for p in payloads if not p) == 2
+
+def _split_least_loaded_scan(records, k):
+    """split_into_objects by scanning every bucket for the least-loaded one."""
+    buckets = [[] for _ in range(k)]
+    sizes = [0] * k
+    for line in record_lines(records):
+        i = sizes.index(min(sizes))
+        buckets[i].append(line)
+        sizes[i] += len(line) + 1
+    return [b"\n".join(bucket) + b"\n" if bucket else b"" for bucket in buckets]
+
+def test_split_into_objects_matches_least_loaded_scan():
+    rng = random.Random(13)
+    for _ in range(200):
+        # few distinct line lengths, so equal bucket sizes tie often
+        records = [
+            MethRecord("chr1", start, start + 1, "+", rng.choice((1, 10)), rng.choice((0, 50)))
+            for start in (rng.choice((10, 100)) for _ in range(rng.randrange(40)))
+        ]
+        k = rng.randrange(1, 50)  # k > n included
+        assert split_into_objects(records, k) == _split_least_loaded_scan(records, k)
+    records = generate_synthetic(5000, seed=3, shuffled=True)
+    assert split_into_objects(records, 7) == _split_least_loaded_scan(records, 7)
 
 
 # --- codec -------------------------------------------------------------------
@@ -263,6 +291,15 @@ def test_tsv_skips_comment_with_internal_shape():
         ("chr1", 1, 2, "-", 1, 2)
     ]
 
+def test_records_to_tsv_writes_utf8_chrom():
+    record = MethRecord("chré", 5, 6, "-", 3, 50)
+    payload = records_to_tsv([record])
+    assert payload == "chré\t5\t6\t-\t3\t50\n".encode()
+    assert tsv_to_records(payload) == [record]
+    assert decode_block(encode_block([record])) == [record]
+    ascii_records = generate_synthetic(500, seed=6)
+    assert records_to_tsv(ascii_records).decode("ascii").count("\n") == 500
+
 def test_tsv_returns_plain_tuples():
     records = generate_synthetic(3000, seed=4, shuffled=True)
     parsed = tsv_to_records(records_to_tsv(records))
@@ -359,3 +396,71 @@ def test_tsv_matches_line_oracle(insertions, trailing_newline):
         assert got[0] == "error"
     else:
         assert got == expected
+
+
+# --- rows: records with their canonical line ------------------------------------
+
+def _written(n: int, form: str) -> str:
+    """n as int() reads it; only "plain" is how record_lines writes it."""
+    text = str(n)
+    if form == "underscore":
+        return text[:1] + "_" + text[1:] if len(text) > 1 else text
+    return {"plain": text, "zero": "0" + text, "plus": "+" + text, "space": " " + text}[form]
+
+_number_form = st.one_of(st.just("plain"), st.sampled_from(["zero", "plus", "space", "underscore"]))
+_chrom_name = st.sampled_from(["chr1", "chr10", "chrX", "chré", "染色体2"])
+
+@st.composite
+def _record_line(draw):
+    chrom = draw(_chrom_name)
+    start = draw(st.integers(min_value=0, max_value=10**7))
+    end = start + draw(st.integers(min_value=1, max_value=5))
+    strand = draw(st.sampled_from("+-"))
+    cov = draw(st.integers(min_value=0, max_value=1000))
+    meth = draw(st.integers(min_value=0, max_value=100))
+    forms = draw(st.lists(_number_form, min_size=4, max_size=4))
+    numbers = [_written(n, f) for n, f in zip((start, end, cov, meth), forms)]
+    if draw(st.integers(min_value=0, max_value=7)) == 0:  # BED-style
+        cols = [chrom, numbers[0], numbers[1], ".", "0", strand, "0", "0", "0,0,0", numbers[2], numbers[3]]
+    else:
+        cols = [chrom, numbers[0], numbers[1], strand, numbers[2], numbers[3]]
+    return "\t".join(cols).encode()
+
+_rows_line = st.one_of(
+    _record_line(),
+    _record_line(),
+    _record_line(),
+    st.sampled_from([b"", b"#note", b"   ", "#染色体".encode()]),
+)
+
+def _outcome(parse, payload):
+    try:
+        return "ok", parse(payload)
+    except ParseError as exc:
+        return "error", (exc.column, exc.reason)
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.tuples(_rows_line, st.sampled_from([b"\n", b"\n", b"\r\n"])), max_size=40),
+    st.one_of(st.none(), st.tuples(st.integers(min_value=0, max_value=40), _hostile_line)),
+    st.booleans(),
+    st.sampled_from([1, 60, 400, CHUNK_BYTES]),
+)
+def test_rows_match_records_and_serialize_identically(lines, bad, trailing_newline, chunk_bytes):
+    body = [line + end for line, end in lines]
+    if bad is not None:
+        body.insert(bad[0], bad[1] + b"\n")
+    payload = b"".join(body)
+    if not trailing_newline:
+        payload = payload[:-1]
+    with mock.patch.object(records_module, "CHUNK_BYTES", chunk_bytes):
+        expected = _outcome(tsv_to_records, payload)
+        got = _outcome(tsv_to_rows, payload)
+    if expected[0] == "error":
+        assert got == expected
+        return
+    assert got[0] == "ok"
+    records, rows = expected[1], got[1]
+    assert [row[:6] for row in rows] == records
+    assert rows_to_tsv(rows) == records_to_tsv(records)
+    assert rows_to_tsv(sorted(rows)) == records_to_tsv(sorted(records))

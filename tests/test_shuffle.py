@@ -12,7 +12,14 @@ from faaslab import shuffle
 from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock
 from faaslab.engine import EngineOptions, Mode, run_workflow
 from faaslab.errors import DomainError, ExecutionError, MemoryBudgetError, MissingPartition
-from faaslab.methpipe import MethRecord, generate_synthetic, split_into_objects, tsv_to_records
+from faaslab.methpipe import (
+    MethRecord,
+    generate_synthetic,
+    records_to_tsv,
+    split_into_objects,
+    tsv_to_records,
+    tsv_to_rows,
+)
 from faaslab.methpipe.records import SORT_KEY
 from faaslab.perfmodel import builtin_profiles
 from faaslab.shuffle import (
@@ -36,20 +43,30 @@ def fast_store():
     return Blobstore(StoreProfile(0.0, INF, INF, INF), clock=VirtualClock())
 
 
+def rows_of(records):
+    """Rows of records, as a mapper parses them from its input."""
+    return tsv_to_rows(records_to_tsv(records))
+
+
 def map_side(records, plan, mapper, session, stage):
     """One mapper of the all-to-all exchange: partition, then write w fragments."""
-    write_fragments(partition_records(records, plan), stage, mapper, session)
+    write_fragments(partition_records(rows_of(records), plan), stage, mapper, session)
 
 
 def reduce_side(reducer, w, session, stage):
-    """One reducer: read its w fragments and merge them."""
+    """One reducer: read its w fragments and merge them into an output payload."""
     return merge_fragments(read_fragments(reducer, w, session, stage))
 
 
 def sort_only_run(exchange, records, n_objects, w, options=None):
     """run_workflow over a sort-only workflow; returns the store and report."""
+    return sort_only_payloads(exchange, split_into_objects(records, n_objects), w, options)
+
+
+def sort_only_payloads(exchange, payloads, w, options=None):
+    """sort_only_run over the given input payloads."""
     store = Blobstore(StoreProfile(0.0, INF, INF, INF), clock=VirtualClock())
-    for i, payload in enumerate(split_into_objects(records, n_objects)):
+    for i, payload in enumerate(payloads):
         store.seed_object(f"raw/{i}", payload)
     spec = WorkflowSpec(
         name="sort-only",
@@ -63,11 +80,15 @@ def sort_only_run(exchange, records, n_objects, w, options=None):
     return store, report
 
 
-def sorted_outputs(store, stage="s"):
+def sorted_payloads(store, stage="s"):
     keys = sorted(
         (k for k, _ in store.peek_prefix(f"sorted/{stage}/")), key=lambda k: int(k.rsplit("/", 1)[1])
     )
-    return [tsv_to_records(store.get_object(k)) for k in keys]
+    return [store.get_object(k) for k in keys]
+
+
+def sorted_outputs(store, stage="s"):
+    return [tsv_to_records(payload) for payload in sorted_payloads(store, stage)]
 
 
 def rec(chrom, start, cov=1, meth=50, strand="+"):
@@ -121,10 +142,12 @@ def test_closed_upper_boundary_tie_rule():
 def test_partition_records_respects_ranges_and_sorts():
     records = [rec("chr1", n) for n in (30, 10, 50, 20, 40)]
     plan = plan_partitions([SORT_KEY(r) for r in records], 2)
-    fragments = partition_records(records, plan)
+    payloads = partition_records(rows_of(records), plan)
+    fragments = [tsv_to_records(p) for p in payloads]
     assert len(fragments) == 2
-    for fragment in fragments:
+    for fragment, payload in zip(fragments, payloads):
         assert fragment == sorted(fragment)
+        assert payload == records_to_tsv(fragment)
     restored = sorted(r for f in fragments for r in f)
     assert restored == sorted(records)
     boundary = plan.boundaries[0]
@@ -150,9 +173,11 @@ def test_partition_permutation_law(records, w):
     if w > 1 and not records:
         return
     plan = plan_partitions([SORT_KEY(r) for r in records], w) if records else ShufflePlan(1, ())
-    fragments = partition_records(records, plan)
+    payloads = partition_records(rows_of(records), plan)
+    fragments = [tsv_to_records(p) for p in payloads]
     assert len(fragments) == plan.w
     assert sorted(r for f in fragments for r in f) == sorted(records)
+    assert b"".join(payloads) == records_to_tsv(sorted(records))
     for i, fragment in enumerate(fragments):
         for r in fragment:
             assert plan.range_of(SORT_KEY(r)) == i
@@ -187,20 +212,22 @@ def test_map_phase_writes_w_squared_objects():
 # --- reducer side -------------------------------------------------------------------------
 
 def test_merge_two_fragments():
-    from faaslab.methpipe import records_to_tsv
-
     a = records_to_tsv([rec("chr1", 1), rec("chr1", 3)])
     b = records_to_tsv([rec("chr1", 2), rec("chr1", 4)])
-    merged = merge_fragments([a, b])
+    payload = merge_fragments([a, b])
+    merged = tsv_to_records(payload)
     assert [r[1] for r in merged] == [1, 2, 3, 4]
+    assert payload == records_to_tsv([rec("chr1", n) for n in (1, 2, 3, 4)])
 
 def test_merge_single_mapper_copy_through():
     store = fast_store()
     records = [rec("chr1", n) for n in (5, 1, 3)]
     map_side(records, ShufflePlan(1, ()), 0, store.session(), "s")
-    out = reduce_side(0, 1, store.session(), "s")
+    payload = reduce_side(0, 1, store.session(), "s")
+    out = tsv_to_records(payload)
     assert len(out) == 3
     assert out == sorted(records)
+    assert payload == records_to_tsv(sorted(records))
 
 def test_merge_missing_partition_names_object():
     store = fast_store()
@@ -216,13 +243,16 @@ def test_full_exchange_matches_oracle():
     for mapper in range(w):
         map_side(records[mapper::w], plan, mapper, store.session(), "x")
     out = []
+    payloads = []
     mins_maxes = []
     for reducer in range(w):
-        chunk = reduce_side(reducer, w, store.session(), "x")
+        payloads.append(reduce_side(reducer, w, store.session(), "x"))
+        chunk = tsv_to_records(payloads[-1])
         out.extend(chunk)
         if chunk:
             mins_maxes.append((SORT_KEY(chunk[0]), SORT_KEY(chunk[-1])))
     assert out == sorted(records)
+    assert b"".join(payloads) == records_to_tsv(sorted(records))
     for (_, prev_max), (next_min, _) in zip(mins_maxes, mins_maxes[1:]):
         assert next_min > prev_max
     assert store.store_metrics().get_count == w * w
@@ -302,6 +332,44 @@ def test_cross_strategy_equivalence():
     assert serverless_out == vm_out == sorted(records)
 
 
+def _fmt_numbers(fmt):
+    """A record's internal line with each number written by fmt."""
+    return lambda r: "\t".join([r[0], fmt(r[1]), fmt(r[2]), r[3], fmt(r[4]), fmt(r[5])])
+
+
+def _underscored(n):
+    text = str(n)
+    return text[:1] + "_" + text[1:] if len(text) > 1 else text
+
+
+# every line of an input written one way; int() reads them all, but only
+# "canonical" lines may be passed through as they are
+_INPUT_FORMS = {
+    "canonical": _fmt_numbers(str),
+    "leading-zero": _fmt_numbers(lambda n: f"0{n}"),
+    "plus-sign": _fmt_numbers(lambda n: f"+{n}"),
+    "space": _fmt_numbers(lambda n: f" {n}"),
+    "underscore": _fmt_numbers(_underscored),
+    "bed": lambda r: f"{r[0]}\t{r[1]}\t{r[2]}\t.\t0\t{r[3]}\t{r[1]}\t{r[2]}\t0,0,0\t{r[4]}\t{r[5]}",
+    "crlf": lambda r: _fmt_numbers(str)(r) + "\r",
+    "comment-blank": lambda r: "#note\n\n" + _fmt_numbers(str)(r),
+    "non-ascii": lambda r: _fmt_numbers(str)(r._replace(chrom=r.chrom.replace("chr", "染色体é"))),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_INPUT_FORMS))
+def test_sorted_output_is_canonical_for_each_input_form(form):
+    records = generate_synthetic(3000, seed=41, shuffled=True)
+    lines = [_INPUT_FORMS[form](r) for r in records]
+    payloads = [("\n".join(lines[i::4]) + "\n").encode() for i in range(4)]
+    if form == "non-ascii":
+        records = [r._replace(chrom=r.chrom.replace("chr", "染色体é")) for r in records]
+    expected = records_to_tsv(sorted(records))
+    for exchange in ExchangeStrategy:
+        store, _ = sort_only_payloads(exchange, payloads, 3)
+        assert b"".join(sorted_payloads(store)) == expected, exchange
+
+
 # --- helpers -----------------------------------------------------------------------------------
 
 def test_split_sorted_counts():
@@ -347,12 +415,15 @@ def test_partition_matches_route_then_sort_reference(records, data):
         reference[bisect.bisect_left(plan.boundaries, SORT_KEY(r))].append(r)
     for fragment in reference:
         fragment.sort()
-    assert partition_records(records, plan) == reference
+    payloads = partition_records(rows_of(records), plan)
+    assert [tsv_to_records(p) for p in payloads] == reference
+    assert payloads == [records_to_tsv(f) for f in reference]
 
 @settings(deadline=None, max_examples=100)
 @given(st.lists(_small_records, max_size=9))
 def test_merge_fragments_equals_sorted_concat(fragments):
-    from faaslab.methpipe import records_to_tsv
-
     payloads = [records_to_tsv(sorted(f)) for f in fragments]
-    assert merge_fragments(payloads) == sorted(r for f in fragments for r in f)
+    merged = merge_fragments(payloads)
+    expected = sorted(r for f in fragments for r in f)
+    assert tsv_to_records(merged) == expected
+    assert merged == records_to_tsv(expected)
