@@ -178,13 +178,13 @@ def _sample_bytes(stage: StageSpec) -> int:
     return int(stage.options.get("sample_bytes", shuffle.DEFAULT_SAMPLE_BYTES))
 
 
-def _fetch(session: Session, objects, track) -> Iterator[bytes]:
-    """GET each (key, size) object in order."""
+def _fetch(session: Session, objects, track) -> Iterator[tuple[str, bytes]]:
+    """GET each (key, size) object in order; yields (key, payload)."""
     for key, _ in objects:
         payload = session.get_object(key)
         if track:
             track(len(payload))
-        yield payload
+        yield key, payload
 
 
 def _write_sorted(
@@ -467,9 +467,9 @@ class _Run:
         fragments: list = [None] * w
 
         def partition(worker: int):
-            nbytes = sum(len(p) for p in payloads[worker])
+            nbytes = sum(len(p) for _, p in payloads[worker])
             rows = []
-            for (key, _), payload in zip(assigned[worker], payloads[worker]):
+            for key, payload in payloads[worker]:
                 rows.extend(shuffle.parse_object(tsv_to_rows, payload, key))
             payloads[worker] = None
             fragments[worker] = shuffle.partition_records(rows, plan)
@@ -557,7 +557,7 @@ class _Run:
                 payloads.extend(_fetch(session, inputs.objects, track))
 
             def sort():
-                for (key, _), payload in zip(inputs.objects, payloads):
+                for key, payload in payloads:
                     records.extend(shuffle.parse_object(tsv_to_records, payload, key))
                 payloads.clear()
                 records.sort()
@@ -596,7 +596,7 @@ class _Run:
             track = self._tracker(stage, worker)
             nbytes = 0
             encoded = []
-            for payload in payloads[worker]:
+            for _, payload in payloads[worker]:
                 nbytes += len(payload)
                 records = (
                     decode_block(payload)

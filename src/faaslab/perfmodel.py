@@ -7,9 +7,17 @@ bandwidth scales with worker count until the store-wide cap binds
 partition objects of a shuffle push against the store's
 operations-per-second cap (a w^2/R floor on the partition phases).
 
-All operations are pure; breakdown totals are computed from the phase
-fields in one fixed order, so total always equals the component sum
-exactly.
+The phase tuple is the one place each shuffle and encode formula
+lives: `_shuffle_phases` and `_encode_phases` return a stage's phase
+values in `LatencyBreakdown` field order. The public models validate
+their arguments and wrap that tuple, and the worker-count scan sums the
+same tuples without building a breakdown per w. `_phase_total` is the
+one summation of a phase tuple, in one fixed order, so a breakdown's
+total, the scan's per-w total and the component sum agree bit for bit.
+The VM model, which the scan never evaluates, builds its breakdown
+directly.
+
+All operations are pure.
 """
 
 from __future__ import annotations
@@ -81,16 +89,7 @@ class LatencyBreakdown:
 
     @property
     def total(self) -> float:
-        # fixed summation order keeps total == sum of phases bit-exact
-        return (
-            self.startup
-            + self.input_read
-            + self.sort_compute
-            + self.partition_write
-            + self.partition_read
-            + self.output_write
-            + self.encode
-        )
+        return _phase_total(tuple(getattr(self, name) for name in _PHASES))
 
     def as_dict(self) -> dict[str, float]:
         d = {name: getattr(self, name) for name in _PHASES}
@@ -99,6 +98,24 @@ class LatencyBreakdown:
 
 
 _PHASES = tuple(f.name for f in fields(LatencyBreakdown))
+
+
+def _phase_total(phases: tuple) -> float:
+    """Sum a phase tuple in LatencyBreakdown field order.
+
+    The one fixed summation order keeps every total equal to the sum of
+    its phases bit for bit.
+    """
+    startup, input_read, sort_compute, partition_write, partition_read, output_write, encode = phases
+    return (
+        startup
+        + input_read
+        + sort_compute
+        + partition_write
+        + partition_read
+        + output_write
+        + encode
+    )
 
 
 @dataclass(frozen=True)
@@ -139,23 +156,50 @@ def effective_bandwidth(w: int, store: StoreProfile) -> float:
     return min(store.conn_bandwidth, store.aggregate_bandwidth / w)
 
 
+def _shuffle_phases(S, w, n_in, store: StoreProfile, compute: ComputeProfile) -> tuple:
+    """Phase tuple of the shuffle sort stage; arguments are not validated."""
+    e = effective_bandwidth(w, store)
+    share = S / w
+    L = store.req_latency
+    partition_phase = max(share / e + w * L, w * w / store.ops_rate_cap)
+    return (
+        compute.fn_startup,
+        share / e + math.ceil(n_in / w) * L,
+        share / compute.fn_sort_rate,
+        partition_phase,
+        partition_phase,
+        share / e + L,
+        0.0,
+    )
+
+
+def _encode_phases(S, w, ratio, store: StoreProfile, compute: ComputeProfile) -> tuple:
+    """Phase tuple of the encode stage; arguments are not validated."""
+    e = effective_bandwidth(w, store)
+    share = S / w
+    L = store.req_latency
+    return (
+        compute.fn_startup,
+        share / e + L,
+        0.0,
+        0.0,
+        0.0,
+        (S / ratio) / w / e + L,
+        share / compute.fn_encode_rate,
+    )
+
+
+def _require_ratio(ratio: float) -> None:
+    if not ratio >= 1:
+        raise DomainError(f"compression ratio must be >= 1, got {ratio}")
+
+
 def shuffle_latency_model(
     S: float, w: int, n_in: int, store: StoreProfile, compute: ComputeProfile
 ) -> LatencyBreakdown:
     """Sort stage via object-storage all-to-all exchange with w workers."""
     _require_positive(S=S, w=w, n_in=n_in)
-    e = effective_bandwidth(w, store)
-    share = S / w
-    L = store.req_latency
-    partition_phase = max(share / e + w * L, w * w / store.ops_rate_cap)
-    return LatencyBreakdown(
-        startup=compute.fn_startup,
-        input_read=share / e + math.ceil(n_in / w) * L,
-        sort_compute=share / compute.fn_sort_rate,
-        partition_write=partition_phase,
-        partition_read=partition_phase,
-        output_write=share / e + L,
-    )
+    return LatencyBreakdown(*_shuffle_phases(S, w, n_in, store, compute))
 
 
 def vm_exchange_latency_model(
@@ -182,17 +226,20 @@ def encode_latency_model(
 ) -> LatencyBreakdown:
     """Embarrassingly parallel encode stage shrinking data by `ratio`."""
     _require_positive(S=S, w=w)
-    if not ratio >= 1:
-        raise DomainError(f"compression ratio must be >= 1, got {ratio}")
-    e = effective_bandwidth(w, store)
-    share = S / w
-    L = store.req_latency
-    return LatencyBreakdown(
-        startup=compute.fn_startup,
-        input_read=share / e + L,
-        encode=share / compute.fn_encode_rate,
-        output_write=(S / ratio) / w / e + L,
-    )
+    _require_ratio(ratio)
+    return LatencyBreakdown(*_encode_phases(S, w, ratio, store, compute))
+
+
+def _scan_totals(S, n_in, store: StoreProfile, compute: ComputeProfile, w_max, ratio):
+    """Modeled sort+encode latency for w = 1..w_max, in order; unvalidated.
+
+    Each total is the shuffle and encode phase tuples summed, equal bit
+    for bit to the public models' totals added.
+    """
+    for w in range(1, w_max + 1):
+        yield _phase_total(_shuffle_phases(S, w, n_in, store, compute)) + _phase_total(
+            _encode_phases(S, w, ratio, store, compute)
+        )
 
 
 def optimal_worker_count(
@@ -205,19 +252,16 @@ def optimal_worker_count(
 ) -> int:
     """Worker count minimizing modeled sort+encode latency.
 
-    Scans w in [1, w_max]; ties go to the smallest w, which is the
-    cheaper configuration at equal latency.
+    Scans every w in [1, w_max] (`_scan_totals`); ties go to the
+    smallest w, which is the cheaper configuration at equal latency.
     """
     if w_max < 1:
         raise DomainError(f"w_max must be >= 1, got {w_max}")
     _require_positive(S=S, n_in=n_in)
+    _require_ratio(ratio)
     best_w = 1
     best_total = math.inf
-    for w in range(1, w_max + 1):
-        total = (
-            shuffle_latency_model(S, w, n_in, store, compute).total
-            + encode_latency_model(S, w, ratio, store, compute).total
-        )
+    for w, total in enumerate(_scan_totals(S, n_in, store, compute, w_max, ratio), 1):
         if total < best_total:
             best_total = total
             best_w = w

@@ -203,14 +203,14 @@ def split_sorted(records: list[MethRecord], w_out: int) -> list[list[MethRecord]
 
 
 def external_sort(
-    payloads: Iterable[bytes], w_out: int, mem_budget: int
+    objects: Iterable[tuple[str, bytes]], w_out: int, mem_budget: int
 ) -> Iterator[list[MethRecord]]:
     """Sort inputs beyond the memory budget; yield w_out sorted ranges.
 
-    Parses the payloads in order, spills a sorted run to local disk each
-    time about a quarter of the budget is buffered, then
-    k-way merges the runs and yields the same ranges `split_sorted`
-    would cut from the fully sorted records.
+    Parses the (key, payload) objects in order, a ParseError naming the
+    object; spills a sorted run to local disk each time about a quarter
+    of the budget is buffered, then k-way merges the runs and yields the
+    same ranges `split_sorted` would cut from the fully sorted records.
     """
     chunk_cap = max(mem_budget // 4, 1)
     with tempfile.TemporaryDirectory(prefix="faaslab-extsort-") as tmp:
@@ -232,8 +232,8 @@ def external_sort(
             buffer.clear()
             buffered = 0
 
-        for payload in payloads:
-            buffer.extend(tsv_to_records(payload))
+        for key, payload in objects:
+            buffer.extend(parse_object(tsv_to_records, payload, key))
             buffered += len(payload)
             if buffered >= chunk_cap:
                 spill()

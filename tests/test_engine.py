@@ -300,6 +300,27 @@ def test_sort_compute_parse_error_names_object(exchange, worker):
     assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
 
 
+def test_external_sort_parse_error_names_object():
+    # about 100 KB of input over a 10 KB VM budget takes the external
+    # sort, whose one task parses every object in sort_compute
+    payloads = split_into_objects(generate_synthetic(4000, seed=18, shuffled=True), 4)
+    payloads[1] += b"chr1\tx\t5\t+\t1\t2\n"
+    store = Blobstore(DESK_STORE, clock=VirtualClock())
+    for i, payload in enumerate(payloads):
+        store.seed_object(f"raw/{i:04d}", payload)
+    spec = two_stage_spec(exchange=ExchangeStrategy.VM, w=4)
+    options = EngineOptions(vm_mem_gb=1e-5, external_sort=True)
+    with pytest.raises(ExecutionError) as err:
+        run_workflow(spec, Mode.EMULATED, store=store, options=options)
+    cause = err.value.cause
+    assert isinstance(cause, TaskError)
+    assert (cause.worker, cause.phase) == (0, "sort_compute")
+    assert isinstance(cause.cause, ParseError)
+    assert cause.cause.column == 2
+    assert "raw/0001" in str(err.value)
+    assert store.list_prefix("sorted/sort/") == []
+
+
 def test_non_ascii_chrom_sorts_identically_and_round_trips():
     names = {"chr1": "chr1", "chr2": "chré", "chr3": "染色体3", "chr4": "chr4"}
     records = [

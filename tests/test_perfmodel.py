@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from faaslab.blobstore import StoreMetrics, StoreProfile
 from faaslab.errors import DomainError, SchemaError
+from faaslab import perfmodel
 from faaslab.perfmodel import (
     CALIBRATED_PROFILE,
     DESK_PROFILE,
@@ -18,6 +20,7 @@ from faaslab.perfmodel import (
     PriceSheet,
     builtin_profiles,
     compute_cost,
+    effective_bandwidth,
     encode_latency_model,
     load_profiles,
     optimal_worker_count,
@@ -208,6 +211,81 @@ def test_optimizer_matches_brute_force_on_random_profiles():
         assert optimal_worker_count(S, n_in, profile, comp, 64) == brute_force_w(
             S, n_in, profile, comp, 64
         )
+
+def regime_profiles(rng, regime):
+    """A (store, compute) pair whose scan at large w is bound by `regime`.
+
+    Compute rates are infinite a quarter of the time.
+    """
+    def rate(lo, hi):
+        return INF if rng.random() < 0.25 else rng.uniform(lo, hi)
+
+    if regime == "conn":
+        b = rng.uniform(10e6, 200e6)
+        profile = StoreProfile(rng.uniform(0, 0.005), b, rng.choice([INF, b * 300]), rng.choice([INF, 1e6]))
+    elif regime == "aggregate":
+        b = rng.uniform(50e6, 500e6)
+        profile = StoreProfile(rng.uniform(0, 0.005), b, b * rng.uniform(1, 8), rng.choice([INF, 1e6]))
+    elif regime == "ops":
+        b = rng.choice([INF, rng.uniform(50e6, 500e6)])
+        profile = StoreProfile(rng.uniform(0, 0.01), b, INF, rng.uniform(1, 200))
+    else:
+        profile = StoreProfile(rng.uniform(0.05, 1.0), INF, INF, INF)
+    comp = compute(
+        fn_startup=rng.uniform(0, 20), c_fn=rate(5e6, 200e6), c_enc=rate(5e6, 200e6)
+    )
+    return profile, comp
+
+
+def regime_binds(regime, S, profile):
+    """Whether `regime` is what bounds the scan at w = 256."""
+    e = effective_bandwidth(256, profile)
+    if regime == "conn":
+        return e == profile.conn_bandwidth < INF
+    if regime == "aggregate":
+        return e == profile.aggregate_bandwidth / 256 < profile.conn_bandwidth
+    if regime == "ops":
+        return 256 * 256 / profile.ops_rate_cap > S / 256 / e + 256 * profile.req_latency
+    return e == INF and profile.req_latency > 0
+
+@pytest.mark.parametrize("regime", ["conn", "aggregate", "ops", "latency"])
+def test_scan_totals_are_the_public_models_bit_for_bit(regime):
+    rng = random.Random(f"scan-{regime}")
+    for _ in range(25):
+        profile, comp = regime_profiles(rng, regime)
+        S = 10 ** rng.uniform(6, 11)
+        n_in = rng.choice((1, 7, 64, 300))
+        ratio = rng.choice((1.0, 2.5, 7.75, 10.0, 1e6))
+        assert regime_binds(regime, S, profile)
+        totals = list(perfmodel._scan_totals(S, n_in, profile, comp, 256, ratio))
+        assert len(totals) == 256
+        for w, total in enumerate(totals, 1):
+            expected = (
+                shuffle_latency_model(S, w, n_in, profile, comp).total
+                + encode_latency_model(S, w, ratio, profile, comp).total
+            )
+            assert total.hex() == expected.hex(), (w, total, expected)
+        assert optimal_worker_count(S, n_in, profile, comp, 256, ratio) == brute_force_w(
+            S, n_in, profile, comp, 256, ratio
+        )
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(ratio=0.5), "compression ratio must be >= 1, got 0.5"),
+        (dict(w_max=0), "w_max must be >= 1, got 0"),
+        (dict(S=0.0), "S must be > 0, got 0.0"),
+        (dict(n_in=0), "n_in must be > 0, got 0"),
+        (dict(w_max=0, S=0.0, ratio=0.5), "w_max must be >= 1, got 0"),
+        (dict(S=0.0, ratio=0.5), "S must be > 0, got 0.0"),
+        (dict(n_in=0, ratio=0.5), "n_in must be > 0, got 0"),
+    ],
+)
+def test_optimizer_domain_errors_keep_their_order_and_messages(overrides, message):
+    args = dict(S=1e9, n_in=8, w_max=16, ratio=10.0)
+    args.update(overrides)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        optimal_worker_count(args["S"], args["n_in"], store(b=1e6), compute(), args["w_max"], args["ratio"])
 
 def test_optimizer_tie_breaks_to_smaller_w():
     # latency independent of w: everything infinite except startup

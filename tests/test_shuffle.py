@@ -286,10 +286,14 @@ def test_vm_exchange_budget_enforced():
         sort_only_run(ExchangeStrategy.VM, records, 2, 2, EngineOptions(vm_mem_gb=1e-6))
     assert isinstance(err.value.cause, MemoryBudgetError)
 
+def keyed(payloads):
+    """(key, payload) pairs, as the engine fetches them for external_sort."""
+    return ((f"raw/{i:04d}", payload) for i, payload in enumerate(payloads))
+
 def test_vm_external_sort_fallback_equivalent():
     records = generate_synthetic(8000, seed=9, shuffled=True)
     payloads = split_into_objects(records, 4)
-    ranges = list(external_sort(iter(payloads), 4, mem_budget=10_000))
+    ranges = list(external_sort(keyed(payloads), 4, mem_budget=10_000))
     assert ranges == split_sorted(sorted(records), 4)
 
     store, report = sort_only_run(
@@ -302,7 +306,7 @@ def test_vm_external_sort_fallback_equivalent():
 def test_external_sort_merges_many_runs():
     records = generate_synthetic(80_000, seed=19, shuffled=True)
     payloads = split_into_objects(records, 16)
-    ranges = list(external_sort(payloads, 3, mem_budget=1))
+    ranges = list(external_sort(keyed(payloads), 3, mem_budget=1))
     assert ranges == split_sorted(sorted(records), 3)
 
 def test_external_sort_honours_small_budget(monkeypatch):
@@ -318,7 +322,7 @@ def test_external_sort_honours_small_budget(monkeypatch):
     records = generate_synthetic(6000, seed=31, shuffled=True)
     payloads = split_into_objects(records, 6)
     assert sum(map(len, payloads)) > 100_000
-    ranges = list(external_sort(payloads, 4, mem_budget=100_000))
+    ranges = list(external_sort(keyed(payloads), 4, mem_budget=100_000))
     assert ranges == split_sorted(sorted(records), 4)
     assert runs_merged and runs_merged[0] > 1
 

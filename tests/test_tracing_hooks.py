@@ -49,6 +49,18 @@ def sort_encode_run(exchange):
     run_workflow(spec, Mode.EMULATED, store=store)
 
 
+def auto_modeled_run():
+    """A modeled run whose parallelism the optimizer resolves."""
+    spec = WorkflowSpec(
+        name="traced-auto",
+        input=DataRef("data", "raw/", size_bytes=3.5e9, object_count=8),
+        exchange=ExchangeStrategy.SERVERLESS,
+        stages=(StageSpec("sort", StageKind.SORT_EXCHANGE), StageSpec("enc", StageKind.ENCODE)),
+        profiles=builtin_profiles(),
+    )
+    return run_workflow(spec, Mode.MODELED)
+
+
 def test_instrument_patches_existing_attributes_and_undo_restores_them():
     tracing = load_tracing()
     before = attributes()
@@ -64,6 +76,7 @@ def test_instrument_patches_existing_attributes_and_undo_restores_them():
         }
         for ex in ExchangeStrategy:
             sort_encode_run(ex)
+        auto_modeled_run()
     finally:
         undo()
     assert attributes() == before
@@ -76,6 +89,7 @@ def test_instrument_patches_existing_attributes_and_undo_restores_them():
         ("faaslab.shuffle", "merge_fragments"),
         ("faaslab.shuffle", "split_sorted"),
         ("faaslab.engine", "encode_block"),
+        ("faaslab.engine", "optimal_worker_count"),
         ("Session", "get_object"),
         ("Session", "put_object"),
     } <= patched
@@ -89,6 +103,7 @@ def test_instrument_patches_existing_attributes_and_undo_restores_them():
         "shuffle.merge",
         "shuffle.split",
         "codec.encode",
+        "perfmodel.optimize",
         "blobstore.get",
         "blobstore.put",
     } <= names
