@@ -16,7 +16,7 @@ import errno
 import os
 import threading
 import urllib.parse
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from faaslab.errors import CapacityError, NotFound, RangeError
 
@@ -67,34 +67,16 @@ class StoreMetrics:
     bytes_out: int = 0
 
     def __sub__(self, other: "StoreMetrics") -> "StoreMetrics":
-        return StoreMetrics(
-            self.put_count - other.put_count,
-            self.get_count - other.get_count,
-            self.list_count - other.list_count,
-            self.delete_count - other.delete_count,
-            self.bytes_in - other.bytes_in,
-            self.bytes_out - other.bytes_out,
-        )
+        return StoreMetrics(*(getattr(self, k) - getattr(other, k) for k in _COUNTERS))
 
     def __add__(self, other: "StoreMetrics") -> "StoreMetrics":
-        return StoreMetrics(
-            self.put_count + other.put_count,
-            self.get_count + other.get_count,
-            self.list_count + other.list_count,
-            self.delete_count + other.delete_count,
-            self.bytes_in + other.bytes_in,
-            self.bytes_out + other.bytes_out,
-        )
+        return StoreMetrics(*(getattr(self, k) + getattr(other, k) for k in _COUNTERS))
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "put_count": self.put_count,
-            "get_count": self.get_count,
-            "list_count": self.list_count,
-            "delete_count": self.delete_count,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-        }
+        return {k: getattr(self, k) for k in _COUNTERS}
+
+
+_COUNTERS = tuple(f.name for f in fields(StoreMetrics))
 
 
 class VirtualClock:

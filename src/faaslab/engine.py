@@ -5,9 +5,12 @@ sequence of phases with a full barrier between them (read, compute,
 write, ...), mirroring the breakdown the analytic model produces. A
 phase's tasks run one after another and take no time while they run:
 each records an operation log of its store requests and of its compute,
-charged at the profile's processing rates. `blobstore.replay` then
-computes the phase's w-wide concurrent timeline from the logs, so
-timings are bit-for-bit reproducible regardless of host cores.
+charged at the profile's processing rates, and returns what it
+produced. `blobstore.replay` then computes the phase's w-wide concurrent
+timeline from the logs, so timings are bit-for-bit reproducible
+regardless of host cores. The phase hands its tasks' results to the
+next phase and records its time under its own name, which is the
+stage's `LatencyBreakdown` field.
 
 Modeled mode skips data movement entirely and evaluates the closed-form
 phase formulas, taking request counts from the exchange's exact count
@@ -22,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
+from itertools import zip_longest
 from typing import Callable, Iterator
 
 from faaslab import shuffle
@@ -45,6 +49,7 @@ from faaslab.perfmodel import (
     vm_exchange_latency_model,
 )
 from faaslab.workflow import (
+    RESERVED_PREFIXES,
     DataRef,
     ExchangeStrategy,
     StageKind,
@@ -85,7 +90,6 @@ class ExecHooks:
 @dataclass
 class EngineOptions:
     vm_mem_gb: float = 32.0
-    external_sort: bool = False
     progress: ProgressFn | None = None
     hooks: ExecHooks | None = None
 
@@ -200,13 +204,8 @@ def _write_sorted(
 
 def _cleanup_stage_outputs(store: Blobstore, stage: StageSpec) -> None:
     """Failed stages leave no outputs behind."""
-    prefixes = (
-        [f"part/{stage.id}/", f"sorted/{stage.id}/"]
-        if stage.kind is StageKind.SORT_EXCHANGE
-        else [f"encoded/{stage.id}/"]
-    )
-    for prefix in prefixes:
-        for key, _ in store.peek_prefix(prefix):
+    for prefix in RESERVED_PREFIXES:
+        for key, _ in store.peek_prefix(f"{prefix}{stage.id}/"):
             store.delete_object(key)
 
 
@@ -229,6 +228,8 @@ class _Run:
         self.fn_budget = int(spec.profiles.compute.fn_mem_gb * GB)
         # the run's only accounting state: cost and totals derive from it
         self.stage_reports: list[StageReport] = []
+        # elapsed virtual time of each phase of the running stage, by name
+        self.times: dict[str, float] = {}
 
     # -- shared plumbing ---------------------------------------------------
 
@@ -363,9 +364,10 @@ class _Run:
                 execute = self._sort_vm
             else:
                 execute = self._sort_serverless
+            self.times = {}
             before = store.store_metrics()
             try:
-                current, latency = execute(stage, current)
+                current = execute(stage, current)
             except BaseException as exc:
                 _cleanup_stage_outputs(store, stage)
                 if isinstance(exc, TaskError) and isinstance(exc.cause, MemoryBudgetError):
@@ -373,6 +375,7 @@ class _Run:
                 if isinstance(exc, (TaskError, MemoryBudgetError)):
                     raise ExecutionError(stage.id, exc) from exc
                 raise
+            latency = LatencyBreakdown(**self.times)
             self._record_stage(stage, latency, store.store_metrics() - before)
         return self._finish()
 
@@ -381,21 +384,22 @@ class _Run:
         stage: StageSpec,
         name: str,
         fraction: float,
-        tasks: list[Callable[[], None]],
+        tasks: list[Callable[[], object]],
         delay: float = 0.0,
-    ) -> float:
-        """Run one barrier phase and return its elapsed virtual time.
+    ) -> list:
+        """Run one barrier phase and return its tasks' results in worker order.
 
         Runs the tasks in index order, task i as worker i, each logging
         its requests and compute charges; then replays the logs from
         `delay` (cold start or VM provisioning), advances the clock by
-        the phase's span and emits the phase's progress event. A failing
+        the phase's span, records that span under `name` in the stage's
+        phase times and emits the phase's progress event. A failing
         task raises TaskError with its worker index and the phase.
         """
         store = self.store
         hooks = self.options.hooks
         on_start = hooks.on_task_start if hooks else None
-        logs = []
+        logs, results = [], []
         try:
             for worker, task in enumerate(tasks):
                 store.ops = []
@@ -403,15 +407,16 @@ class _Run:
                 try:
                     if on_start:
                         on_start(stage.id, name, worker)
-                    task()
+                    results.append(task())
                 except BaseException as exc:
                     raise TaskError(worker, exc, name) from exc
         finally:
             store.ops = None
         elapsed = max(replay(logs, store.profile, delay), default=delay)
         store.clock.sleep(elapsed)
+        self.times[name] = elapsed
         self._emit(stage.id, name, fraction)
-        return elapsed
+        return results
 
     def _charge(self, seconds: float) -> None:
         """Log modeled compute time in the running task's operation log."""
@@ -423,8 +428,13 @@ class _Run:
             return lambda nbytes: hooks.on_buffer(stage.id, worker, nbytes)
         return None
 
-    def _assign(self, role: str, objects: tuple) -> list[list]:
-        """Deal objects round-robin to the w functions, within their memory."""
+    def _each(self, fn: Callable[[int], object]) -> list:
+        """One task per function: worker i runs fn(i)."""
+        return [partial(fn, i) for i in range(self.resolved_w)]
+
+    def _readers(self, stage: StageSpec, role: str, objects: tuple, session: Session) -> list:
+        """input_read tasks: deal objects round-robin to the w functions, within
+        their memory; function i GETs objects i, i + w, i + 2w, ..."""
         w = self.resolved_w
         assigned = [list(objects[i::w]) for i in range(w)]
         for worker, objs in enumerate(assigned):
@@ -433,38 +443,31 @@ class _Run:
                 raise MemoryBudgetError(
                     f"{role} {worker} assigned {total} bytes, budget {self.fn_budget}"
                 )
-        return assigned
 
-    def _sort_serverless(self, stage: StageSpec, inputs: DataRef):
-        store, compute, w = self.store, self.profiles.compute, self.resolved_w
+        def read(worker: int):
+            return list(_fetch(session, assigned[worker], self._tracker(stage, worker)))
+
+        return self._each(read)
+
+    def _sort_serverless(self, stage: StageSpec, inputs: DataRef) -> DataRef:
+        compute, w = self.profiles.compute, self.resolved_w
         sample_bytes = _sample_bytes(stage)
         objects = inputs.objects
-        assigned = self._assign("mapper", objects)
-        sessions = [store.session() for _ in range(w)]
-        sampler_sessions = [store.session() for _ in objects]
-        startup = self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
+        session = self.store.session()
+        readers = self._readers(stage, "mapper", objects, session)
+        self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
 
         # map reads and the sampler's range GETs run concurrently in one
         # input_read phase; the plan is built at the phase barrier, before
         # any record is partitioned
-        payloads: list = [None] * w
-        samples: list = [None] * len(objects)
-
-        def read(worker: int):
-            track = self._tracker(stage, worker)
-            payloads[worker] = list(_fetch(sessions[worker], assigned[worker], track))
-
-        def sample(index: int):
-            key, size = objects[index]
-            samples[index] = shuffle.sample_object(sampler_sessions[index], key, size, sample_bytes)
-
-        readers = [partial(read, i) for i in range(w)]
-        samplers = [partial(sample, i) for i in range(len(objects))]
-        input_read = self._phase(stage, "input_read", 0.3, readers + samplers)
-        keys = [key for keys in samples for key in keys]
+        samplers = [
+            partial(shuffle.sample_object, session, key, size, sample_bytes)
+            for key, size in objects
+        ]
+        payloads = self._phase(stage, "input_read", 0.3, readers + samplers)
+        keys = [key for keys in payloads[w:] for key in keys]
+        del payloads[w:]
         plan = shuffle.plan_partitions(keys, w) if keys else shuffle.ShufflePlan(w, ())
-
-        fragments: list = [None] * w
 
         def partition(worker: int):
             nbytes = sum(len(p) for _, p in payloads[worker])
@@ -472,125 +475,91 @@ class _Run:
             for key, payload in payloads[worker]:
                 rows.extend(shuffle.parse_object(tsv_to_rows, payload, key))
             payloads[worker] = None
-            fragments[worker] = shuffle.partition_records(rows, plan)
+            routed = shuffle.partition_records(rows, plan)
             self._charge(nbytes / compute.fn_sort_rate)
+            return routed
 
-        sort_compute = self._phase(
-            stage, "sort_compute", 0.5, [partial(partition, i) for i in range(w)]
-        )
+        fragments = self._phase(stage, "sort_compute", 0.5, self._each(partition))
 
         def scatter(worker: int):
             track = self._tracker(stage, worker)
-            shuffle.write_fragments(fragments[worker], stage.id, worker, sessions[worker], track)
+            shuffle.write_fragments(fragments[worker], stage.id, worker, session, track)
             fragments[worker] = None
 
-        partition_write = self._phase(
-            stage, "partition_write", 0.65, [partial(scatter, i) for i in range(w)]
-        )
-        gathered: list = [None] * w
+        self._phase(stage, "partition_write", 0.65, self._each(scatter))
 
         def gather(worker: int):
-            got = shuffle.read_fragments(worker, w, sessions[worker], stage.id)
+            got = shuffle.read_fragments(worker, w, session, stage.id)
             total = sum(len(p) for p in got)
             if total > self.fn_budget:
                 raise MemoryBudgetError(
                     f"reducer {worker} holds {total} bytes, budget {self.fn_budget}"
                 )
-            gathered[worker] = got
+            return got
 
-        partition_read = self._phase(
-            stage, "partition_read", 0.85, [partial(gather, i) for i in range(w)]
-        )
-        outputs: list = [None] * w
+        gathered = self._phase(stage, "partition_read", 0.85, self._each(gather))
 
         def reduce(worker: int):
             payload = shuffle.merge_fragments(gathered[worker])
             gathered[worker] = None
             track = self._tracker(stage, worker)
-            outputs[worker] = _write_sorted(sessions[worker], stage.id, worker, payload, track)
+            return _write_sorted(session, stage.id, worker, payload, track)
 
-        output_write = self._phase(
-            stage, "output_write", 1.0, [partial(reduce, i) for i in range(w)]
-        )
-        latency = LatencyBreakdown(
-            startup=startup,
-            input_read=input_read,
-            sort_compute=sort_compute,
-            partition_write=partition_write,
-            partition_read=partition_read,
-            output_write=output_write,
-        )
-        return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs)), latency
+        outputs = self._phase(stage, "output_write", 1.0, self._each(reduce))
+        return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs))
 
-    def _sort_vm(self, stage: StageSpec, inputs: DataRef):
+    def _sort_vm(self, stage: StageSpec, inputs: DataRef) -> DataRef:
         compute, w = self.profiles.compute, self.resolved_w
         budget = int(self.options.vm_mem_gb * GB)
         size = _ref_size(inputs)
-        if size > budget and not self.options.external_sort:
-            raise MemoryBudgetError(
-                f"input of {size} bytes exceeds VM memory budget of {budget}"
-            )
         session = self.store.session(conn_bandwidth=compute.vm_bandwidth)
         track = self._tracker(stage, 0)
-        startup = self._phase(stage, "startup", 0.0, [], delay=compute.vm_provision)
-        outputs = []
+        self._phase(stage, "startup", 0.0, [], delay=compute.vm_provision)
 
         def write(ranges):
-            for reducer, records in enumerate(ranges):
-                payload = records_to_tsv(records)
-                outputs.append(_write_sorted(session, stage.id, reducer, payload, track))
+            return [
+                _write_sorted(session, stage.id, reducer, records_to_tsv(records), track)
+                for reducer, records in enumerate(ranges)
+            ]
 
         if size > budget:
-            # external fallback interleaves reads and spills; its whole
-            # duration is reported under sort_compute
+            # input beyond the VM's memory spills sorted runs to its local
+            # volume; the external sort interleaves reads and spills, so
+            # its whole duration is reported under sort_compute
             def external():
-                write(shuffle.external_sort(_fetch(session, inputs.objects, track), w, budget))
+                outputs = write(
+                    shuffle.external_sort(_fetch(session, inputs.objects, track), w, budget)
+                )
                 self._charge(size / compute.vm_sort_rate)
+                return outputs
 
-            sort_compute = self._phase(stage, "sort_compute", 1.0, [external])
-            latency = LatencyBreakdown(startup=startup, sort_compute=sort_compute)
+            [outputs] = self._phase(stage, "sort_compute", 1.0, [external])
         else:
-            payloads = []
-            records = []
-
-            def read():
-                payloads.extend(_fetch(session, inputs.objects, track))
+            [payloads] = self._phase(
+                stage, "input_read", 0.35, [lambda: list(_fetch(session, inputs.objects, track))]
+            )
 
             def sort():
+                records = []
                 for key, payload in payloads:
                     records.extend(shuffle.parse_object(tsv_to_records, payload, key))
                 payloads.clear()
                 records.sort()
                 self._charge(size / compute.vm_sort_rate)
+                return records
 
-            input_read = self._phase(stage, "input_read", 0.35, [read])
-            sort_compute = self._phase(stage, "sort_compute", 0.7, [sort])
-            output_write = self._phase(
+            [records] = self._phase(stage, "sort_compute", 0.7, [sort])
+            [outputs] = self._phase(
                 stage, "output_write", 1.0, [lambda: write(shuffle.split_sorted(records, w))]
             )
-            latency = LatencyBreakdown(
-                startup=startup,
-                input_read=input_read,
-                sort_compute=sort_compute,
-                output_write=output_write,
-            )
-        return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs)), latency
+        return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs))
 
-    def _encode(self, stage: StageSpec, inputs: DataRef):
-        store, compute, w = self.store, self.profiles.compute, self.resolved_w
-        objects = inputs.objects
-        # worker i encodes objects i, i + w, i + 2w, ...
-        assigned = self._assign("encoder", objects)
-        sessions = [store.session() for _ in range(w)]
-        startup = self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
-        payloads: list = [None] * w
-
-        def read(worker: int):
-            track = self._tracker(stage, worker)
-            payloads[worker] = list(_fetch(sessions[worker], assigned[worker], track))
-
-        input_read = self._phase(stage, "input_read", 0.35, [partial(read, i) for i in range(w)])
-        blocks: list = [None] * w
+    def _encode(self, stage: StageSpec, inputs: DataRef) -> DataRef:
+        compute, w = self.profiles.compute, self.resolved_w
+        session = self.store.session()
+        readers = self._readers(stage, "encoder", inputs.objects, session)
+        self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
+        payloads = self._phase(stage, "input_read", 0.35, readers)
 
         def encode(worker: int):
             track = self._tracker(stage, worker)
@@ -608,31 +577,24 @@ class _Run:
                     track(len(block))
                 encoded.append(block)
             payloads[worker] = None
-            blocks[worker] = encoded
             self._charge(nbytes / compute.fn_encode_rate)
+            return encoded
 
-        encode_s = self._phase(stage, "encode", 0.7, [partial(encode, i) for i in range(w)])
-        outputs: list = [None] * len(objects)
+        blocks = self._phase(stage, "encode", 0.7, self._each(encode))
 
         def write(worker: int):
             written = []
             for j, block in enumerate(blocks[worker]):
                 key = ENCODED_TEMPLATE.format(stage=stage.id, index=worker + j * w)
-                sessions[worker].put_object(key, block)
+                session.put_object(key, block)
                 written.append((key, len(block)))
-            outputs[worker::w] = written
             blocks[worker] = None
+            return written
 
-        output_write = self._phase(
-            stage, "output_write", 1.0, [partial(write, i) for i in range(w)]
-        )
-        latency = LatencyBreakdown(
-            startup=startup,
-            input_read=input_read,
-            encode=encode_s,
-            output_write=output_write,
-        )
-        return DataRef(inputs.bucket, f"encoded/{stage.id}/", objects=tuple(outputs)), latency
+        written = self._phase(stage, "output_write", 1.0, self._each(write))
+        # worker i wrote objects i, i + w, ...: interleave back to input order
+        outputs = [obj for row in zip_longest(*written) for obj in row if obj is not None]
+        return DataRef(inputs.bucket, f"encoded/{stage.id}/", objects=tuple(outputs))
 
 
 def run_workflow(

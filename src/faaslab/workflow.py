@@ -29,6 +29,9 @@ from faaslab.perfmodel import (
 
 SCHEMA_VERSION = "v1"
 DEFAULT_W_MAX = 256
+# largest accepted w_max: the default concurrency limit of AWS Lambda and
+# IBM Cloud Functions; the auto-parallelism scan visits every w up to w_max
+W_MAX_LIMIT = 1000
 
 AUTO = "auto"
 
@@ -235,8 +238,8 @@ def parse_workflow(text: str) -> WorkflowSpec:
         raise SchemaError("parallelism", f"expected 'auto' or an integer, got {parallelism_raw!r}")
 
     w_max = data.get("w_max", DEFAULT_W_MAX)
-    if not isinstance(w_max, int) or isinstance(w_max, bool) or w_max < 1:
-        raise SchemaError("w_max", f"expected a positive integer, got {w_max!r}")
+    if not isinstance(w_max, int) or isinstance(w_max, bool) or not 1 <= w_max <= W_MAX_LIMIT:
+        raise SchemaError("w_max", f"expected an integer in [1, {W_MAX_LIMIT}], got {w_max!r}")
 
     stages_raw = _expect(data, "stages", list, "")
     stages = tuple(_parse_stage(s, i) for i, s in enumerate(stages_raw))

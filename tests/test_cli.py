@@ -229,6 +229,17 @@ def test_compare_model_json(paper_workflow, capsys):
     for name in ("serverless", "vm"):
         assert payload["reports"][name]["workflow"] == "paper"
 
+def test_compare_unbounded_w_max_exit_2(tmp_path, capsys):
+    # the auto-parallelism scan visits every w up to w_max; 10^9 is rejected
+    # before any scan instead of running for minutes
+    doc = dict(PAPER_DOC, parallelism="auto", w_max=10**9)
+    wf = tmp_path / "wf.json"
+    wf.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "compare", "--workflow", str(wf), "--mode", "model")
+    assert code == 2
+    assert "w_max" in err
+    assert out == ""
+
 def test_compare_zero_record_input(desk_workflow, tmp_path, capsys):
     run_cli(capsys, "generate", "--records", "0", "--objects", "1",
             "--store", str(tmp_path / "s"))

@@ -309,7 +309,7 @@ def test_external_sort_parse_error_names_object():
     for i, payload in enumerate(payloads):
         store.seed_object(f"raw/{i:04d}", payload)
     spec = two_stage_spec(exchange=ExchangeStrategy.VM, w=4)
-    options = EngineOptions(vm_mem_gb=1e-5, external_sort=True)
+    options = EngineOptions(vm_mem_gb=1e-5)
     with pytest.raises(ExecutionError) as err:
         run_workflow(spec, Mode.EMULATED, store=store, options=options)
     cause = err.value.cause
@@ -346,24 +346,14 @@ def test_mapper_budget_enforced():
         run_workflow(two_stage_spec(prof, w=4), Mode.EMULATED, store=store)
     assert isinstance(err.value.cause, MemoryBudgetError)
 
-def test_vm_budget_enforced_and_fallback():
+def test_vm_over_budget_falls_back_to_external_sort():
     records = generate_synthetic(5000, seed=11, shuffled=True)
     store = seeded_store(records, 4)
     spec = two_stage_spec(exchange=ExchangeStrategy.VM, w=4)
-    with pytest.raises(ExecutionError) as err:
-        run_workflow(
-            spec, Mode.EMULATED, store=store, options=EngineOptions(vm_mem_gb=1e-7)
-        )
-    assert isinstance(err.value.cause, MemoryBudgetError)
-
-    store2 = seeded_store(records, 4)
     report = run_workflow(
-        spec,
-        Mode.EMULATED,
-        store=store2,
-        options=EngineOptions(vm_mem_gb=1e-4, external_sort=True),
+        spec, Mode.EMULATED, store=store, options=EngineOptions(vm_mem_gb=1e-4)
     )
-    assert decoded_outputs(store2) == sorted(records)
+    assert decoded_outputs(store) == sorted(records)
     assert report.stages[0].requests.get_count == 4
 
 def test_buffer_instrumentation_within_chunk_law():

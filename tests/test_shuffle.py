@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from faaslab import shuffle
 from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock
 from faaslab.engine import EngineOptions, Mode, run_workflow
-from faaslab.errors import DomainError, ExecutionError, MemoryBudgetError, MissingPartition
+from faaslab.errors import DomainError, MissingPartition
 from faaslab.methpipe import (
     MethRecord,
     generate_synthetic,
@@ -280,11 +280,16 @@ def test_vm_exchange_request_counts():
     assert report.store_metrics.get_count == 8
     assert report.store_metrics.put_count == 8
 
-def test_vm_exchange_budget_enforced():
+def test_vm_exchange_over_budget_matches_in_memory():
+    # input beyond the VM's memory sorts externally on the VM's volume,
+    # with the in-memory sort's output and request counts
     records = generate_synthetic(2000, seed=8, shuffled=True)
-    with pytest.raises(ExecutionError) as err:
-        sort_only_run(ExchangeStrategy.VM, records, 2, 2, EngineOptions(vm_mem_gb=1e-6))
-    assert isinstance(err.value.cause, MemoryBudgetError)
+    in_memory, _ = sort_only_run(ExchangeStrategy.VM, records, 2, 3)
+    store, report = sort_only_run(
+        ExchangeStrategy.VM, records, 2, 3, EngineOptions(vm_mem_gb=1e-6)
+    )
+    assert sorted_payloads(store) == sorted_payloads(in_memory)
+    assert (report.store_metrics.get_count, report.store_metrics.put_count) == (2, 3)
 
 def keyed(payloads):
     """(key, payload) pairs, as the engine fetches them for external_sort."""
@@ -297,7 +302,7 @@ def test_vm_external_sort_fallback_equivalent():
     assert ranges == split_sorted(sorted(records), 4)
 
     store, report = sort_only_run(
-        ExchangeStrategy.VM, records, 4, 4, EngineOptions(vm_mem_gb=1e-5, external_sort=True)
+        ExchangeStrategy.VM, records, 4, 4, EngineOptions(vm_mem_gb=1e-5)
     )
     assert [r for chunk in sorted_outputs(store) for r in chunk] == sorted(records)
     assert report.store_metrics.get_count == 4

@@ -88,6 +88,7 @@ def test_malformed_json():
             dict(stages=[{"id": "s", "kind": "sort"}, {"id": "e", "kind": "encode", "options": {"codec": "zstd"}}]),
             "stages[1].options.codec",
         ),
+        (dict(w_max=1001), "w_max"),
     ],
 )
 def test_schema_errors_carry_paths(overrides, path_fragment):
