@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from itertools import zip_longest
 from typing import Callable, Iterator
 
 from faaslab import shuffle
@@ -63,7 +62,7 @@ GB = 1e9
 # Block volume billed for the whole life of a VM exchange, in GB.
 VM_VOLUME_GB = 100.0
 
-ENCODED_TEMPLATE = "encoded/{stage}/{index}"
+ENCODED_TEMPLATE = "encoded/{stage}/{worker}"
 
 
 class Mode(str, Enum):
@@ -89,7 +88,6 @@ class ExecHooks:
 
 @dataclass
 class EngineOptions:
-    vm_mem_gb: float = 32.0
     progress: ProgressFn | None = None
     hooks: ExecHooks | None = None
 
@@ -510,90 +508,62 @@ class _Run:
 
     def _sort_vm(self, stage: StageSpec, inputs: DataRef) -> DataRef:
         compute, w = self.profiles.compute, self.resolved_w
-        budget = int(self.options.vm_mem_gb * GB)
         size = _ref_size(inputs)
         session = self.store.session(conn_bandwidth=compute.vm_bandwidth)
         track = self._tracker(stage, 0)
         self._phase(stage, "startup", 0.0, [], delay=compute.vm_provision)
+        [payloads] = self._phase(
+            stage, "input_read", 0.35, [lambda: list(_fetch(session, inputs.objects, track))]
+        )
 
-        def write(ranges):
+        def sort():
+            records = []
+            for key, payload in payloads:
+                records.extend(shuffle.parse_object(tsv_to_records, payload, key))
+            payloads.clear()
+            records.sort()
+            self._charge(size / compute.vm_sort_rate)
+            return records
+
+        [records] = self._phase(stage, "sort_compute", 0.7, [sort])
+
+        def write():
             return [
-                _write_sorted(session, stage.id, reducer, records_to_tsv(records), track)
-                for reducer, records in enumerate(ranges)
+                _write_sorted(session, stage.id, reducer, records_to_tsv(chunk), track)
+                for reducer, chunk in enumerate(shuffle.split_sorted(records, w))
             ]
 
-        if size > budget:
-            # input beyond the VM's memory spills sorted runs to its local
-            # volume; the external sort interleaves reads and spills, so
-            # its whole duration is reported under sort_compute
-            def external():
-                outputs = write(
-                    shuffle.external_sort(_fetch(session, inputs.objects, track), w, budget)
-                )
-                self._charge(size / compute.vm_sort_rate)
-                return outputs
-
-            [outputs] = self._phase(stage, "sort_compute", 1.0, [external])
-        else:
-            [payloads] = self._phase(
-                stage, "input_read", 0.35, [lambda: list(_fetch(session, inputs.objects, track))]
-            )
-
-            def sort():
-                records = []
-                for key, payload in payloads:
-                    records.extend(shuffle.parse_object(tsv_to_records, payload, key))
-                payloads.clear()
-                records.sort()
-                self._charge(size / compute.vm_sort_rate)
-                return records
-
-            [records] = self._phase(stage, "sort_compute", 0.7, [sort])
-            [outputs] = self._phase(
-                stage, "output_write", 1.0, [lambda: write(shuffle.split_sorted(records, w))]
-            )
+        [outputs] = self._phase(stage, "output_write", 1.0, [write])
         return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs))
 
     def _encode(self, stage: StageSpec, inputs: DataRef) -> DataRef:
-        compute, w = self.profiles.compute, self.resolved_w
+        """Encode the previous stage's w outputs, one object per worker."""
+        compute = self.profiles.compute
         session = self.store.session()
         readers = self._readers(stage, "encoder", inputs.objects, session)
         self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
         payloads = self._phase(stage, "input_read", 0.35, readers)
 
         def encode(worker: int):
+            [(_, payload)] = payloads[worker]
+            decode = decode_block if is_encoded_block(payload) else tsv_to_records
+            block = encode_block(decode(payload))
             track = self._tracker(stage, worker)
-            nbytes = 0
-            encoded = []
-            for _, payload in payloads[worker]:
-                nbytes += len(payload)
-                records = (
-                    decode_block(payload)
-                    if is_encoded_block(payload)
-                    else tsv_to_records(payload)
-                )
-                block = encode_block(records)
-                if track:
-                    track(len(block))
-                encoded.append(block)
+            if track:
+                track(len(block))
             payloads[worker] = None
-            self._charge(nbytes / compute.fn_encode_rate)
-            return encoded
+            self._charge(len(payload) / compute.fn_encode_rate)
+            return block
 
         blocks = self._phase(stage, "encode", 0.7, self._each(encode))
 
         def write(worker: int):
-            written = []
-            for j, block in enumerate(blocks[worker]):
-                key = ENCODED_TEMPLATE.format(stage=stage.id, index=worker + j * w)
-                session.put_object(key, block)
-                written.append((key, len(block)))
-            blocks[worker] = None
-            return written
+            key = ENCODED_TEMPLATE.format(stage=stage.id, worker=worker)
+            block, blocks[worker] = blocks[worker], None
+            session.put_object(key, block)
+            return key, len(block)
 
-        written = self._phase(stage, "output_write", 1.0, self._each(write))
-        # worker i wrote objects i, i + w, ...: interleave back to input order
-        outputs = [obj for row in zip_longest(*written) for obj in row if obj is not None]
+        outputs = self._phase(stage, "output_write", 1.0, self._each(write))
         return DataRef(inputs.bucket, f"encoded/{stage.id}/", objects=tuple(outputs))
 
 

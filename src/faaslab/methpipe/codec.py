@@ -16,8 +16,6 @@ error here, not something to fix quietly.
 from __future__ import annotations
 
 import gzip
-import shutil
-import subprocess
 import zlib
 from typing import Sequence
 
@@ -252,15 +250,6 @@ def is_encoded_block(payload: bytes) -> bool:
     return payload[: len(MAGIC)] == MAGIC
 
 
-def baseline_compressed_size(data: bytes, command: Sequence[str] | None = ("gzip", "-9", "-c")) -> int:
-    """Size of `data` under a general-purpose compressor.
-
-    Runs the given external command (stdin to stdout); None, or a missing
-    binary, falls back to the in-process gzip module at level 9.
-    """
-    if command and shutil.which(command[0]):
-        result = subprocess.run(
-            list(command), input=data, stdout=subprocess.PIPE, check=True
-        )
-        return len(result.stdout)
+def baseline_compressed_size(data: bytes) -> int:
+    """Size of `data` under gzip at level 9, compressed in process."""
     return len(gzip.compress(data, compresslevel=9))

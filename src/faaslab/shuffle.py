@@ -7,9 +7,9 @@ each reducer merge its w sorted fragments into one sorted output. Both
 sides sort rows (`tsv_to_rows`) and write payloads by joining the rows'
 canonical lines, so neither serializes a record again.
 
-VM path: gather every input object into one machine, sort globally
-(spilling sorted runs to local disk when the input exceeds memory), and
-cut the sorted records into w_out ranges for the encode stage.
+VM path: gather every input object into one machine, sort globally in
+its memory, and cut the sorted records into w_out ranges for the encode
+stage.
 
 Partition objects follow the stable naming template
 ``part/<stage-id>/<mapper>-<reducer>``; sorted outputs are
@@ -21,19 +21,16 @@ same input.
 
 from __future__ import annotations
 
-import heapq
-import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from faaslab.blobstore import Session
 from faaslab.errors import DomainError, MissingPartition, NotFound, ParseError
 from faaslab.methpipe.records import (
-    CHUNK_BYTES,
     SORT_KEY,
     MethRecord,
-    records_to_tsv,
+    records_to_tsv,  # noqa: F401 -- perfbench/tracing.py patches it here
     rows_to_tsv,
     tsv_to_records,
     tsv_to_rows,
@@ -188,62 +185,14 @@ def merge_fragments(payloads: list[bytes]) -> bytes:
     return rows_to_tsv(rows)
 
 
-def _range_counts(n: int, w_out: int) -> list[int]:
-    return [n // w_out + (1 if i < n % w_out else 0) for i in range(w_out)]
-
-
 def split_sorted(records: list[MethRecord], w_out: int) -> list[list[MethRecord]]:
     """Cut a sorted list into w_out near-equal record-count ranges."""
+    n = len(records)
     slices = []
     start = 0
-    for count in _range_counts(len(records), w_out):
+    for i in range(w_out):
+        count = n // w_out + (1 if i < n % w_out else 0)
         slices.append(records[start : start + count])
         start += count
     return slices
 
-
-def external_sort(
-    objects: Iterable[tuple[str, bytes]], w_out: int, mem_budget: int
-) -> Iterator[list[MethRecord]]:
-    """Sort inputs beyond the memory budget; yield w_out sorted ranges.
-
-    Parses the (key, payload) objects in order, a ParseError naming the
-    object; spills a sorted run to local disk each time about a quarter
-    of the budget is buffered, then k-way merges the runs and yields the
-    same ranges `split_sorted` would cut from the fully sorted records.
-    """
-    chunk_cap = max(mem_budget // 4, 1)
-    with tempfile.TemporaryDirectory(prefix="faaslab-extsort-") as tmp:
-        runs: list[str] = []
-        buffer: list[MethRecord] = []
-        buffered = 0
-        total = 0
-
-        def spill():
-            nonlocal buffered, total
-            if not buffer:
-                return
-            buffer.sort()
-            path = f"{tmp}/run-{len(runs)}.tsv"
-            with open(path, "wb") as fh:
-                fh.write(records_to_tsv(buffer))
-            runs.append(path)
-            total += len(buffer)
-            buffer.clear()
-            buffered = 0
-
-        for key, payload in objects:
-            buffer.extend(parse_object(tsv_to_records, payload, key))
-            buffered += len(payload)
-            if buffered >= chunk_cap:
-                spill()
-        spill()
-
-        def run_reader(path: str):
-            with open(path, "rb") as fh:
-                for lines in iter(lambda: fh.readlines(CHUNK_BYTES), []):
-                    yield from tsv_to_records(b"".join(lines))
-
-        merged = heapq.merge(*(run_reader(p) for p in runs))
-        for count in _range_counts(total, w_out):
-            yield [next(merged) for _ in range(count)]

@@ -269,6 +269,9 @@ def validate_workflow(spec: WorkflowSpec) -> list[str]:
     for stage in spec.stages:
         if stage.id in seen:
             violations.append(f"duplicate stage id: {stage.id}")
+        if "/" in stage.id:
+            # a stage's outputs live under <reserved prefix><stage id>/
+            violations.append(f"stage id contains '/': {stage.id}")
         seen.add(stage.id)
     sort_positions = [i for i, s in enumerate(spec.stages) if s.kind is StageKind.SORT_EXCHANGE]
     if not sort_positions and spec.stages:

@@ -300,27 +300,6 @@ def test_sort_compute_parse_error_names_object(exchange, worker):
     assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
 
 
-def test_external_sort_parse_error_names_object():
-    # about 100 KB of input over a 10 KB VM budget takes the external
-    # sort, whose one task parses every object in sort_compute
-    payloads = split_into_objects(generate_synthetic(4000, seed=18, shuffled=True), 4)
-    payloads[1] += b"chr1\tx\t5\t+\t1\t2\n"
-    store = Blobstore(DESK_STORE, clock=VirtualClock())
-    for i, payload in enumerate(payloads):
-        store.seed_object(f"raw/{i:04d}", payload)
-    spec = two_stage_spec(exchange=ExchangeStrategy.VM, w=4)
-    options = EngineOptions(vm_mem_gb=1e-5)
-    with pytest.raises(ExecutionError) as err:
-        run_workflow(spec, Mode.EMULATED, store=store, options=options)
-    cause = err.value.cause
-    assert isinstance(cause, TaskError)
-    assert (cause.worker, cause.phase) == (0, "sort_compute")
-    assert isinstance(cause.cause, ParseError)
-    assert cause.cause.column == 2
-    assert "raw/0001" in str(err.value)
-    assert store.list_prefix("sorted/sort/") == []
-
-
 def test_non_ascii_chrom_sorts_identically_and_round_trips():
     names = {"chr1": "chr1", "chr2": "chré", "chr3": "染色体3", "chr4": "chr4"}
     records = [
@@ -345,16 +324,6 @@ def test_mapper_budget_enforced():
     with pytest.raises(ExecutionError) as err:
         run_workflow(two_stage_spec(prof, w=4), Mode.EMULATED, store=store)
     assert isinstance(err.value.cause, MemoryBudgetError)
-
-def test_vm_over_budget_falls_back_to_external_sort():
-    records = generate_synthetic(5000, seed=11, shuffled=True)
-    store = seeded_store(records, 4)
-    spec = two_stage_spec(exchange=ExchangeStrategy.VM, w=4)
-    report = run_workflow(
-        spec, Mode.EMULATED, store=store, options=EngineOptions(vm_mem_gb=1e-4)
-    )
-    assert decoded_outputs(store) == sorted(records)
-    assert report.stages[0].requests.get_count == 4
 
 def test_buffer_instrumentation_within_chunk_law():
     records = generate_synthetic(8000, seed=12, shuffled=True)

@@ -79,7 +79,6 @@ CASES = {
     "emulate-vm-presorted": lambda: _emulate(VM, 4, _presorted()),
     "emulate-serverless-empty": lambda: _emulate(SERVERLESS, 4, [b""] * 3),
     "emulate-vm-empty": lambda: _emulate(VM, 4, [b""] * 3),
-    "emulate-vm-external": lambda: _emulate(VM, 4, _shuffled(), vm_mem_gb=1e-4),
     "emulate-serverless-chained": lambda: _emulate(SERVERLESS, 4, _shuffled(), CHAINED),
 }
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from faaslab import shuffle
 from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock
-from faaslab.engine import EngineOptions, Mode, run_workflow
+from faaslab.engine import Mode, run_workflow
 from faaslab.errors import DomainError, MissingPartition
 from faaslab.methpipe import (
     MethRecord,
@@ -24,7 +24,6 @@ from faaslab.methpipe.records import SORT_KEY
 from faaslab.perfmodel import builtin_profiles
 from faaslab.shuffle import (
     ShufflePlan,
-    external_sort,
     merge_fragments,
     partition_key,
     partition_records,
@@ -58,12 +57,12 @@ def reduce_side(reducer, w, session, stage):
     return merge_fragments(read_fragments(reducer, w, session, stage))
 
 
-def sort_only_run(exchange, records, n_objects, w, options=None):
+def sort_only_run(exchange, records, n_objects, w):
     """run_workflow over a sort-only workflow; returns the store and report."""
-    return sort_only_payloads(exchange, split_into_objects(records, n_objects), w, options)
+    return sort_only_payloads(exchange, split_into_objects(records, n_objects), w)
 
 
-def sort_only_payloads(exchange, payloads, w, options=None):
+def sort_only_payloads(exchange, payloads, w):
     """sort_only_run over the given input payloads."""
     store = Blobstore(StoreProfile(0.0, INF, INF, INF), clock=VirtualClock())
     for i, payload in enumerate(payloads):
@@ -76,7 +75,7 @@ def sort_only_payloads(exchange, payloads, w, options=None):
         profiles=builtin_profiles("desk-v1"),
         parallelism=w,
     )
-    report = run_workflow(spec, Mode.EMULATED, store=store, options=options)
+    report = run_workflow(spec, Mode.EMULATED, store=store)
     return store, report
 
 
@@ -279,57 +278,6 @@ def test_vm_exchange_request_counts():
     _, report = sort_only_run(ExchangeStrategy.VM, records, 8, 8)
     assert report.store_metrics.get_count == 8
     assert report.store_metrics.put_count == 8
-
-def test_vm_exchange_over_budget_matches_in_memory():
-    # input beyond the VM's memory sorts externally on the VM's volume,
-    # with the in-memory sort's output and request counts
-    records = generate_synthetic(2000, seed=8, shuffled=True)
-    in_memory, _ = sort_only_run(ExchangeStrategy.VM, records, 2, 3)
-    store, report = sort_only_run(
-        ExchangeStrategy.VM, records, 2, 3, EngineOptions(vm_mem_gb=1e-6)
-    )
-    assert sorted_payloads(store) == sorted_payloads(in_memory)
-    assert (report.store_metrics.get_count, report.store_metrics.put_count) == (2, 3)
-
-def keyed(payloads):
-    """(key, payload) pairs, as the engine fetches them for external_sort."""
-    return ((f"raw/{i:04d}", payload) for i, payload in enumerate(payloads))
-
-def test_vm_external_sort_fallback_equivalent():
-    records = generate_synthetic(8000, seed=9, shuffled=True)
-    payloads = split_into_objects(records, 4)
-    ranges = list(external_sort(keyed(payloads), 4, mem_budget=10_000))
-    assert ranges == split_sorted(sorted(records), 4)
-
-    store, report = sort_only_run(
-        ExchangeStrategy.VM, records, 4, 4, EngineOptions(vm_mem_gb=1e-5)
-    )
-    assert [r for chunk in sorted_outputs(store) for r in chunk] == sorted(records)
-    assert report.store_metrics.get_count == 4
-    assert report.store_metrics.put_count == 4
-
-def test_external_sort_merges_many_runs():
-    records = generate_synthetic(80_000, seed=19, shuffled=True)
-    payloads = split_into_objects(records, 16)
-    ranges = list(external_sort(keyed(payloads), 3, mem_budget=1))
-    assert ranges == split_sorted(sorted(records), 3)
-
-def test_external_sort_honours_small_budget(monkeypatch):
-    # a 100 KB budget over about 146 KB of input cannot sort in one run
-    runs_merged = []
-    real_merge = shuffle.heapq.merge
-
-    def merge(*runs):
-        runs_merged.append(len(runs))
-        return real_merge(*runs)
-
-    monkeypatch.setattr(shuffle.heapq, "merge", merge)
-    records = generate_synthetic(6000, seed=31, shuffled=True)
-    payloads = split_into_objects(records, 6)
-    assert sum(map(len, payloads)) > 100_000
-    ranges = list(external_sort(keyed(payloads), 4, mem_budget=100_000))
-    assert ranges == split_sorted(sorted(records), 4)
-    assert runs_merged and runs_merged[0] > 1
 
 def test_cross_strategy_equivalence():
     w = 8

@@ -170,6 +170,12 @@ def test_validate_mutants_each_break_one_invariant():
             )
         ),
         "parallelism out of range": valid_spec(parallelism=-3),
+        "stage id contains '/': e/x": valid_spec(
+            stages=(
+                StageSpec("s", StageKind.SORT_EXCHANGE),
+                StageSpec("e/x", StageKind.ENCODE),
+            )
+        ),
     }
     assert validate_workflow(base) == []
     for expected, mutant in mutants.items():
