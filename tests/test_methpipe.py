@@ -241,6 +241,19 @@ def test_encode_deterministic():
 
 # --- compression baseline -----------------------------------------------------
 
+def test_baseline_external_matches_inprocess_scale():
+    # the baseline stays on the scale of `gzip -9` run as a command
+    data = records_to_tsv(generate_synthetic(2000, seed=1))
+    external = baseline_compressed_size(data)
+    inprocess = len(gzip.compress(data, compresslevel=9))
+    assert abs(external - inprocess) <= 0.05 * inprocess
+
+def test_baseline_falls_back_without_binary(monkeypatch, tmp_path):
+    # no gzip binary on PATH: the baseline is still gzip level 9
+    monkeypatch.setenv("PATH", str(tmp_path))
+    data = b"x" * 10_000
+    assert baseline_compressed_size(data) == len(gzip.compress(data, compresslevel=9))
+
 def test_baseline_is_inprocess_gzip_level_9():
     # the gzip binary's deflate gives 15 more bytes on this input
     data = records_to_tsv(generate_synthetic(5000, seed=1))
