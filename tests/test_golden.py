@@ -5,17 +5,23 @@ its progress events and its `on_task_start` calls. Reports and events
 must match byte for byte. Task starts must keep their names, order and
 count; the boundary sampler's tasks may report the phase `input_read`
 (the phase they run in) or `sample`.
+
+Each file under tests/golden/compare/ holds one `faaslab compare` run's
+exit code, stdout and stderr, which must match byte for byte.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from faaslab.blobstore import Blobstore, VirtualClock
+from faaslab.cli import main
 from faaslab.engine import EngineOptions, ExecHooks, Mode, run_workflow
 from faaslab.methpipe import generate_synthetic, split_into_objects
-from faaslab.perfmodel import builtin_profiles
+from faaslab.perfmodel import builtin_profiles, profiles_to_dict
 from faaslab.report import report_to_json
 from faaslab.workflow import (
     DataRef,
@@ -108,3 +114,64 @@ def test_golden_run(name):
 
 def test_golden_set_is_complete():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+# --- faaslab compare ------------------------------------------------------------
+
+COMPARE_GOLDEN = GOLDEN / "compare"
+
+
+def _compare_model(workflow, *flags):
+    return lambda tmp_path: ["--workflow", str(WORKFLOWS / workflow), "--mode", "model", *flags]
+
+
+def _compare_emulate_auto(tmp_path):
+    """An auto workflow on 20,000 generated records in 8 objects (w = 3)."""
+    store = str(tmp_path / "store")
+    with redirect_stdout(io.StringIO()):
+        assert main(["generate", "--records", "20000", "--objects", "8", "--seed", "17",
+                     "--store", store]) == 0
+    doc = {
+        "version": "v1",
+        "name": "emulate-auto",
+        "input": {"bucket": "data", "prefix": "raw/"},
+        "exchange": "serverless",
+        "parallelism": "auto",
+        "stages": [
+            {"id": "sort", "kind": "sort"},
+            {"id": "encode", "kind": "encode", "options": {"ratio": 10}},
+        ],
+        "profiles": profiles_to_dict(builtin_profiles("desk-v1")),
+    }
+    path = tmp_path / "emulate-auto.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["--workflow", str(path), "--mode", "emulate", "--store", store, "--json"]
+
+
+COMPARE_CASES = {
+    "model-auto": _compare_model("auto-parallelism.json"),
+    "model-auto-json": _compare_model("auto-parallelism.json", "--json"),
+    "model-paper": _compare_model("paper-scale.json"),
+    "model-paper-json": _compare_model("paper-scale.json", "--json"),
+    "emulate-auto-json": _compare_emulate_auto,
+}
+
+
+def run_compare_case(name: str, tmp_path) -> dict:
+    """Run one `faaslab compare` case: its exit code, stdout and stderr."""
+    argv = ["compare", *COMPARE_CASES[name](tmp_path), "--seed", "5"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_CASES))
+def test_golden_compare(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("FAASLAB_PROFILE", raising=False)
+    golden = json.loads((COMPARE_GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert run_compare_case(name, tmp_path) == golden
+
+
+def test_golden_compare_set_is_complete():
+    assert sorted(p.stem for p in COMPARE_GOLDEN.glob("*.json")) == sorted(COMPARE_CASES)
