@@ -2,12 +2,13 @@
 
 Three subcommands: `generate` writes synthetic input objects into an
 on-disk store directory, `run` executes one workflow in emulated or
-modeled mode, `compare` runs both exchange strategies and prints the
-two-row latency/cost table.
+modeled mode, `compare` runs both exchange strategies at one worker
+count and prints the two-row latency/cost table.
 
 Human-readable tables go to stdout and progress events to stderr (one
 JSON object per line), so `--json` output stays pipeable. Exit codes:
-0 success, 1 runtime failure, 2 usage or validation errors. The
+0 success, 1 runtime failure, 2 usage or validation errors, including
+a path that cannot be read or written. The
 FAASLAB_PROFILE environment variable may point at a profile JSON file
 that overrides the workflow's embedded profiles.
 """
@@ -18,6 +19,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 from faaslab.blobstore import Blobstore, StoreProfile
 from faaslab.engine import EngineOptions, Mode, RunReport, run_workflow
@@ -51,12 +54,23 @@ def _progress_printer(event: dict) -> None:
     print(json.dumps(event), file=sys.stderr, flush=True)
 
 
+@contextmanager
+def _utf8_file(path: str):
+    """Report a file that is not UTF-8 text as a usage error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, f"file is not UTF-8 text: {exc}") from exc
+
+
 def _load_spec(path: str) -> WorkflowSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = parse_workflow(fh.read())
+    with _utf8_file(path), open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    spec = parse_workflow(text)
     override = os.environ.get("FAASLAB_PROFILE")
     if override:
-        spec = with_profiles(spec, load_profiles(override))
+        with _utf8_file(override):
+            spec = with_profiles(spec, load_profiles(override))
     return spec
 
 
@@ -156,9 +170,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = _load_spec(args.workflow)
-    reports = {}
-    for strategy in (ExchangeStrategy.SERVERLESS, ExchangeStrategy.VM):
-        reports[strategy.value] = _execute(with_exchange(spec, strategy), args)
+    serverless = _execute(with_exchange(spec, ExchangeStrategy.SERVERLESS), args)
+    # both strategies see the same input, profiles and w_max, so the VM
+    # runs at the w the serverless run resolved and `auto` scans once
+    vm_spec = replace(with_exchange(spec, ExchangeStrategy.VM), parallelism=serverless.parallelism)
+    reports = {"serverless": serverless, "vm": _execute(vm_spec, args)}
     rows = [
         (
             "purely serverless" if name == "serverless" else "VM-supported",
@@ -229,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except _USAGE_ERRORS as exc:
         return _fail(str(exc), 2)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(str(exc), 2)
     except FaaslabError as exc:
         return _fail(str(exc), 1)

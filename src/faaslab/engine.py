@@ -545,9 +545,9 @@ class _Run:
         payloads = self._phase(stage, "input_read", 0.35, readers)
 
         def encode(worker: int):
-            [(_, payload)] = payloads[worker]
+            [(key, payload)] = payloads[worker]
             decode = decode_block if is_encoded_block(payload) else tsv_to_records
-            block = encode_block(decode(payload))
+            block = encode_block(shuffle.parse_object(decode, payload, key))
             track = self._tracker(stage, worker)
             if track:
                 track(len(block))

@@ -1,14 +1,18 @@
 """CLI tests: flags, exit codes, JSON output, progress stream."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from faaslab.cli import main
-from faaslab.engine import request_laws
+from faaslab import engine
+from faaslab.cli import _build_run_store, main
+from faaslab.engine import Mode, request_laws, run_workflow
 from faaslab.perfmodel import builtin_profiles, profiles_to_dict
 from faaslab.report import parse_report, report_to_json
-from faaslab.workflow import ExchangeStrategy, StageKind
+from faaslab.workflow import ExchangeStrategy, StageKind, parse_workflow, with_exchange
+
+AUTO_WORKFLOW = Path(__file__).parent.parent / "workflows" / "auto-parallelism.json"
 
 PAPER_DOC = {
     "version": "v1",
@@ -264,6 +268,94 @@ def test_progress_cost_monotone(paper_workflow, capsys):
     assert len(dones) == 2
     assert dones[0]["cost_so_far"] == payload["reports"]["serverless"]["cost"]["total"]
     assert dones[1]["cost_so_far"] == payload["reports"]["vm"]["cost"]["total"]
+
+
+@pytest.fixture
+def count_scans(monkeypatch):
+    """The arguments of every auto-parallelism scan the engine runs."""
+    calls = []
+    scan = engine.optimal_worker_count
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(engine, "optimal_worker_count", counted)
+    return calls
+
+
+def _auto_desk_workflow(tmp_path, capsys):
+    """An auto workflow with desk profiles over a generated store (w = 2)."""
+    store = str(tmp_path / "s")
+    run_cli(capsys, "generate", "--records", "6000", "--objects", "4", "--store", store)
+    doc = dict(PAPER_DOC, name="desk-auto", parallelism="auto")
+    doc["input"] = {"bucket": "data", "prefix": "raw/"}
+    doc["profiles"] = profiles_to_dict(builtin_profiles("desk-v1"))
+    path = tmp_path / "desk-auto.json"
+    path.write_text(json.dumps(doc))
+    return str(path), store
+
+
+@pytest.mark.parametrize("mode", ["model", "emulate"])
+def test_compare_scans_auto_once(mode, tmp_path, capsys, count_scans):
+    if mode == "model":
+        workflow, store = str(AUTO_WORKFLOW), None
+        flags = ()
+    else:
+        workflow, store = _auto_desk_workflow(tmp_path, capsys)
+        flags = ("--store", store)
+    code, out, _ = run_cli(
+        capsys, "compare", "--workflow", workflow, "--mode", mode, *flags, "--json"
+    )
+    assert code == 0
+    assert len(count_scans) == 1
+    # the VM run pinned to the serverless run's w is the unpinned VM run
+    spec = with_exchange(parse_workflow(Path(workflow).read_text()), ExchangeStrategy.VM)
+    assert spec.parallelism is None
+    run_store = _build_run_store(spec, store) if store else None
+    standalone = run_workflow(spec, Mode(mode), store=run_store)
+    reports = json.loads(out)["reports"]
+    assert json.dumps(reports["vm"], indent=2) + "\n" == report_to_json(standalone)
+    assert reports["serverless"]["parallelism"] == standalone.parallelism > 1
+
+
+def test_compare_fixed_w_scans_nothing(paper_workflow, capsys, count_scans):
+    assert run_cli(capsys, "compare", "--workflow", paper_workflow, "--mode", "model")[0] == 0
+    assert count_scans == []
+
+
+# --- unreadable paths -----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "target, problem",
+    [
+        ("workflow", "directory"),
+        ("workflow", "not-utf8"),
+        ("profile", "directory"),
+        ("profile", "not-utf8"),
+        ("run-store", "file"),
+        ("generate-store", "file"),
+    ],
+)
+def test_unreadable_path_exit_2_without_traceback(target, problem, paper_workflow, desk_workflow,
+                                                   tmp_path, capsys, monkeypatch):
+    latin1 = tmp_path / "latin1.json"  # a regular file that is not UTF-8
+    latin1.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    path = str(tmp_path if problem == "directory" else latin1)
+    argv = {
+        "workflow": ["compare", "--mode", "model", "--workflow", path],
+        "profile": ["compare", "--mode", "model", "--workflow", paper_workflow],
+        "run-store": ["run", "--workflow", desk_workflow, "--mode", "emulate", "--store", path],
+        "generate-store": ["generate", "--records", "10", "--objects", "1", "--store", path],
+    }[target]
+    if target == "profile":
+        monkeypatch.setenv("FAASLAB_PROFILE", path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("faaslab: ")
+    assert path in err
+    assert "Traceback" not in err
 
 
 # --- profile override -----------------------------------------------------------------------

@@ -300,6 +300,25 @@ def test_sort_compute_parse_error_names_object(exchange, worker):
     assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
 
 
+@pytest.mark.parametrize("exchange", list(ExchangeStrategy), ids=lambda e: e.value)
+def test_encode_parse_error_names_object(exchange):
+    # as encoder 1 starts reading, its sorted input gets a malformed line
+    store = seeded_store(generate_synthetic(2000, seed=19, shuffled=True), 4)
+
+    def corrupt(stage, phase, worker):
+        if (stage, phase, worker) == ("enc", "input_read", 1):
+            store.seed_object("sorted/sort/1", b"chr1\tx\t5\t+\t1\t2\n")
+
+    options = EngineOptions(hooks=ExecHooks(on_task_start=corrupt))
+    with pytest.raises(ExecutionError) as err:
+        run_workflow(two_stage_spec(exchange=exchange, w=4), Mode.EMULATED, store=store, options=options)
+    cause = err.value.cause
+    assert (err.value.stage_id, cause.worker, cause.phase) == ("enc", 1, "encode")
+    assert isinstance(cause.cause, ParseError)
+    assert "'sorted/sort/1'" in str(err.value)
+    assert store.list_prefix("encoded/enc/") == []
+
+
 def test_non_ascii_chrom_sorts_identically_and_round_trips():
     names = {"chr1": "chr1", "chr2": "chré", "chr3": "染色体3", "chr4": "chr4"}
     records = [
