@@ -16,6 +16,7 @@ that overrides the workflow's embedded profiles.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,9 +83,18 @@ def _unshaped_disk_store(root: str, bucket: str) -> Blobstore:
 
 
 def _build_run_store(spec: WorkflowSpec, store_dir: str) -> Blobstore:
-    """Fresh run store seeded with the input objects from disk."""
-    source = _unshaped_disk_store(store_dir, spec.input.bucket)
+    """Fresh run store seeded with the input objects from disk.
+
+    A missing `<store_dir>/<bucket>` is an empty store: a run only reads
+    the store, so it creates no directory. Any other failure to reach the
+    directory, such as a file in its path, is raised.
+    """
     run_store = Blobstore(spec.profiles.store, bucket=spec.input.bucket)
+    try:
+        os.stat(os.path.join(store_dir, spec.input.bucket))
+    except FileNotFoundError:
+        return run_store
+    source = _unshaped_disk_store(store_dir, spec.input.bucket)
     objects = source.list_prefix(spec.input.prefix)
     for key, _ in objects:
         run_store.seed_object(key, source.get_object(key))
@@ -184,17 +194,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for name, report in reports.items()
     ]
     if args.json:
-        payload = {
-            "schema": "faaslab-compare-v1",
-            "rows": [
-                {"configuration": c, "latency_s": latency, "cost": cost}
-                for c, latency, cost in rows
-            ],
-            "reports": {
-                name: json.loads(report_to_json(report)) for name, report in reports.items()
+        head = json.dumps(
+            {
+                "schema": "faaslab-compare-v1",
+                "rows": [
+                    {"configuration": c, "latency_s": latency, "cost": cost}
+                    for c, latency, cost in rows
+                ],
             },
-        }
-        print(json.dumps(payload, indent=2))
+            indent=2,
+        )
+        # each report is its `run --json` text, nested two levels deep;
+        # indented JSON has no raw newline inside a string, so indenting
+        # every line after the first gives json.dumps(..., indent=2)'s bytes
+        nested = ",\n".join(
+            f"    {json.dumps(name)}: " + report_to_json(report).rstrip("\n").replace("\n", "\n    ")
+            for name, report in reports.items()
+        )
+        # head ends in "\n}"; the reports go in before that brace
+        print(f'{head[:-2]},\n  "reports": {{\n{nested}\n  }}\n}}')
     else:
         header = f"{'configuration':<20}{'latency (s)':>14}{'cost ($)':>12}"
         print(header)
@@ -204,7 +222,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `faaslab` parser, built on first use and shared by later calls.
+
+    `parse_args` returns a new namespace per call and changes no parser
+    state, so one process needs one parser.
+    """
     parser = argparse.ArgumentParser(
         prog="faaslab",
         description="Compare object-storage and VM data exchange for a sort+compress pipeline.",

@@ -22,6 +22,7 @@ All operations are pure.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -372,7 +373,12 @@ def load_profiles(path: str) -> Profiles:
     return parse_profiles(data)
 
 
+@functools.cache
 def builtin_profiles(name: str = CALIBRATED_PROFILE) -> Profiles:
-    """Load a profile sheet shipped with the package."""
+    """Load a profile sheet shipped with the package.
+
+    The sheet is package data and `Profiles` is frozen, so each name is
+    read and validated once per process and the same value is shared.
+    """
     text = resources.files("faaslab").joinpath(f"profiles/{name}.json").read_text("utf-8")
     return parse_profiles(json.loads(text))

@@ -8,6 +8,7 @@ import pytest
 from faaslab import engine
 from faaslab.cli import _build_run_store, main
 from faaslab.engine import Mode, request_laws, run_workflow
+from faaslab.methpipe import generate_synthetic, split_into_objects
 from faaslab.perfmodel import builtin_profiles, profiles_to_dict
 from faaslab.report import parse_report, report_to_json
 from faaslab.workflow import ExchangeStrategy, StageKind, parse_workflow, with_exchange
@@ -90,6 +91,18 @@ def test_generate_bad_flags_exit_2(tmp_path, capsys):
     assert run_cli(capsys, "generate", "--records", "1", "--objects", "0",
                    "--store", str(tmp_path))[0] == 2
 
+def test_generate_after_sorted_generate_is_shuffled(tmp_path, capsys):
+    # calls in one process share one parser: `--sorted` must not stick
+    args = ["generate", "--records", "2000", "--seed", "4", "--objects", "2"]
+    assert run_cli(capsys, *args, "--sorted", "--store", str(tmp_path / "a"))[0] == 0
+    assert run_cli(capsys, *args, "--store", str(tmp_path / "b"))[0] == 0
+    objects = [
+        [(tmp_path / side / "data" / f"raw%2F{i:04d}").read_bytes() for i in range(2)]
+        for side in ("a", "b")
+    ]
+    assert objects[1] == split_into_objects(generate_synthetic(2000, 4, shuffled=True), 2)
+    assert objects[0] != objects[1]
+
 
 # --- run ---------------------------------------------------------------------------
 
@@ -120,6 +133,14 @@ def test_run_exchange_override(paper_workflow, capsys):
     )
     assert code == 0
     assert parse_report(out).exchange == "vm"
+
+def test_run_after_exchange_override_keeps_workflow_exchange(paper_workflow, capsys):
+    # calls in one process share one parser: `--exchange` must not stick
+    argv = ["run", "--workflow", paper_workflow, "--mode", "model", "--json"]
+    assert run_cli(capsys, *argv, "--exchange", "vm")[0] == 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert parse_report(out).exchange == "serverless"
 
 def test_run_emulate_empty_input(desk_workflow, tmp_path, capsys):
     code, _, _ = run_cli(
@@ -210,6 +231,23 @@ def test_emulate_without_input_objects_exit_2(desk_workflow, tmp_path, capsys):
     assert code == 2
     assert "resolves to no objects" in err
 
+@pytest.mark.parametrize("root_exists", [False, True])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_emulate_missing_store_creates_nothing(command, root_exists, desk_workflow, tmp_path,
+                                               capsys):
+    # a missing store reads as an empty one; a read-only command creates no directory
+    store = tmp_path / "store"
+    if root_exists:
+        store.mkdir()
+    code, out, err = run_cli(
+        capsys, command, "--workflow", desk_workflow, "--mode", "emulate", "--store", str(store)
+    )
+    assert code == 2
+    assert out == ""
+    assert "resolves to no objects" in err
+    assert store.exists() == root_exists
+    assert not (store / "data").exists()
+
 
 # --- compare ----------------------------------------------------------------------------
 
@@ -232,6 +270,35 @@ def test_compare_model_json(paper_workflow, capsys):
     assert rows["purely serverless"]["latency_s"] < rows["VM-supported"]["latency_s"]
     for name in ("serverless", "vm"):
         assert payload["reports"][name]["workflow"] == "paper"
+
+ODD_NAME = 'odd "name" \\ with\ttab, caf\u00e9'
+
+
+@pytest.mark.parametrize("mode", ["model", "emulate"])
+def test_compare_json_is_canonical_and_nests_run_documents(mode, tmp_path, capsys):
+    # compare nests each strategy's `run --json` text; the workflow name's
+    # quote, backslash, tab and non-ASCII letter are all escaped in it
+    doc = dict(PAPER_DOC, name=ODD_NAME)
+    flags = ()
+    if mode == "emulate":
+        store = str(tmp_path / "s")
+        run_cli(capsys, "generate", "--records", "3000", "--objects", "4", "--store", store)
+        doc["input"] = {"bucket": "data", "prefix": "raw/"}
+        doc["profiles"] = profiles_to_dict(builtin_profiles("desk-v1"))
+        flags = ("--store", store)
+    wf = tmp_path / "wf.json"
+    wf.write_text(json.dumps(doc))
+    argv = ("--workflow", str(wf), "--mode", mode, "--seed", "3", *flags, "--json")
+    code, out, _ = run_cli(capsys, "compare", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert payload["reports"]["vm"]["workflow"] == ODD_NAME
+    for exchange in ("serverless", "vm"):
+        code, run_out, _ = run_cli(capsys, "run", "--exchange", exchange, *argv)
+        assert code == 0
+        assert json.dumps(payload["reports"][exchange], indent=2) + "\n" == run_out
+
 
 def test_compare_unbounded_w_max_exit_2(tmp_path, capsys):
     # the auto-parallelism scan visits every w up to w_max; 10^9 is rejected

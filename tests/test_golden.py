@@ -173,5 +173,17 @@ def test_golden_compare(name, tmp_path, monkeypatch):
     assert run_compare_case(name, tmp_path) == golden
 
 
+def test_golden_compare_after_usage_error(tmp_path, monkeypatch, capsys):
+    # calls in one process share one parser; a call that argparse rejects
+    # after reading --json and --seed leaves nothing for the next call
+    monkeypatch.delenv("FAASLAB_PROFILE", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", *COMPARE_CASES["model-auto-json"](tmp_path), "--seed", "9", "--bogus"])
+    assert exc.value.code == 2
+    assert "--bogus" in capsys.readouterr().err
+    golden = json.loads((COMPARE_GOLDEN / "model-auto.json").read_text(encoding="utf-8"))
+    assert run_compare_case("model-auto", tmp_path) == golden
+
+
 def test_golden_compare_set_is_complete():
     assert sorted(p.stem for p in COMPARE_GOLDEN.glob("*.json")) == sorted(COMPARE_CASES)

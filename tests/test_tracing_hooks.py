@@ -16,7 +16,8 @@ from faaslab.methpipe import generate_synthetic, split_into_objects
 from faaslab.perfmodel import builtin_profiles
 from faaslab.workflow import DataRef, ExchangeStrategy, StageKind, StageSpec, WorkflowSpec
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 # everything instrument() may patch
 OWNERS = (engine, shuffle, perfmodel, cli, blobstore.Session)
@@ -107,3 +108,22 @@ def test_instrument_patches_existing_attributes_and_undo_restores_them():
         "blobstore.get",
         "blobstore.put",
     } <= names
+
+
+def test_traced_model_compare_opens_the_spans_the_benchmark_counts(capsys):
+    # perfbench's model-sweep rejects a traced compare unless it opens one
+    # workflow.parse, two engine.run and two report.to_json spans
+    tracing = load_tracing()
+    before = attributes()
+    tracer = tracing.Tracer()
+    undo = tracing.instrument(tracer)
+    try:
+        code = cli.main(["compare", "--workflow", str(ROOT / "workflows" / "auto-parallelism.json"),
+                         "--mode", "model", "--json"])
+    finally:
+        undo()
+    assert attributes() == before
+    assert code == 0
+    assert capsys.readouterr().out
+    totals = tracing.Totals(tracer.spans)
+    assert (totals.n("workflow.parse"), totals.n("engine.run"), totals.n("report.to_json")) == (1, 2, 2)
