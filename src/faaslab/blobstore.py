@@ -13,6 +13,7 @@ host's cores, and there is one clock: the run's `VirtualClock`.
 from __future__ import annotations
 
 import errno
+import operator
 import os
 import threading
 import urllib.parse
@@ -42,16 +43,17 @@ class StoreProfile:
     backing: str = MEMORY_BACKING
 
     def __post_init__(self):
-        if self.req_latency < 0:
+        # each check is written so that NaN fails it
+        if not self.req_latency >= 0:
             raise ValueError(f"req_latency must be >= 0, got {self.req_latency}")
-        if self.conn_bandwidth <= 0:
+        if not self.conn_bandwidth > 0:
             raise ValueError(f"conn_bandwidth must be > 0, got {self.conn_bandwidth}")
-        if self.aggregate_bandwidth < self.conn_bandwidth:
+        if not self.aggregate_bandwidth >= self.conn_bandwidth:
             raise ValueError(
                 "aggregate_bandwidth must be >= conn_bandwidth, got "
                 f"{self.aggregate_bandwidth} < {self.conn_bandwidth}"
             )
-        if self.ops_rate_cap <= 0:
+        if not self.ops_rate_cap > 0:
             raise ValueError(f"ops_rate_cap must be > 0, got {self.ops_rate_cap}")
         if self.backing != MEMORY_BACKING and not self.backing.startswith(DISK_PREFIX):
             raise ValueError(f"backing must be 'memory' or 'disk:<root>', got {self.backing!r}")
@@ -72,11 +74,17 @@ class StoreMetrics:
     def __add__(self, other: "StoreMetrics") -> "StoreMetrics":
         return StoreMetrics(*(getattr(self, k) + getattr(other, k) for k in _COUNTERS))
 
+    @staticmethod
+    def total(items) -> "StoreMetrics":
+        """The counters of `items` summed column by column."""
+        return StoreMetrics(*map(sum, zip(*map(_counter_values, items))))
+
     def as_dict(self) -> dict[str, int]:
-        return {k: getattr(self, k) for k in _COUNTERS}
+        return dict(zip(_COUNTERS, _counter_values(self)))
 
 
 _COUNTERS = tuple(f.name for f in fields(StoreMetrics))
+_counter_values = operator.attrgetter(*_COUNTERS)
 
 
 class VirtualClock:

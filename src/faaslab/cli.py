@@ -34,7 +34,7 @@ from faaslab.errors import (
 )
 from faaslab.methpipe import generate_synthetic, split_into_objects
 from faaslab.perfmodel import load_profiles
-from faaslab.report import report_to_json
+from faaslab.report import indented_json, report_to_json
 from faaslab.workflow import (
     ExchangeStrategy,
     WorkflowSpec,
@@ -133,6 +133,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return _fail("--records must be >= 0", 2)
     if args.objects < 1:
         return _fail("--objects must be >= 1", 2)
+    if args.chroms < 1:
+        return _fail("--chroms must be >= 1", 2)
     records = generate_synthetic(args.records, args.seed, chroms=args.chroms, shuffled=not args.sorted)
     payloads = split_into_objects(records, args.objects)
     store = _unshaped_disk_store(args.store, args.bucket)
@@ -194,15 +196,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for name, report in reports.items()
     ]
     if args.json:
-        head = json.dumps(
+        head = indented_json(
             {
                 "schema": "faaslab-compare-v1",
                 "rows": [
                     {"configuration": c, "latency_s": latency, "cost": cost}
                     for c, latency, cost in rows
                 ],
-            },
-            indent=2,
+            }
         )
         # each report is its `run --json` text, nested two levels deep;
         # indented JSON has no raw newline inside a string, so indenting

@@ -231,15 +231,20 @@ class _Run:
 
     # -- shared plumbing ---------------------------------------------------
 
-    def _emit(self, stage: str, phase: str, fraction: float) -> None:
+    def _emit(
+        self, stage: str, phase: str, fraction: float, cost: CostBreakdown | None = None
+    ) -> None:
+        """Report progress with the cost of the stages recorded so far."""
         if self.options.progress is None:
             return
+        if cost is None:
+            cost = self._cost_so_far(self._store_metrics())
         self.options.progress(
             {
                 "stage": stage,
                 "phase": phase,
                 "fraction": round(fraction, 6),
-                "cost_so_far": self._cost_so_far().total,
+                "cost_so_far": cost.total,
             }
         )
 
@@ -247,10 +252,11 @@ class _Run:
         return kind == StageKind.SORT_EXCHANGE and self.spec.exchange is ExchangeStrategy.VM
 
     def _store_metrics(self) -> StoreMetrics:
-        return sum((report.requests for report in self.stage_reports), StoreMetrics())
+        return StoreMetrics.total(report.requests for report in self.stage_reports)
 
-    def _cost_so_far(self) -> CostBreakdown:
-        """Bill the recorded stages; the VM sort stage also bills its volume."""
+    def _cost_so_far(self, metrics: StoreMetrics) -> CostBreakdown:
+        """Bill the recorded stages, whose store requests sum to `metrics`;
+        the VM sort stage also bills its volume."""
         busy_seconds, workers = [], []
         vm_seconds, vol_gb = 0.0, 0.0
         for report in self.stage_reports:
@@ -263,7 +269,7 @@ class _Run:
         return compute_cost(
             busy_seconds,
             workers,
-            self._store_metrics(),
+            metrics,
             vm_seconds,
             vol_gb,
             self.profiles.prices,
@@ -306,6 +312,8 @@ class _Run:
         self._emit(stage.id, "stage-complete", 1.0)
 
     def _finish(self) -> RunReport:
+        metrics = self._store_metrics()
+        cost = self._cost_so_far(metrics)
         report = RunReport(
             mode=self.mode.value,
             workflow=self.spec.name,
@@ -313,10 +321,10 @@ class _Run:
             seed=self.seed,
             parallelism=self.resolved_w,
             stages=tuple(self.stage_reports),
-            cost=self._cost_so_far(),
-            store_metrics=self._store_metrics(),
+            cost=cost,
+            store_metrics=metrics,
         )
-        self._emit("-", "done", 1.0)
+        self._emit("-", "done", 1.0, cost)
         return report
 
     # -- modeled mode --------------------------------------------------------

@@ -7,15 +7,16 @@ bandwidth scales with worker count until the store-wide cap binds
 partition objects of a shuffle push against the store's
 operations-per-second cap (a w^2/R floor on the partition phases).
 
-The phase tuple is the one place each shuffle and encode formula
-lives: `_shuffle_phases` and `_encode_phases` return a stage's phase
-values in `LatencyBreakdown` field order. The public models validate
-their arguments and wrap that tuple, and the worker-count scan sums the
-same tuples without building a breakdown per w. `_phase_total` is the
-one summation of a phase tuple, in one fixed order, so a breakdown's
-total, the scan's per-w total and the component sum agree bit for bit.
-The VM model, which the scan never evaluates, builds its breakdown
-directly.
+The generator `_phase_tuples` is the one place each shuffle and encode
+formula lives: for each w of a sequence it yields the sort stage's and
+the encode stage's phase values in `LatencyBreakdown` field order,
+reading the profile fields once per call. The public models validate
+their arguments and wrap the single tuple it yields for their w, and
+the worker-count scan sums the same tuples without building a breakdown
+per w. `_phase_total` is the one summation of a phase tuple, in one
+fixed order, so a breakdown's total, the scan's per-w total and the
+component sum agree bit for bit. The VM model, which the scan never
+evaluates, builds its breakdown directly.
 
 All operations are pure.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
@@ -54,10 +56,11 @@ class ComputeProfile:
     vm_sort_rate: float
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         for name in ("fn_mem_gb", "fn_sort_rate", "fn_encode_rate", "vm_bandwidth", "vm_sort_rate"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.fn_startup < 0 or self.vm_provision < 0:
+        if not (self.fn_startup >= 0 and self.vm_provision >= 0):
             raise ValueError("startup and provision times must be >= 0")
 
 
@@ -74,7 +77,7 @@ class PriceSheet:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
+            if not getattr(self, f.name) >= 0:  # NaN fails this too
                 raise ValueError(f"{f.name} must be >= 0, got {getattr(self, f.name)}")
 
 
@@ -90,15 +93,17 @@ class LatencyBreakdown:
 
     @property
     def total(self) -> float:
-        return _phase_total(tuple(getattr(self, name) for name in _PHASES))
+        return _phase_total(_phase_values(self))
 
     def as_dict(self) -> dict[str, float]:
-        d = {name: getattr(self, name) for name in _PHASES}
-        d["total"] = self.total
+        values = _phase_values(self)
+        d = dict(zip(_PHASES, values))
+        d["total"] = _phase_total(values)
         return d
 
 
 _PHASES = tuple(f.name for f in fields(LatencyBreakdown))
+_phase_values = operator.attrgetter(*_PHASES)
 
 
 def _phase_total(phases: tuple) -> float:
@@ -138,12 +143,13 @@ class CostBreakdown:
         )
 
     def as_dict(self) -> dict[str, float]:
-        d = {name: getattr(self, name) for name in _COST_COMPONENTS}
+        d = dict(zip(_COST_COMPONENTS, _cost_values(self)))
         d["total"] = self.total
         return d
 
 
 _COST_COMPONENTS = tuple(f.name for f in fields(CostBreakdown))
+_cost_values = operator.attrgetter(*_COST_COMPONENTS)
 
 
 def _require_positive(**values: float) -> None:
@@ -152,42 +158,38 @@ def _require_positive(**values: float) -> None:
             raise DomainError(f"{name} must be > 0, got {value}")
 
 
-def effective_bandwidth(w: int, store: StoreProfile) -> float:
-    """Per-worker store bandwidth when w workers stream concurrently."""
-    return min(store.conn_bandwidth, store.aggregate_bandwidth / w)
+def _phase_tuples(S, ws, n_in, ratio, store: StoreProfile, compute: ComputeProfile):
+    """Yield (sort phases, encode phases) for each w in `ws`; unvalidated.
 
-
-def _shuffle_phases(S, w, n_in, store: StoreProfile, compute: ComputeProfile) -> tuple:
-    """Phase tuple of the shuffle sort stage; arguments are not validated."""
-    e = effective_bandwidth(w, store)
-    share = S / w
+    The one copy of the shuffle sort and encode stage formulas. Each
+    phase tuple is in `LatencyBreakdown` field order; the profile fields
+    are read once per call, not once per w.
+    """
     L = store.req_latency
-    partition_phase = max(share / e + w * L, w * w / store.ops_rate_cap)
-    return (
-        compute.fn_startup,
-        share / e + math.ceil(n_in / w) * L,
-        share / compute.fn_sort_rate,
-        partition_phase,
-        partition_phase,
-        share / e + L,
-        0.0,
-    )
-
-
-def _encode_phases(S, w, ratio, store: StoreProfile, compute: ComputeProfile) -> tuple:
-    """Phase tuple of the encode stage; arguments are not validated."""
-    e = effective_bandwidth(w, store)
-    share = S / w
-    L = store.req_latency
-    return (
-        compute.fn_startup,
-        share / e + L,
-        0.0,
-        0.0,
-        0.0,
-        (S / ratio) / w / e + L,
-        share / compute.fn_encode_rate,
-    )
+    b = store.conn_bandwidth
+    A = store.aggregate_bandwidth
+    R = store.ops_rate_cap
+    startup = compute.fn_startup
+    sort_rate = compute.fn_sort_rate
+    encode_rate = compute.fn_encode_rate
+    out = S / ratio
+    for w in ws:
+        e = min(b, A / w)  # per-worker bandwidth of w concurrent streams
+        share = S / w
+        read = share / e
+        partition_phase = max(read + w * L, w * w / R)
+        yield (
+            (
+                startup,
+                read + math.ceil(n_in / w) * L,
+                share / sort_rate,
+                partition_phase,
+                partition_phase,
+                read + L,
+                0.0,
+            ),
+            (startup, read + L, 0.0, 0.0, 0.0, out / w / e + L, share / encode_rate),
+        )
 
 
 def _require_ratio(ratio: float) -> None:
@@ -200,7 +202,9 @@ def shuffle_latency_model(
 ) -> LatencyBreakdown:
     """Sort stage via object-storage all-to-all exchange with w workers."""
     _require_positive(S=S, w=w, n_in=n_in)
-    return LatencyBreakdown(*_shuffle_phases(S, w, n_in, store, compute))
+    # the ratio shapes only the encode tuple, n_in only the sort tuple
+    [(phases, _)] = _phase_tuples(S, (w,), n_in, 1.0, store, compute)
+    return LatencyBreakdown(*phases)
 
 
 def vm_exchange_latency_model(
@@ -228,7 +232,8 @@ def encode_latency_model(
     """Embarrassingly parallel encode stage shrinking data by `ratio`."""
     _require_positive(S=S, w=w)
     _require_ratio(ratio)
-    return LatencyBreakdown(*_encode_phases(S, w, ratio, store, compute))
+    [(_, phases)] = _phase_tuples(S, (w,), 1, ratio, store, compute)
+    return LatencyBreakdown(*phases)
 
 
 def _scan_totals(S, n_in, store: StoreProfile, compute: ComputeProfile, w_max, ratio):
@@ -237,10 +242,8 @@ def _scan_totals(S, n_in, store: StoreProfile, compute: ComputeProfile, w_max, r
     Each total is the shuffle and encode phase tuples summed, equal bit
     for bit to the public models' totals added.
     """
-    for w in range(1, w_max + 1):
-        yield _phase_total(_shuffle_phases(S, w, n_in, store, compute)) + _phase_total(
-            _encode_phases(S, w, ratio, store, compute)
-        )
+    for sort, encode in _phase_tuples(S, range(1, w_max + 1), n_in, ratio, store, compute):
+        yield _phase_total(sort) + _phase_total(encode)
 
 
 def optimal_worker_count(

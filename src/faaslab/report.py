@@ -1,12 +1,16 @@
 """Run report JSON form; schema documented in docs/report-schema.md.
 
 Totals are emitted for readers but recomputed from components on parse,
-so a report round-trips to an equal RunReport value.
+so a report round-trips to an equal RunReport value. `indented_json`
+writes what `json.dumps(value, indent=2)` would, without the
+generator-based encoder the standard library falls back to when it
+indents.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from faaslab.blobstore import StoreMetrics
 from faaslab.engine import RunReport, StageReport
@@ -42,8 +46,72 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append value's indented JSON text to out; newline opens its lines."""
+    if isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def indented_json(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for str-keyed values."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
 def report_to_json(report: RunReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return indented_json(report_to_dict(report)) + "\n"
 
 
 def _breakdown_from_dict(cls, data: dict):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -111,6 +112,14 @@ def _expect(data: Mapping, key: str, types, path: str, required: bool = True):
     return value
 
 
+def _finite_positive(value: int | float) -> bool:
+    """Whether value is > 0 and finite as a float; NaN is neither."""
+    try:
+        return 0 < float(value) < math.inf
+    except OverflowError:
+        return False
+
+
 def _parse_input(data: Any) -> DataRef:
     if not isinstance(data, dict):
         raise SchemaError("input", f"expected an object, got {type(data).__name__}")
@@ -122,8 +131,8 @@ def _parse_input(data: Any) -> DataRef:
     if not bucket:
         raise SchemaError("input.bucket", "must be non-empty")
     size_bytes = _expect(data, "size_bytes", (int, float), "input", required=False)
-    if size_bytes is not None and size_bytes <= 0:
-        raise SchemaError("input.size_bytes", f"must be > 0, got {size_bytes}")
+    if size_bytes is not None and not _finite_positive(size_bytes):
+        raise SchemaError("input.size_bytes", f"must be a finite number > 0, got {size_bytes}")
     object_count = _expect(data, "objects", int, "input", required=False)
     if object_count is not None and object_count < 1:
         raise SchemaError("input.objects", f"must be >= 1, got {object_count}")

@@ -1,6 +1,7 @@
 """CLI tests: flags, exit codes, JSON output, progress stream."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,15 @@ def test_generate_bad_flags_exit_2(tmp_path, capsys):
                    "--store", str(tmp_path))[0] == 2
     assert run_cli(capsys, "generate", "--records", "1", "--objects", "0",
                    "--store", str(tmp_path))[0] == 2
+
+@pytest.mark.parametrize("chroms", ["0", "-3"])
+def test_generate_chroms_below_one_exit_2(chroms, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "generate", "--records", "10", "--objects", "2",
+                             "--chroms", chroms, "--store", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == "faaslab: --chroms must be >= 1\n"
+    assert not (tmp_path / "data").exists()
 
 def test_generate_after_sorted_generate_is_shuffled(tmp_path, capsys):
     # calls in one process share one parser: `--sorted` must not stick
@@ -311,6 +321,20 @@ def test_compare_unbounded_w_max_exit_2(tmp_path, capsys):
     assert "w_max" in err
     assert out == ""
 
+@pytest.mark.parametrize(
+    "size", ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="10**400")]
+)
+def test_compare_non_finite_input_size_exit_2(size, tmp_path, capsys):
+    # Python's json reads all of these; none is a finite float size
+    wf = tmp_path / "wf.json"
+    wf.write_text(json.dumps(PAPER_DOC).replace("3500000000.0", size))
+    assert size in wf.read_text()
+    code, out, err = run_cli(capsys, "compare", "--workflow", str(wf), "--mode", "model")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("faaslab: input.size_bytes: ")
+    assert "Traceback" not in err
+
 def test_compare_zero_record_input(desk_workflow, tmp_path, capsys):
     run_cli(capsys, "generate", "--records", "0", "--objects", "1",
             "--store", str(tmp_path / "s"))
@@ -440,6 +464,31 @@ def test_faaslab_profile_env_override(paper_workflow, tmp_path, capsys, monkeypa
     base = parse_report(base_out)
     slow = parse_report(slow_out)
     assert slow.end_to_end_s == pytest.approx(base.end_to_end_s + 2 * 40.0)
+
+PROFILE_FIELDS = [
+    (section, name)
+    for section, values in profiles_to_dict(builtin_profiles()).items()
+    for name, value in values.items()
+    if isinstance(value, float)
+]
+
+
+@pytest.mark.parametrize("section, name", PROFILE_FIELDS)
+def test_faaslab_profile_nan_exit_2(section, name, paper_workflow, tmp_path, capsys,
+                                    monkeypatch):
+    # a NaN rate used to pass the sheet's checks and print nan latency and cost
+    data = profiles_to_dict(builtin_profiles())
+    data[section][name] = math.nan
+    override = tmp_path / "prof.json"
+    override.write_text(json.dumps(data))
+    assert "NaN" in override.read_text()
+    monkeypatch.setenv("FAASLAB_PROFILE", str(override))
+    code, out, err = run_cli(capsys, "compare", "--workflow", paper_workflow,
+                             "--mode", "model", "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"faaslab: {section}: ")
+    assert "Traceback" not in err
 
 @pytest.mark.parametrize(
     "bad",

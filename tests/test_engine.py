@@ -2,12 +2,13 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from faaslab.blobstore import Blobstore, StoreMetrics, StoreProfile, VirtualClock
 from faaslab.engine import (
+    VM_VOLUME_GB,
     EngineOptions,
     ExecHooks,
     Mode,
@@ -28,6 +29,7 @@ from faaslab.perfmodel import (
     PriceSheet,
     Profiles,
     builtin_profiles,
+    compute_cost,
     encode_latency_model,
     optimal_worker_count,
     shuffle_latency_model,
@@ -483,6 +485,57 @@ def test_progress_monotone_and_final_equals_total():
     for event in events:
         assert 0.0 <= event["fraction"] <= 1.0
         assert set(event) == {"stage", "phase", "fraction", "cost_so_far"}
+
+
+def billed_so_far(stages, spec):
+    """compute_cost of `stages` by the billing rule written out here: the VM
+    sort stage bills VM time and the volume, every other stage its workers'
+    busy time; the store counters are summed field by field."""
+    busy_seconds, workers, vm_seconds, vol_gb = [], [], 0.0, 0.0
+    for stage in stages:
+        if stage.kind == "sort" and spec.exchange is ExchangeStrategy.VM:
+            vm_seconds += stage.vm_seconds
+            vol_gb = VM_VOLUME_GB
+        else:
+            busy_seconds.append(stage.busy_seconds)
+            workers.append(stage.workers)
+    metrics = StoreMetrics(
+        **{f.name: sum(getattr(s.requests, f.name) for s in stages) for f in fields(StoreMetrics)}
+    )
+    prof = spec.profiles
+    return compute_cost(busy_seconds, workers, metrics, vm_seconds, vol_gb, prof.prices, prof.compute)
+
+
+@pytest.mark.parametrize("exchange", list(ExchangeStrategy))
+@pytest.mark.parametrize("mode", list(Mode))
+def test_progress_cost_is_compute_cost_of_recorded_stages_bit_for_bit(mode, exchange):
+    spec = replace(
+        modeled_spec(exchange, parallelism=4),
+        stages=(
+            StageSpec("sort", StageKind.SORT_EXCHANGE),
+            StageSpec("e1", StageKind.ENCODE, {"ratio": 10}),
+            StageSpec("e2", StageKind.ENCODE),
+        ),
+    )
+    store = None
+    if mode is Mode.EMULATED:
+        spec = replace(spec, input=DataRef("data", "raw/"), profiles=profiles())
+        store = seeded_store(generate_synthetic(3000, seed=16, shuffled=True), 4)
+    events = []
+    report = run_workflow(spec, mode, store=store, options=EngineOptions(progress=events.append))
+    assert len(report.stages) == 3
+    assert events[-1]["phase"] == "done"
+    recorded = 0
+    for event in events:
+        if event["phase"] == "stage-complete":
+            assert event["stage"] == report.stages[recorded].stage_id
+            recorded += 1
+        elif event["phase"] == "done":
+            assert recorded == 3
+        expected = billed_so_far(report.stages[:recorded], spec)
+        assert event["cost_so_far"].hex() == expected.total.hex(), event
+    assert report.cost == billed_so_far(report.stages, spec)
+    assert recorded == 3
 
 
 # --- misc -----------------------------------------------------------------------------------------

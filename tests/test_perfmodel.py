@@ -20,7 +20,6 @@ from faaslab.perfmodel import (
     PriceSheet,
     builtin_profiles,
     compute_cost,
-    effective_bandwidth,
     encode_latency_model,
     load_profiles,
     optimal_worker_count,
@@ -239,7 +238,7 @@ def regime_profiles(rng, regime):
 
 def regime_binds(regime, S, profile):
     """Whether `regime` is what bounds the scan at w = 256."""
-    e = effective_bandwidth(256, profile)
+    e = bandwidth_per_worker(256, profile)
     if regime == "conn":
         return e == profile.conn_bandwidth < INF
     if regime == "aggregate":
@@ -247,6 +246,60 @@ def regime_binds(regime, S, profile):
     if regime == "ops":
         return 256 * 256 / profile.ops_rate_cap > S / 256 / e + 256 * profile.req_latency
     return e == INF and profile.req_latency > 0
+
+# The documented phase formulas, written out independently of perfmodel's
+# generator: e(w) = min(b, A/w) per worker, each worker's share S/w, a
+# w^2/R request floor on the partition phases, ceil(n_in/w) input batches.
+
+def bandwidth_per_worker(w, profile):
+    return min(profile.conn_bandwidth, profile.aggregate_bandwidth / w)
+
+
+def closed_form_shuffle(S, w, n_in, profile, comp):
+    e = bandwidth_per_worker(w, profile)
+    L = profile.req_latency
+    partition = max(S / w / e + w * L, w * w / profile.ops_rate_cap)
+    return LatencyBreakdown(
+        startup=comp.fn_startup,
+        input_read=S / w / e + math.ceil(n_in / w) * L,
+        sort_compute=S / w / comp.fn_sort_rate,
+        partition_write=partition,
+        partition_read=partition,
+        output_write=S / w / e + L,
+    )
+
+
+def closed_form_encode(S, w, ratio, profile, comp):
+    e = bandwidth_per_worker(w, profile)
+    L = profile.req_latency
+    return LatencyBreakdown(
+        startup=comp.fn_startup,
+        input_read=S / w / e + L,
+        output_write=S / ratio / w / e + L,
+        encode=S / w / comp.fn_encode_rate,
+    )
+
+
+def hex_phases(breakdown):
+    return {name: value.hex() for name, value in breakdown.as_dict().items()}
+
+
+@pytest.mark.parametrize("regime", ["conn", "aggregate", "ops", "latency"])
+def test_public_models_are_the_documented_closed_form_bit_for_bit(regime):
+    rng = random.Random(f"closed-form-{regime}")
+    for _ in range(25):
+        profile, comp = regime_profiles(rng, regime)
+        S = 10 ** rng.uniform(6, 11)
+        n_in = rng.choice((1, 7, 64, 300))
+        ratio = rng.choice((1.0, 2.5, 7.75, 10.0, 1e6))
+        assert regime_binds(regime, S, profile)
+        for w in range(1, 257):
+            assert hex_phases(shuffle_latency_model(S, w, n_in, profile, comp)) == hex_phases(
+                closed_form_shuffle(S, w, n_in, profile, comp)
+            ), w
+            assert hex_phases(encode_latency_model(S, w, ratio, profile, comp)) == hex_phases(
+                closed_form_encode(S, w, ratio, profile, comp)
+            ), w
 
 @pytest.mark.parametrize("regime", ["conn", "aggregate", "ops", "latency"])
 def test_scan_totals_are_the_public_models_bit_for_bit(regime):
@@ -347,6 +400,26 @@ def test_profiles_reject_missing_section():
     del data["prices"]
     with pytest.raises(SchemaError):
         parse_profiles(data)
+
+@pytest.mark.parametrize(
+    "section, name",
+    [
+        (section, name)
+        for section, values in profiles_to_dict(builtin_profiles(CALIBRATED_PROFILE)).items()
+        for name, value in values.items()
+        if isinstance(value, float)
+    ],
+)
+def test_profiles_reject_nan(section, name):
+    data = profiles_to_dict(builtin_profiles(CALIBRATED_PROFILE))
+    data[section][name] = math.nan
+    with pytest.raises(SchemaError, match=f"^{section}: "):
+        parse_profiles(data)
+
+def test_profiles_allow_infinite_rates_in_code():
+    StoreProfile(0.0, INF, INF, INF)
+    ComputeProfile(0.0, 2.0, INF, INF, 0.0, INF, INF)
+    PriceSheet(0.0, 0.0, 0.0, 0.0, 0.0, INF)
 
 def test_load_profiles_from_file(tmp_path):
     import json
