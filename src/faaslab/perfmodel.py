@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import operator
+import sys
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
@@ -340,6 +341,14 @@ def _parse_section(name: str, cls, data: dict):
     missing = required - set(data)
     if missing:
         raise SchemaError(f"{name}.{sorted(missing)[0]}", "missing field")
+    for key, value in data.items():
+        # every field is used as a float; an integer past the float range
+        # would fail later inside a formula
+        if isinstance(value, int) and not isinstance(value, bool):
+            try:
+                float(value)
+            except OverflowError:
+                raise SchemaError(f"{name}.{key}", "does not fit a float") from None
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -373,6 +382,10 @@ def load_profiles(path: str) -> Profiles:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(path, f"profile file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise SchemaError(
+                path, f"profile file holds an integer of more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
     return parse_profiles(data)
 
 

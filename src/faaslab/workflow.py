@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -33,6 +34,13 @@ DEFAULT_W_MAX = 256
 # largest accepted w_max: the default concurrency limit of AWS Lambda and
 # IBM Cloud Functions; the auto-parallelism scan visits every w up to w_max
 W_MAX_LIMIT = 1000
+# largest accepted input.size_bytes, 1 EB: far past any one pipeline's
+# input, and small enough that every byte counter the count laws derive
+# from it (twice the size, plus the sampled heads) is a finite integer
+SIZE_BYTES_LIMIT = 1e18
+# largest accepted input.objects: the model's per-object request terms
+# stay exact in float arithmetic well past it
+OBJECTS_LIMIT = 10**9
 
 AUTO = "auto"
 
@@ -131,11 +139,16 @@ def _parse_input(data: Any) -> DataRef:
     if not bucket:
         raise SchemaError("input.bucket", "must be non-empty")
     size_bytes = _expect(data, "size_bytes", (int, float), "input", required=False)
-    if size_bytes is not None and not _finite_positive(size_bytes):
-        raise SchemaError("input.size_bytes", f"must be a finite number > 0, got {size_bytes}")
+    # NaN fails the comparison, and so does an integer too large for a float
+    if size_bytes is not None and not 0 < size_bytes <= SIZE_BYTES_LIMIT:
+        raise SchemaError(
+            "input.size_bytes", f"must be a number in (0, {SIZE_BYTES_LIMIT:g}], got {size_bytes}"
+        )
     object_count = _expect(data, "objects", int, "input", required=False)
-    if object_count is not None and object_count < 1:
-        raise SchemaError("input.objects", f"must be >= 1, got {object_count}")
+    if object_count is not None and not 1 <= object_count <= OBJECTS_LIMIT:
+        raise SchemaError(
+            "input.objects", f"must be an integer in [1, {OBJECTS_LIMIT}], got {object_count}"
+        )
     return DataRef(bucket, prefix, size_bytes, object_count)
 
 
@@ -172,8 +185,10 @@ def _parse_stage(data: Any, index: int) -> StageSpec:
                 f"{path}.options.{key}", f"expected {allowed[key]}, got {type(value).__name__}"
             )
         options[key] = value
-    if kind is StageKind.ENCODE and "ratio" in options and options["ratio"] < 1:
-        raise SchemaError(f"{path}.options.ratio", f"must be >= 1, got {options['ratio']}")
+    if kind is StageKind.ENCODE and "ratio" in options and not (
+        _finite_positive(options["ratio"]) and options["ratio"] >= 1
+    ):
+        raise SchemaError(f"{path}.options.ratio", f"must be a finite number >= 1, got {options['ratio']}")
     if kind is StageKind.ENCODE and options.get("codec", CODEC) != CODEC:
         raise SchemaError(f"{path}.options.codec", f"must be {CODEC!r}, got {options['codec']!r}")
     if kind is StageKind.SORT_EXCHANGE and "sample_bytes" in options and options["sample_bytes"] < 1:
@@ -215,6 +230,10 @@ def parse_workflow(text: str) -> WorkflowSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkflowSyntaxError(f"workflow document is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise WorkflowSyntaxError(
+            f"workflow document holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     if not isinstance(data, dict):
         raise SchemaError("$", f"expected a JSON object, got {type(data).__name__}")
     unknown = set(data) - _TOP_KEYS

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,14 @@ from faaslab.engine import Mode, request_laws, run_workflow
 from faaslab.methpipe import generate_synthetic, split_into_objects
 from faaslab.perfmodel import builtin_profiles, profiles_to_dict
 from faaslab.report import parse_report, report_to_json
-from faaslab.workflow import ExchangeStrategy, StageKind, parse_workflow, with_exchange
+from faaslab.workflow import (
+    OBJECTS_LIMIT,
+    SIZE_BYTES_LIMIT,
+    ExchangeStrategy,
+    StageKind,
+    parse_workflow,
+    with_exchange,
+)
 
 AUTO_WORKFLOW = Path(__file__).parent.parent / "workflows" / "auto-parallelism.json"
 
@@ -335,6 +343,42 @@ def test_compare_non_finite_input_size_exit_2(size, tmp_path, capsys):
     assert err.startswith("faaslab: input.size_bytes: ")
     assert "Traceback" not in err
 
+@pytest.mark.parametrize(
+    "field, value, code",
+    [
+        ("size_bytes", SIZE_BYTES_LIMIT, 0),
+        ("size_bytes", math.nextafter(SIZE_BYTES_LIMIT, math.inf), 2),
+        ("size_bytes", 1e308, 2),
+        ("objects", OBJECTS_LIMIT, 0),
+        ("objects", OBJECTS_LIMIT + 1, 2),
+        ("objects", 10**400, 2),
+    ],
+    ids=["size-limit", "size-above", "size-1e308", "objects-limit", "objects-above", "objects-10**400"],
+)
+def test_compare_declared_input_limits(field, value, code, tmp_path, capsys):
+    doc = dict(PAPER_DOC, input=dict(PAPER_DOC["input"], **{field: value}))
+    wf = tmp_path / "wf.json"
+    wf.write_text(json.dumps(doc))
+    got, out, err = run_cli(capsys, "compare", "--workflow", str(wf), "--mode", "model", "--json")
+    assert got == code
+    if code == 0:
+        for report in json.loads(out)["reports"].values():
+            assert math.isfinite(report["cost"]["total"])
+    else:
+        assert out == ""
+        assert err.startswith(f"faaslab: input.{field}: must be ")
+        assert "Traceback" not in err
+
+
+def test_compare_over_long_integer_in_workflow_exit_2(tmp_path, capsys):
+    # json reads integers past the interpreter's digit limit with a plain ValueError
+    wf = tmp_path / "wf.json"
+    wf.write_text(json.dumps(PAPER_DOC).replace("3500000000.0", "1" * 5000))
+    code, out, err = run_cli(capsys, "compare", "--workflow", str(wf), "--mode", "model")
+    assert code == 2
+    assert out == ""
+    assert err == f"faaslab: workflow document holds an integer of more than {sys.get_int_max_str_digits()} digits\n"
+
 def test_compare_zero_record_input(desk_workflow, tmp_path, capsys):
     run_cli(capsys, "generate", "--records", "0", "--objects", "1",
             "--store", str(tmp_path / "s"))
@@ -489,6 +533,32 @@ def test_faaslab_profile_nan_exit_2(section, name, paper_workflow, tmp_path, cap
     assert out == ""
     assert err.startswith(f"faaslab: {section}: ")
     assert "Traceback" not in err
+
+def test_faaslab_profile_over_long_integer_exit_2(paper_workflow, tmp_path, capsys, monkeypatch):
+    data = profiles_to_dict(builtin_profiles())
+    data["store"]["ops_rate_cap"] = 0
+    override = tmp_path / "prof.json"
+    override.write_text(json.dumps(data).replace('"ops_rate_cap": 0', '"ops_rate_cap": ' + "1" * 5000))
+    monkeypatch.setenv("FAASLAB_PROFILE", str(override))
+    code, out, err = run_cli(capsys, "compare", "--workflow", paper_workflow, "--mode", "model")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"faaslab: {override}: profile file holds an integer of more than ")
+    assert "Traceback" not in err
+
+def test_faaslab_profile_field_past_float_range_exit_2(paper_workflow, tmp_path, capsys,
+                                                       monkeypatch):
+    # passes the sheet's own checks as an integer, then overflowed a float division
+    data = profiles_to_dict(builtin_profiles())
+    data["store"]["conn_bandwidth"] = 10**400
+    data["store"]["aggregate_bandwidth"] = 10**401
+    override = tmp_path / "prof.json"
+    override.write_text(json.dumps(data))
+    monkeypatch.setenv("FAASLAB_PROFILE", str(override))
+    code, out, err = run_cli(capsys, "compare", "--workflow", paper_workflow, "--mode", "model")
+    assert code == 2
+    assert out == ""
+    assert err == "faaslab: store.conn_bandwidth: does not fit a float\n"
 
 @pytest.mark.parametrize(
     "bad",

@@ -1,7 +1,9 @@
 """Engine tests: stage mechanics, determinism, accounting, agreement."""
 
+import gc
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -357,6 +359,79 @@ def test_buffer_instrumentation_within_chunk_law():
     assert buffers
     budget = int(2.0 * 1e9)
     assert max(buffers) <= budget / 4
+
+def test_vm_output_write_releases_each_range():
+    # the VM serializes and writes one sorted range at a time and drops its
+    # records first, so traced memory falls from range to range while the
+    # written output grows; holding every record to the end makes it rise
+    store = seeded_store(generate_synthetic(20_000, seed=5), 4, store_profile=FAST_STORE)
+    phase, traced = [None], []
+
+    def start(stage, name, worker):
+        phase[0] = (stage, name)
+
+    def buffer(stage, worker, nbytes):
+        if phase[0] == ("sort", "output_write"):
+            traced.append(tracemalloc.get_traced_memory()[0])
+
+    spec = two_stage_spec(profiles(store=FAST_STORE), exchange=ExchangeStrategy.VM, w=4)
+    hooks = ExecHooks(on_task_start=start, on_buffer=buffer)
+    tracemalloc.start()
+    try:
+        run_workflow(spec, Mode.EMULATED, store=store, options=EngineOptions(hooks=hooks))
+    finally:
+        tracemalloc.stop()
+    assert len(traced) == 4
+    assert traced == sorted(traced, reverse=True)
+    assert traced[-1] < traced[0]
+
+
+@pytest.fixture
+def gc_setting():
+    """Restores the collector's setting whatever a test leaves it at."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _run_seeing_gc(mode, hooks=None):
+    """Run a small workflow; returns gc.isenabled() at each progress event."""
+    seen = []
+    options = EngineOptions(progress=lambda event: seen.append(gc.isenabled()), hooks=hooks)
+    if mode is Mode.MODELED:
+        run_workflow(modeled_spec(), mode, options=options)
+    else:
+        store = seeded_store(generate_synthetic(2000, seed=4, shuffled=True), 4)
+        run_workflow(two_stage_spec(w=4), mode, store=store, options=options)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_emulated_run_pauses_cyclic_gc_and_restores_it(enabled, gc_setting):
+    gc.enable() if enabled else gc.disable()
+    seen = _run_seeing_gc(Mode.EMULATED)
+    assert seen and not any(seen)
+    assert gc.isenabled() is enabled
+
+
+def test_failed_emulated_run_restores_cyclic_gc(gc_setting):
+    def explode(stage, phase, worker):
+        raise RuntimeError("synthetic fault")
+
+    gc.enable()
+    with pytest.raises(ExecutionError):
+        _run_seeing_gc(Mode.EMULATED, ExecHooks(on_task_start=explode))
+    assert gc.isenabled()
+
+
+def test_modeled_run_leaves_cyclic_gc_alone(gc_setting):
+    gc.enable()
+    seen = _run_seeing_gc(Mode.MODELED)
+    assert seen and all(seen)
+    assert gc.isenabled()
 
 
 # --- modeled mode ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Workflow declaration tests: parsing, validation, round-trip."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,8 @@ def test_malformed_json():
             "stages[1].options.codec",
         ),
         (dict(w_max=1001), "w_max"),
+        (dict(stages=[{"id": "e", "kind": "encode", "options": {"ratio": 10**400}}]), "options.ratio"),
+        (dict(stages=[{"id": "e", "kind": "encode", "options": {"ratio": math.nan}}]), "options.ratio"),
     ],
 )
 def test_schema_errors_carry_paths(overrides, path_fragment):
