@@ -52,6 +52,11 @@ class MethRecord(NamedTuple):
 # coverage or methylation percent.
 SORT_KEY = operator.itemgetter(0, 1, 2, 3)
 
+# Single-field keys, for presorting passes that compare one str or one
+# int per step (see shuffle.partition_records).
+CHROM_KEY = operator.itemgetter(0)
+START_KEY = operator.itemgetter(1)
+
 # A row's canonical line (see tsv_to_rows).
 _LINE = operator.itemgetter(6)
 
@@ -186,7 +191,13 @@ def _parse_chunk(chunk: bytes) -> tuple[list[list[bytes]], tuple] | None:
         return None
     numbers = [fields[1::6], fields[2::6], fields[4::6], fields[5::6]]
     try:
-        starts, ends, coverages, meths = [list(map(int, column)) for column in numbers]
+        starts, ends = [list(map(int, column)) for column in numbers[:2]]
+        # Coverage and meth_pct repeat few values per chunk: convert each
+        # distinct one once, and let records share the ints.
+        coverages, meths = [
+            list(map({raw: int(raw) for raw in set(column)}.__getitem__, column))
+            for column in numbers[2:]
+        ]
     except ValueError:
         return None
     if (

@@ -382,6 +382,8 @@ def load_profiles(path: str) -> Profiles:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(path, f"profile file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SchemaError(path, "profile file is nested too deeply to parse") from exc
         except ValueError as exc:  # an integer past the interpreter's digit limit
             raise SchemaError(
                 path, f"profile file holds an integer of more than {sys.get_int_max_str_digits()} digits"

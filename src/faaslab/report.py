@@ -124,6 +124,8 @@ def parse_report(text: str) -> RunReport:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"report is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("$", "report is nested too deeply to parse") from exc
     if data.get("schema") != REPORT_SCHEMA:
         raise SchemaError("schema", f"expected {REPORT_SCHEMA!r}, got {data.get('schema')!r}")
     try:

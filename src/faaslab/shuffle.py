@@ -5,7 +5,11 @@ range-partition boundaries, have each of w mappers sort and write one
 fragment object per reducer (w*w objects through the store), then let
 each reducer merge its w sorted fragments into one sorted output. Both
 sides sort rows (`tsv_to_rows`) and write payloads by joining the rows'
-canonical lines, so neither serializes a record again.
+canonical lines, so neither serializes a record again. A mapper sorts
+its shuffled rows by start, then stably by chromosome, then by the full
+tuple (see `partition_records`): the first two passes compare single
+ints and single strings on CPython's fast paths, so the last pass
+meets an almost sorted list.
 
 VM path: gather every input object into one machine, sort globally in
 its memory, and cut the sorted records into w_out ranges for the encode
@@ -28,7 +32,9 @@ from typing import Callable, Iterable, Sequence
 from faaslab.blobstore import Session
 from faaslab.errors import DomainError, MissingPartition, NotFound, ParseError
 from faaslab.methpipe.records import (
+    CHROM_KEY,
     SORT_KEY,
+    START_KEY,
     MethRecord,
     records_to_tsv,  # noqa: F401 -- perfbench/tracing.py patches it here
     rows_to_tsv,
@@ -128,11 +134,22 @@ def sample_object(
 def partition_records(rows: Iterable[tuple], plan: ShufflePlan) -> list[bytes]:
     """Split rows (see `tsv_to_rows`) into w sorted fragment payloads by key range.
 
-    Sorts once, then cuts the sorted list at each boundary; bisect_right
+    Sorts, then cuts the sorted list at each boundary; bisect_right
     keeps a key equal to a boundary in the lower range. A fragment's
     payload joins its rows' lines.
+
+    The sort is three stable passes: by start, by chromosome, then by the
+    full tuple. The first two compare one int or one str per step, which
+    CPython's sort does without rich comparisons, and leave the rows in
+    (chrom, start) order. The tuple pass then costs n - 1 comparisons
+    where no two rows share (chrom, start), and orders the rows that do
+    by end, strand, coverage, meth_pct and line, so the result equals
+    ``sorted(rows)``; it stays because the first two passes alone would
+    leave such ties in input order.
     """
-    ordered = sorted(rows)
+    ordered = sorted(rows, key=START_KEY)
+    ordered.sort(key=CHROM_KEY)
+    ordered.sort()
     fragments = []
     lo = 0
     for boundary in plan.boundaries:
@@ -175,12 +192,12 @@ def read_fragments(
 def merge_fragments(payloads: list[bytes]) -> bytes:
     """Merge sorted fragment payloads into one sorted output payload.
 
-    Parses the concatenated fragments once into rows; list.sort finds
-    the w sorted runs and merges them, and the output joins their lines.
+    Parses each fragment into one list of rows; list.sort finds the w
+    sorted runs and merges them, and the output joins their lines.
     """
-    rows = tsv_to_rows(
-        b"".join(p if p.endswith(b"\n") or not p else p + b"\n" for p in payloads)
-    )
+    rows: list[tuple] = []
+    for payload in payloads:
+        rows += tsv_to_rows(payload)
     rows.sort()
     return rows_to_tsv(rows)
 

@@ -230,6 +230,8 @@ def parse_workflow(text: str) -> WorkflowSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WorkflowSyntaxError(f"workflow document is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise WorkflowSyntaxError("workflow document is nested too deeply to parse") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise WorkflowSyntaxError(
             f"workflow document holds an integer of more than {sys.get_int_max_str_digits()} digits"

@@ -379,6 +379,26 @@ def test_compare_over_long_integer_in_workflow_exit_2(tmp_path, capsys):
     assert out == ""
     assert err == f"faaslab: workflow document holds an integer of more than {sys.get_int_max_str_digits()} digits\n"
 
+# json's decoder raises RecursionError past the interpreter's recursion limit
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("target", ["workflow", "profile"])
+def test_deeply_nested_json_exit_2(command, target, paper_workflow, tmp_path, capsys,
+                                   monkeypatch):
+    nested = tmp_path / "nested.json"
+    nested.write_text(NESTED_JSON)
+    workflow = str(nested) if target == "workflow" else paper_workflow
+    if target == "profile":
+        monkeypatch.setenv("FAASLAB_PROFILE", str(nested))
+    code, out, err = run_cli(capsys, command, "--workflow", workflow, "--mode", "model")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("faaslab: ")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
 def test_compare_zero_record_input(desk_workflow, tmp_path, capsys):
     run_cli(capsys, "generate", "--records", "0", "--objects", "1",
             "--store", str(tmp_path / "s"))

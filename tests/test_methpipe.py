@@ -470,3 +470,23 @@ def test_rows_match_records_and_serialize_identically(lines, bad, trailing_newli
     assert [row[:6] for row in rows] == records
     assert rows_to_tsv(rows) == records_to_tsv(records)
     assert rows_to_tsv(sorted(rows)) == records_to_tsv(sorted(records))
+
+@pytest.mark.parametrize("text", ["+7", "007", " 7", "7_0", "1e2"])
+@pytest.mark.parametrize("column", [5, 6])
+def test_small_int_columns_parse_as_line_parser(text, column):
+    # a batch chunk converts each distinct coverage and meth_pct text once
+    fields = ["chr1", "1", "2", "+", "4", "5"]
+    fields[column - 1] = text
+    good = b"chr1\t1\t2\t+\t4\t5\n"
+    payload = good * 50 + "\t".join(fields).encode() + b"\n" + good * 50
+    expected = _outcome(
+        lambda p: [tuple(parse_meth_record(line)) for line in p.decode().splitlines()], payload
+    )
+    assert _outcome(tsv_to_records, payload) == expected
+    rows = _outcome(tsv_to_rows, payload)
+    if expected[0] == "error":
+        assert rows == expected
+    else:
+        assert [row[:6] for row in rows[1]] == expected[1]
+        assert rows_to_tsv(rows[1]) == records_to_tsv(expected[1])
+

@@ -427,3 +427,9 @@ def test_load_profiles_from_file(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(profiles_to_dict(builtin_profiles(DESK_PROFILE))))
     assert load_profiles(str(path)) == builtin_profiles(DESK_PROFILE)
+
+def test_load_profiles_deeply_nested_json(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_profiles(str(path))

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from faaslab.blobstore import StoreMetrics
 from faaslab.cli import main
 from faaslab.engine import RunReport, StageReport
+from faaslab.errors import SchemaError
 from faaslab.perfmodel import CostBreakdown, LatencyBreakdown
-from faaslab.report import indented_json, report_to_dict, report_to_json
+from faaslab.report import indented_json, parse_report, report_to_dict, report_to_json
 
 # quote, backslash, control characters, DEL, non-ASCII, a line separator,
 # a non-BMP emoji and a lone surrogate, mixed into arbitrary text
@@ -102,3 +103,8 @@ def test_compare_head_is_json_dumps_head(tmp_path, capsys):
     head = json.dumps({"schema": payload["schema"], "rows": payload["rows"]}, indent=2)
     assert out.startswith(head[:-2] + ",\n  \"reports\": {\n")
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_parse_report_deeply_nested_json():
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        parse_report("[" * 100_000 + "]" * 100_000)

@@ -16,6 +16,7 @@ from faaslab.methpipe import (
     MethRecord,
     generate_synthetic,
     records_to_tsv,
+    rows_to_tsv,
     split_into_objects,
     tsv_to_records,
     tsv_to_rows,
@@ -384,3 +385,50 @@ def test_merge_fragments_equals_sorted_concat(fragments):
     expected = sorted(r for f in fragments for r in f)
     assert tsv_to_records(merged) == expected
     assert merged == records_to_tsv(expected)
+
+def test_merge_fragment_without_final_newline_or_empty():
+    a = records_to_tsv([rec("chr1", 1), rec("chr1", 3)])
+    b = records_to_tsv([rec("chr1", 2), rec("chr2", 0)])
+    expected = records_to_tsv(sorted([rec("chr1", 1), rec("chr1", 3), rec("chr1", 2), rec("chr2", 0)]))
+    assert merge_fragments([a[:-1], b"", b[:-1]]) == expected
+    assert merge_fragments([b"", a, b"", b[:-1], b""]) == expected
+    assert merge_fragments([b"", b""]) == b""
+
+
+# Rows off CPython's sort fast paths: starts past one int digit (2**30) and
+# past 64 bits, chromosome names outside Latin-1, (chrom, start) ties that
+# differ only in a later field, and exact duplicates.
+_off_fast_path_records = st.lists(
+    st.builds(
+        lambda chrom, start, span, strand, cov, meth: MethRecord(chrom, start, start + span, strand, cov, meth),
+        chrom=st.sampled_from(["chr1", "chr2", "chré", "染色体", "chr\U0001F600"]),
+        start=st.one_of(
+            st.integers(min_value=0, max_value=20),
+            st.integers(min_value=2**30 - 2, max_value=2**30 + 20),
+            st.integers(min_value=2**64 - 2, max_value=2**64 + 20),
+        ),
+        span=st.integers(min_value=1, max_value=3),
+        strand=st.sampled_from(["+", "-"]),
+        cov=st.one_of(st.integers(min_value=0, max_value=3), st.just(2**40)),
+        meth=st.integers(min_value=0, max_value=100),
+    ),
+    max_size=120,
+)
+
+@settings(deadline=None, max_examples=150)
+@given(_off_fast_path_records, st.data())
+def test_partition_matches_sort_then_route_off_fast_paths(records, data):
+    if records:
+        records += data.draw(st.lists(st.sampled_from(records), max_size=20))
+    order = data.draw(st.sampled_from(["drawn", "sorted", "reversed"]))
+    if order != "drawn":
+        records.sort(reverse=order == "reversed")
+    keys = sorted({SORT_KEY(r) for r in records} | {("chr1", 2**30, 2**30 + 1, "+")})
+    boundaries = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=6).map(sorted))
+    plan = ShufflePlan(len(boundaries) + data.draw(st.integers(min_value=1, max_value=2)), tuple(boundaries))
+    rows = rows_of(records)
+    reference = [[] for _ in range(plan.w)]
+    for row in sorted(rows):
+        reference[plan.range_of(SORT_KEY(row))].append(row)
+    assert partition_records(rows, plan) == [rows_to_tsv(fragment) for fragment in reference]
+

@@ -63,6 +63,10 @@ def test_malformed_json():
     with pytest.raises(WorkflowSyntaxError):
         parse_workflow("{not json")
 
+def test_deeply_nested_json():
+    with pytest.raises(WorkflowSyntaxError, match="nested too deeply"):
+        parse_workflow("[" * 100_000 + "]" * 100_000)
+
 @pytest.mark.parametrize(
     "overrides,path_fragment",
     [
