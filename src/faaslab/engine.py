@@ -40,7 +40,7 @@ from faaslab.errors import (
     TaskError,
     ValidationError,
 )
-from faaslab.methpipe.codec import decode_block, encode_block, is_encoded_block
+from faaslab.methpipe.codec import decode_block, encode_block, is_encoded_block, tsv_to_batches
 from faaslab.methpipe.records import records_to_tsv, tsv_to_records, tsv_to_rows
 from faaslab.perfmodel import (
     DEFAULT_COMPRESSION_RATIO,
@@ -578,7 +578,7 @@ class _Run:
 
         def encode(worker: int):
             [(key, payload)] = payloads[worker]
-            decode = decode_block if is_encoded_block(payload) else tsv_to_records
+            decode = decode_block if is_encoded_block(payload) else tsv_to_batches
             block = encode_block(shuffle.parse_object(decode, payload, key))
             track = self._tracker(stage, worker)
             if track:

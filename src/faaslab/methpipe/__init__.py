@@ -16,6 +16,7 @@ from faaslab.methpipe.codec import (
     decode_block,
     encode_block,
     is_encoded_block,
+    tsv_to_batches,
 )
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "records_to_tsv",
     "rows_to_tsv",
     "split_into_objects",
+    "tsv_to_batches",
     "tsv_to_records",
     "tsv_to_rows",
 ]

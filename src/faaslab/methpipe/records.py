@@ -17,6 +17,8 @@ anything else is parsed BED-style.
 exactly like ``MethRecord``; ``parse_meth_record`` returns a ``MethRecord``.
 Internal lines are parsed in batches; a batch with any other line falls
 back to ``parse_meth_record`` line by line (see ``tsv_to_records``).
+``codec.tsv_to_batches`` parses the same chunks straight into encoder
+batches, without building records.
 
 ``tsv_to_rows`` returns rows: those 6-tuples with the record's canonical
 line (the bytes ``record_lines`` writes for it) as a seventh field, so a
@@ -32,6 +34,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from faaslab.errors import ParseError
@@ -133,12 +136,22 @@ def record_lines(records: Iterable[MethRecord]) -> list[bytes]:
     return lines
 
 
+# Records per join in records_to_tsv.
+SERIALIZE_BATCH = 4096
+
+
 def records_to_tsv(records: Iterable[MethRecord]) -> bytes:
-    """Serialize records to the internal 6-column TSV form."""
-    lines = record_lines(records)
-    if not lines:
-        return b""
-    return b"\n".join(lines) + b"\n"
+    """Serialize records to the internal 6-column TSV form.
+
+    Joins SERIALIZE_BATCH lines at a time, so no line list for the whole
+    payload is ever alive, and the payload is copied once, by the last join.
+    """
+    records = iter(records)
+    pieces = []
+    while lines := record_lines(islice(records, SERIALIZE_BATCH)):
+        lines.append(b"")
+        pieces.append(b"\n".join(lines))
+    return b"".join(pieces)
 
 
 # Bytes per batch-parse chunk; chunks are cut after a newline.
@@ -158,13 +171,35 @@ def _chunks(payload: bytes) -> Iterator[bytes]:
         start = stop
 
 
-def _parse_chunk(chunk: bytes) -> tuple[list[list[bytes]], tuple] | None:
+class _Chunk(NamedTuple):
+    """A batch-parsed chunk: raw text columns and converted numbers."""
+
+    numbers: list[list[bytes]]  # raw start, end, coverage and meth_pct texts
+    raw_chroms: list[bytes]  # each chromosome field with a leading newline
+    names: dict[bytes, str]  # raw chromosome field -> interned name
+    raw_strands: list[bytes]
+    starts: list[int]
+    ends: list[int]
+    coverages: list[int]
+    meths: list[int]
+
+    def columns(self) -> tuple:
+        """The six record columns, in MethRecord field order."""
+        return (
+            map(self.names.__getitem__, self.raw_chroms),
+            self.starts,
+            self.ends,
+            map(_STRAND_TEXT.__getitem__, self.raw_strands),
+            self.coverages,
+            self.meths,
+        )
+
+
+def _parse_chunk(chunk: bytes) -> _Chunk | None:
     """Batch-parse a newline-terminated chunk of internal 6-column lines.
 
-    Returns the raw bytes of the four number columns and the six record
-    columns in MethRecord field order, or None when any line is not a
-    valid internal line, in which case the caller parses the chunk line
-    by line.
+    Returns None when any line is not a valid internal line, in which
+    case the caller parses the chunk line by line.
     """
     if b"\r" in chunk:
         return None
@@ -208,15 +243,7 @@ def _parse_chunk(chunk: bytes) -> tuple[list[list[bytes]], tuple] | None:
         or any(map(operator.le, ends, starts))
     ):
         return None
-    columns = (
-        map(names.__getitem__, raw_chroms),
-        starts,
-        ends,
-        map(_STRAND_TEXT.__getitem__, raw_strands),
-        coverages,
-        meths,
-    )
-    return numbers, columns
+    return _Chunk(numbers, raw_chroms, names, raw_strands, starts, ends, coverages, meths)
 
 
 def _parse_lines(chunk: bytes) -> list[tuple]:
@@ -248,7 +275,7 @@ def tsv_to_records(payload: bytes) -> list[tuple]:
     out: list[tuple] = []
     for chunk in _chunks(payload):
         parsed = _parse_chunk(chunk)
-        out.extend(_parse_lines(chunk) if parsed is None else zip(*parsed[1]))
+        out.extend(_parse_lines(chunk) if parsed is None else zip(*parsed.columns()))
     return out
 
 
@@ -284,12 +311,12 @@ def tsv_to_rows(payload: bytes) -> list[tuple]:
     out: list[tuple] = []
     for chunk in _chunks(payload):
         parsed = _parse_chunk(chunk)
-        if parsed is not None and _is_canonical(chunk, parsed[0]):
+        if parsed is not None and _is_canonical(chunk, parsed.numbers):
             lines = chunk.split(b"\n")
             lines.pop()
-            out.extend(zip(*parsed[1], lines))
+            out.extend(zip(*parsed.columns(), lines))
         else:
-            records = _parse_lines(chunk) if parsed is None else list(zip(*parsed[1]))
+            records = _parse_lines(chunk) if parsed is None else list(zip(*parsed.columns()))
             out.extend(map(tuple.__add__, records, zip(record_lines(records))))
     return out
 

@@ -10,6 +10,7 @@ indents.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii
 
 from faaslab.blobstore import StoreMetrics
@@ -126,6 +127,12 @@ def parse_report(text: str) -> RunReport:
         raise SchemaError("$", f"report is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("$", "report is nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise SchemaError(
+            "$", f"report holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    if not isinstance(data, dict):
+        raise SchemaError("$", f"expected a JSON object, got {type(data).__name__}")
     if data.get("schema") != REPORT_SCHEMA:
         raise SchemaError("schema", f"expected {REPORT_SCHEMA!r}, got {data.get('schema')!r}")
     try:

@@ -108,3 +108,17 @@ def test_compare_head_is_json_dumps_head(tmp_path, capsys):
 def test_parse_report_deeply_nested_json():
     with pytest.raises(SchemaError, match="nested too deeply"):
         parse_report("[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("text", ["[1]", "1", '"report"', "null", "true"])
+def test_parse_report_non_object_is_schema_error(text):
+    with pytest.raises(SchemaError, match="expected a JSON object"):
+        parse_report(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 5000, '{"schema": ' + "1" * 5000 + "}"], ids=["document", "field"]
+)
+def test_parse_report_overlong_integer_is_schema_error(text):
+    with pytest.raises(SchemaError, match="integer of more than"):
+        parse_report(text)
