@@ -189,17 +189,11 @@ class Session:
         self._store = store
         self.conn_bandwidth = conn_bandwidth
 
-    def put_object(self, key: str, payload: bytes):
-        return self._store._put(self, key, payload)
+    def put_object(self, key: str, payload: bytes) -> None:
+        self._store._put(self, key, payload)
 
     def get_object(self, key: str, byte_range: tuple[int, int] | None = None) -> bytes:
         return self._store._get(self, key, byte_range)
-
-
-@dataclass(frozen=True)
-class PutReceipt:
-    key: str
-    size: int
 
 
 class _MemoryBacking:
@@ -297,7 +291,7 @@ class Blobstore:
 
     # -- operations ----------------------------------------------------------
 
-    def _put(self, session: Session, key: str, payload: bytes) -> PutReceipt:
+    def _put(self, session: Session, key: str, payload: bytes) -> None:
         if not key:
             raise ValueError("object key must be non-empty")
         self._log(session, len(payload))
@@ -308,7 +302,6 @@ class Blobstore:
                 put_count=self._metrics.put_count + 1,
                 bytes_in=self._metrics.bytes_in + len(payload),
             )
-        return PutReceipt(key, len(payload))
 
     def _get(self, session: Session, key: str, byte_range: tuple[int, int] | None) -> bytes:
         with self._lock:
@@ -332,8 +325,8 @@ class Blobstore:
             )
         return payload
 
-    def put_object(self, key: str, payload: bytes) -> PutReceipt:
-        return self._put(self._default_session, key, payload)
+    def put_object(self, key: str, payload: bytes) -> None:
+        self._put(self._default_session, key, payload)
 
     def get_object(self, key: str, byte_range: tuple[int, int] | None = None) -> bytes:
         return self._get(self._default_session, key, byte_range)

@@ -12,11 +12,12 @@ boundaries). Encoding requires input sorted by (chrom, start, end,
 strand); sorting is the upstream stage's job, so unsorted input is an
 error here, not something to fix quietly.
 
-The encoder works on `Batches`: records cut into chunks, each checked
-for order and written at once as far as its edges allow, into varint
-bytes and the runs that may go on across an edge. `tsv_to_batches`
-builds them straight from a TSV payload's parse chunks, without record
-tuples; a record sequence is cut into batches of BATCH_RECORDS.
+The encoder works on `Batches`: records added chunk by chunk, each
+chunk checked for order and appended at once to six stream writers;
+a run stream's last run stays open, since the next chunk may go on
+with it. `tsv_to_batches` builds them straight from a TSV payload's
+parse chunks, without record tuples; a record sequence is added in
+chunks of BATCH_RECORDS.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from __future__ import annotations
 import gzip
 import zlib
 from bisect import bisect_right
-from functools import partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import ne, not_, sub
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable
 
 from faaslab.errors import (
     BadMagic,
@@ -43,7 +43,7 @@ VERSION = 1
 
 _UVARINT_MAX = (1 << 64) - 1
 
-# Records per batch when a record sequence is encoded.
+# Records per chunk when a record sequence is encoded.
 BATCH_RECORDS = 4096
 
 
@@ -159,26 +159,6 @@ def _same(value):
     return value
 
 
-def _now_or_later(build: Callable[[], bytes]) -> bytes | Callable[[], bytes]:
-    """build(), or build itself when a value has no varint form.
-
-    A deferred piece is built again when its stream is written, so its
-    error is raised in stream order, after every earlier error.
-    """
-    try:
-        return build()
-    except (Overflow, TypeError):
-        return build
-
-
-def _built(piece: bytes | Callable[[], bytes]) -> bytes:
-    return piece if isinstance(piece, bytes) else piece()
-
-
-def _varints(values, value_bytes: _Varints) -> bytes:
-    return b"".join(map(value_bytes.__getitem__, values))
-
-
 def _pairs(values: list, sizes: list, value_bytes: _Varints, size_bytes: _Varints) -> bytes:
     """(value, size) runs as varint pairs."""
     pairs = [None] * (2 * len(values))
@@ -187,55 +167,77 @@ def _pairs(values: list, sizes: list, value_bytes: _Varints, size_bytes: _Varint
     return b"".join(pairs)
 
 
-class _Runs(NamedTuple):
-    """One batch's runs of a stream, the inner ones already written.
+class _Stream:
+    """One stream's bytes so far, with its open run and its first error.
 
-    The first and last runs stay (value, size) pairs, since they may go
-    on in the neighbouring batches; `tail` is None for a single run.
+    A run stream's last run stays open as (value, size), since the next
+    chunk may go on with it. The first Overflow or TypeError that
+    writing raised is kept, and nothing more is written; the encoder
+    raises it when it reaches this stream.
     """
 
-    head: tuple
-    inner: bytes | Callable[[], bytes]
-    tail: tuple | None
+    __slots__ = ("data", "value", "size", "error", "value_bytes", "size_bytes")
 
+    def __init__(self, value_bytes: _Varints, size_bytes: _Varints) -> None:
+        self.data = bytearray()
+        self.value = None
+        self.size = 0  # no open run
+        self.error: Exception | None = None
+        self.value_bytes = value_bytes
+        self.size_bytes = size_bytes
 
-def _batch_runs(runs: tuple[list, list], value_bytes: _Varints, size_bytes: _Varints) -> _Runs:
-    values, sizes = runs
-    last = len(values) - 1
-    if not last:
-        return _Runs((values[0], sizes[0]), b"", None)
-    inner = partial(_pairs, values[1:last], sizes[1:last], value_bytes, size_bytes)
-    return _Runs((values[0], sizes[0]), _now_or_later(inner), (values[last], sizes[last]))
+    def runs(self, values: list, sizes: list) -> None:
+        """Append one chunk's (values, sizes) runs, taking the lists over."""
+        if self.error is not None:
+            return
+        if self.size:
+            if values[0] == self.value:
+                sizes[0] += self.size
+            else:
+                values.insert(0, self.value)
+                sizes.insert(0, self.size)
+        self.value, self.size = values.pop(), sizes.pop()
+        try:
+            self.data += _pairs(values, sizes, self.value_bytes, self.size_bytes)
+        except (Overflow, TypeError) as exc:
+            self.error = exc.with_traceback(None)
 
+    def varints(self, values) -> None:
+        """Append one chunk's values as plain varints."""
+        if self.error is None:
+            try:
+                self.data += b"".join(map(self.value_bytes.__getitem__, values))
+            except (Overflow, TypeError) as exc:
+                self.error = exc.with_traceback(None)
 
-class _Batch(NamedTuple):
-    """One chunk of sorted records, written as far as batch edges allow."""
-
-    names: list  # chromosome runs: names and sizes
-    sizes: list
-    deltas: _Runs  # start-delta runs
-    lengths: _Runs  # (end - start) runs
-    strands: _Runs  # strand-bit runs, '+' = 0
-    coverages: bytes | Callable[[], bytes]  # varints
-    meths: bytes | Callable[[], bytes]
+    def open_run(self) -> bytes:
+        """The open run's bytes, or the kept error raised."""
+        if self.error is not None:
+            raise self.error.with_traceback(None)  # each raise starts a fresh traceback
+        return self.value_bytes[self.value] + self.size_bytes[self.size] if self.size else b""
 
 
 class Batches:
-    """Sorted records as order-checked compact batches; the encoder's input.
+    """Sorted records, order-checked and written to the six streams as they come.
 
-    `add` turns one chunk's columns into a `_Batch` at once: run-length
+    `add` takes one chunk's columns and writes them at once: run-length
     and varint bytes, with no record tuples and no start or end ints.
-    Start deltas are taken from the previous record, across batch edges.
-    len() is the record count.
+    Start deltas are taken from the previous record, across chunk edges.
+    `ids` is the chromosome dictionary in first-seen order. len() is the
+    record count.
     """
 
-    __slots__ = ("batches", "count", "varints", "zigzags", "_last", "_start")
+    __slots__ = ("ids", "count", "streams", "_last", "_start")
 
     def __init__(self) -> None:
-        self.batches: list[_Batch] = []
+        self.ids: dict[str, int] = {}
         self.count = 0
-        self.varints = _Varints()
-        self.zigzags = _ZigzagVarints()
+        varints, zigzags = _Varints(), _ZigzagVarints()
+        # chromosome, start-delta, length, strand, coverage, meth_pct
+        self.streams = tuple(
+            _Stream(values, varints)
+            for values in (varints, zigzags, varints, varints, varints, varints)
+        )
         # the first record's predecessor in the order check, and start[-1]
         self._last: tuple = ("", -1, -1, "")
         self._start = 0
@@ -245,7 +247,7 @@ class Batches:
 
     @classmethod
     def of_records(cls, records: Iterable[MethRecord]) -> Batches:
-        """Cut records into batches of BATCH_RECORDS; fields past the sixth are ignored."""
+        """Add records in chunks of BATCH_RECORDS; fields past the sixth are ignored."""
         batches = cls()
         records = iter(records)
         while chunk := list(islice(records, BATCH_RECORDS)):
@@ -261,7 +263,7 @@ class Batches:
         when the caller has them. Raises UnsortedInput naming the first
         record that sorts before its predecessor by (chrom, start, end,
         strand). A value with no varint form raises nothing here: its
-        piece is written, and raises, with its stream.
+        stream keeps the error for encode_block.
         """
         n = len(starts)
         if not n:
@@ -281,26 +283,23 @@ class Batches:
         self.count += n
         if bits is None:
             bits = bytes(map(ne, strands, repeat("+")))
-        self.batches.append(
-            _Batch(
-                list(map(name, runs[0])),
-                runs[1],
-                _batch_runs(_runs(deltas), self.zigzags, self.varints),
-                _batch_runs(_runs(list(map(sub, ends, starts))), self.varints, self.varints),
-                _batch_runs(_runs(bits), self.varints, self.varints),
-                _now_or_later(partial(_varints, coverages, self.varints)),
-                _now_or_later(partial(_varints, meths, self.varints)),
-            )
-        )
+        ids = self.ids
+        chrom, delta, length, strand, coverage, meth = self.streams
+        chrom.runs([ids.setdefault(name(key), len(ids)) for key in runs[0]], runs[1])
+        delta.runs(*_runs(deltas))
+        length.runs(*_runs(list(map(sub, ends, starts))))
+        strand.runs(*_runs(bits))
+        coverage.varints(coverages)
+        meth.varints(meths)
 
 
 _STRAND_BITS = bytes.maketrans(b"+-", b"\x00\x01")
 
 
 def tsv_to_batches(payload: bytes) -> Batches:
-    """Parse a sorted TSV payload straight into encoder batches.
+    """Parse a sorted TSV payload straight into the encoder's Batches.
 
-    Each parse chunk (see records.tsv_to_records) becomes one batch; the
+    Each parse chunk (see records.tsv_to_records) is added as it parses; the
     records, and the ParseError on bad input, are those of
     tsv_to_records. A batch-parsed chunk is checked and run-length coded
     on its raw chromosome and strand fields. A record out of order
@@ -329,74 +328,31 @@ def tsv_to_batches(payload: bytes) -> Batches:
     return batches
 
 
-def _run_stream(runs: Iterable[_Runs], value_bytes: _Varints, size_bytes: _Varints) -> bytes:
-    """A run stream's bytes from each batch's runs.
-
-    A batch's last run is held back until the next batch shows whether
-    it goes on, so runs that cross batch edges are written once.
-    """
-    pieces = []
-    value, size = None, 0
-    for head, inner, tail in runs:
-        if size and head[0] == value:
-            size += head[1]
-        else:
-            if size:
-                pieces.append(value_bytes[value] + size_bytes[size])
-            value, size = head
-        if tail is not None:
-            pieces.append(value_bytes[value] + size_bytes[size])
-            pieces.append(_built(inner))
-            value, size = tail
-    if size:
-        pieces.append(value_bytes[value] + size_bytes[size])
-    return b"".join(pieces)
-
-
-def _streams(batches: Batches, ids: dict[str, int]):
-    """Yield the six streams' bytes in order, each gathered from every batch."""
-    parts, varints = batches.batches, batches.varints
-    yield _run_stream(
-        (_batch_runs((list(map(ids.__getitem__, b.names)), b.sizes), varints, varints) for b in parts),
-        varints,
-        varints,
-    )
-    yield _run_stream((b.deltas for b in parts), batches.zigzags, varints)
-    yield _run_stream((b.lengths for b in parts), varints, varints)
-    yield _run_stream((b.strands for b in parts), varints, varints)
-    yield b"".join([_built(b.coverages) for b in parts])
-    yield b"".join([_built(b.meths) for b in parts])
-
-
 def encode_block(records: Batches | Iterable[MethRecord]) -> bytes:
     """Encode sorted records into one self-checking binary block.
 
     `records` is Batches (see tsv_to_batches) or a record sequence, which
-    is cut into batches first. Writes the dictionary and header, then
-    the six streams one at a time. Errors, first found first:
-    UnsortedInput, a chromosome name with no UTF-8 form
-    (UnicodeEncodeError), then Overflow for the first value out of
-    varint range in stream order.
+    is added to Batches first. Writes the header and dictionary, then
+    each stream's bytes and open run; the Batches is left as it was.
+    Errors, first found first: UnsortedInput, a chromosome name with no
+    UTF-8 form (UnicodeEncodeError), then Overflow for the first value
+    out of varint range in stream order.
     """
     batches = records if isinstance(records, Batches) else Batches.of_records(records)
-    ids: dict[str, int] = {}
-    for batch in batches.batches:
-        for name in batch.names:
-            if name not in ids:
-                ids[name] = len(ids)
-
     block = bytearray(MAGIC)
     block.append(VERSION)
-    _write_uvarint(block, len(ids))
-    for name in ids:
+    _write_uvarint(block, len(batches.ids))
+    for name in batches.ids:
         encoded = name.encode("utf-8")
         _write_uvarint(block, len(encoded))
         block += encoded
     _write_uvarint(block, batches.count)
 
-    for data in _streams(batches, ids):
-        _write_uvarint(block, len(data))
-        block += data
+    for stream in batches.streams:
+        tail = stream.open_run()
+        _write_uvarint(block, len(stream.data) + len(tail))
+        block += stream.data
+        block += tail
     block += zlib.crc32(block).to_bytes(4, "big")
     return bytes(block)
 
@@ -466,6 +422,8 @@ def decode_block(payload: bytes) -> list[MethRecord]:
         chroms.append(body[reader.pos : reader.pos + length].decode("utf-8"))
         reader.pos += length
     count = reader.uvarint()
+    if count > reader.end - reader.pos:  # each record takes a byte in streams 4 and 5
+        raise Truncated(f"record count {count} exceeds the bytes left in the block")
 
     columns: list[list[int]] = []
     for i in range(6):

@@ -117,6 +117,8 @@ def report_to_json(report: RunReport) -> str:
 
 def _breakdown_from_dict(cls, data: dict):
     """Rebuild a latency or cost breakdown; its total is recomputed, not read."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{cls.__name__} must be an object, got {type(data).__name__}")
     return cls(**{k: v for k, v in data.items() if k != "total"})
 
 

@@ -48,8 +48,8 @@ def test_put_get_round_trip():
 
 def test_empty_object():
     store = make_store()
-    receipt = store.put_object("a", b"")
-    assert receipt.size == 0
+    store.put_object("a", b"")
+    assert store.peek_prefix("a") == [("a", 0)]
     assert store.get_object("a") == b""
 
 def test_overwrite_last_write_wins():

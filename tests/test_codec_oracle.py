@@ -270,7 +270,7 @@ def test_runs_cross_chunk_edges_at_real_chunk_size():
     for chroms in (1, 3):
         payload = records_to_tsv(generate_synthetic(20_000, seed=31, chroms=chroms))
         batches = tsv_to_batches(payload)
-        assert len(batches.batches) > 4
+        assert len(list(records_module._chunks(payload))) > 4
         assert len(batches) == 20_000
         assert encode_block(batches) == oracle_path(payload)
     # one swap across a chunk edge, one inside a chunk
@@ -283,6 +283,23 @@ def test_runs_cross_chunk_edges_at_real_chunk_size():
         payload = records_to_tsv(swapped)
         assert outcome(new_path, payload) == outcome(oracle_path, payload)
         assert outcome(new_path, payload)[0] is UnsortedInput
+
+
+def test_encoding_leaves_batches_as_they_were():
+    # runs cross chunk edges, and each run stream ends on an open run
+    payload = records_to_tsv(generate_synthetic(5_000, seed=33, chroms=1))
+    with mock.patch.object(records_module, "CHUNK_BYTES", 4096):
+        batches = tsv_to_batches(payload)
+    first = encode_block(batches)
+    assert encode_block(batches) == first == oracle_path(payload)
+    # an error left in an open run (a start delta past varint range), and one kept by a stream
+    for bad in (MethRecord("chr1", 2**64, 2**64 + 1, "+", 1, 0), MethRecord("chrZ", 1, 2, "+", -1, 0)):
+        batches = codec.Batches()
+        batches.add(*zip(*generate_synthetic(50, seed=34, chroms=1)))
+        batches.add(*zip(bad))
+        expected = outcome(oracle_encode_block, [*generate_synthetic(50, seed=34, chroms=1), bad])
+        assert expected[0] is Overflow
+        assert outcome(encode_block, batches) == outcome(encode_block, batches) == expected
 
 
 def _peak(fn, *args) -> int:

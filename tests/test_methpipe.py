@@ -2,6 +2,8 @@
 
 import gzip
 import random
+import tracemalloc
+import zlib
 from unittest import mock
 
 import pytest
@@ -206,6 +208,34 @@ def test_decode_truncated():
     body = block[: len(block) // 2]
     with pytest.raises(Truncated):
         decode_block(body + zlib.crc32(body).to_bytes(4, "big"))
+
+def _claiming_block(count):
+    """A block whose header claims `count` records: streams 0 and 1 hold one run of that
+    length each, the other four nothing; the checksum is valid."""
+    def varint(value):
+        out = bytearray()
+        while value >= 0x80:
+            out.append((value & 0x7F) | 0x80)
+            value >>= 7
+        out.append(value)
+        return bytes(out)
+
+    run = b"\x00" + varint(count)
+    body = MAGIC + b"\x01\x00" + varint(count) + (varint(len(run)) + run) * 2 + b"\x00" * 4
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+def test_decode_rejects_record_count_past_block_end():
+    with pytest.raises(Truncated, match="record count"):
+        decode_block(_claiming_block(2**62))
+    block = _claiming_block(10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Truncated, match="record count"):
+            decode_block(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 _records_strategy = st.lists(
     st.builds(

@@ -122,3 +122,30 @@ def test_parse_report_non_object_is_schema_error(text):
 def test_parse_report_overlong_integer_is_schema_error(text):
     with pytest.raises(SchemaError, match="integer of more than"):
         parse_report(text)
+
+
+_REPORT = RunReport(
+    mode="model",
+    workflow="w",
+    exchange="serverless",
+    seed=0,
+    parallelism=2,
+    stages=(
+        StageReport("s", "sort", 2, LatencyBreakdown(*[0.0] * 7), StoreMetrics(*[0] * 6), 0.0, 0.0),
+    ),
+    cost=CostBreakdown(*[0.0] * 5),
+    store_metrics=StoreMetrics(*[0] * 6),
+)
+
+
+@pytest.mark.parametrize("value", [[], 5, "x"])
+@pytest.mark.parametrize("field", ["latency", "cost"])
+def test_parse_report_non_object_breakdown_is_schema_error(field, value):
+    data = report_to_dict(_REPORT)
+    assert parse_report(json.dumps(data)) == _REPORT
+    if field == "latency":
+        data["stages"][0]["latency"] = value
+    else:
+        data["cost"] = value
+    with pytest.raises(SchemaError, match="must be an object"):
+        parse_report(json.dumps(data))
