@@ -35,8 +35,10 @@ from typing import Callable, Iterator
 from faaslab import shuffle
 from faaslab.blobstore import Blobstore, Session, StoreMetrics, replay
 from faaslab.errors import (
+    BadFragment,
     ExecutionError,
     MemoryBudgetError,
+    ParseError,
     TaskError,
     ValidationError,
 )
@@ -524,7 +526,11 @@ class _Run:
         gathered = self._phase(stage, "partition_read", 0.85, self._each(gather))
 
         def reduce(worker: int):
-            payload = shuffle.merge_fragments(gathered[worker])
+            try:
+                payload = shuffle.merge_fragments(gathered[worker])
+            except BadFragment as exc:
+                key = shuffle.partition_key(stage.id, exc.mapper, worker)
+                raise ParseError(exc.column, f"{exc.reason} in object {key!r}") from exc
             gathered[worker] = None
             track = self._tracker(stage, worker)
             return _write_sorted(session, stage.id, worker, payload, track)

@@ -3,13 +3,15 @@
 Serverless path: sample every input object's head, derive
 range-partition boundaries, have each of w mappers sort and write one
 fragment object per reducer (w*w objects through the store), then let
-each reducer merge its w sorted fragments into one sorted output. Both
-sides sort rows (`tsv_to_rows`) and write payloads by joining the rows'
-canonical lines, so neither serializes a record again. A mapper sorts
-its shuffled rows by start, then stably by chromosome, then by the full
-tuple (see `partition_records`): the first two passes compare single
-ints and single strings on CPython's fast paths, so the last pass
-meets an almost sorted list.
+each reducer merge its w sorted fragments into one sorted output. A
+mapper parses its input into rows (`tsv_to_rows`), sorts them by start,
+then stably by chromosome, then by the full tuple (see
+`partition_records`): the first two passes compare single ints and
+single strings on CPython's fast paths, so the last pass meets an
+almost sorted list. Its fragments join the rows' canonical lines, so no
+record is serialized again. A reducer does not parse its fragments
+again: it merges their lines on (chromosome, start) and parses in full
+only the lines that share both (see `merge_fragments`).
 
 VM path: gather every input object into one machine, sort globally in
 its memory, and cut the sorted records into w_out ranges for the encode
@@ -25,17 +27,20 @@ same input.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import chain, compress, count, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from faaslab.blobstore import Session
-from faaslab.errors import DomainError, MissingPartition, NotFound, ParseError
+from faaslab.errors import BadFragment, DomainError, MissingPartition, NotFound, ParseError
 from faaslab.methpipe.records import (
     CHROM_KEY,
     SORT_KEY,
     START_KEY,
     MethRecord,
+    _chunks,
     records_to_tsv,  # noqa: F401 -- perfbench/tracing.py patches it here
     rows_to_tsv,
     tsv_to_records,
@@ -189,17 +194,143 @@ def read_fragments(
     return payloads
 
 
+# (start, line) pairs of a reducer's merge
+_PAIR_START = operator.itemgetter(0)
+_PAIR_LINE = operator.itemgetter(1)
+
+
 def merge_fragments(payloads: list[bytes]) -> bytes:
     """Merge sorted fragment payloads into one sorted output payload.
 
-    Parses each fragment into one list of rows; list.sort finds the w
-    sorted runs and merges them, and the output joins their lines.
+    Each fragment is `partition_records` output of the run's own mapper:
+    canonical lines in full-tuple order, so one contiguous block per
+    chromosome, sorted by start within it. The reducer trusts that, and
+    does not parse the fragments again: it checks only that every line
+    has 6 tab-separated fields and an integer start. Lines that share
+    (chromosome, start) with another line are parsed in full. A fragment
+    that fails either check raises BadFragment naming its index in
+    ``payloads``. The reducer does not check the other fields of the
+    other lines, that the lines are canonical or that they are sorted.
+
+    Per chromosome, in name order, one stable sort by start merges the
+    fragments' blocks (timsort finds them as sorted runs). Only lines that
+    share (chromosome, start) are still ordered by the rest of the
+    tuple: all of a chromosome's such lines are parsed with one
+    `tsv_to_rows` call and reordered, so the cost of ties is bounded by
+    one parse of the tied lines. The result equals
+    ``rows_to_tsv(sorted(rows))`` of the fragments' rows.
     """
-    rows: list[tuple] = []
-    for payload in payloads:
-        rows += tsv_to_rows(payload)
-    rows.sort()
-    return rows_to_tsv(rows)
+    blocks: dict[bytes, list[Iterator[tuple[int, bytes]]]] = {}
+    for mapper, payload in enumerate(payloads):
+        for chrom, starts, lines in _fragment_blocks(payload, mapper):
+            blocks.setdefault(chrom, []).append(zip(starts, lines))
+    merged: list[bytes] = []
+    try:
+        for chrom in sorted(blocks):
+            merged += _merge_runs(blocks.pop(chrom))
+    except ParseError:
+        raise _unparsable_fragment(payloads) from None
+    if not merged:
+        return b""
+    return b"\n".join(merged) + b"\n"
+
+
+def _fragment_blocks(
+    payload: bytes, mapper: int
+) -> Iterator[tuple[bytes, list[int], list[bytes]]]:
+    """A fragment's chromosome blocks as (raw chromosome, starts, lines).
+
+    Reads the fragment in the parse chunks of `records._chunks`, so only
+    one chunk's fields are alive at a time; a block ends at a chunk's
+    end, and the merge takes a chromosome's blocks in fragment order.
+    A raw chromosome is the name's UTF-8 bytes after a newline byte.
+    Those compare as the names do; whole lines would not, because a name
+    holding a byte below tab, such as "c" + chr(1), sorts after "c" while
+    its line sorts before.
+    """
+    for chunk in _chunks(payload):
+        n = chunk.count(b"\n")
+        # As in records._parse_chunk, each newline becomes the first byte
+        # of the chromosome field after it: every line has 6 fields exactly
+        # when there are 6n + 1 fields and every sixth starts with a newline.
+        fields = chunk.replace(b"\n", b"\t\n").split(b"\t")
+        fields[0] = b"\n" + fields[0]
+        chroms = fields[0:-1:6]
+        if len(fields) != 6 * n + 1 or any(raw[:1] != b"\n" for raw in set(chroms)):
+            raise _bad_fragment(chunk, mapper)
+        try:
+            starts = list(map(int, fields[1::6]))
+        except ValueError:
+            raise _bad_fragment(chunk, mapper) from None
+        del fields
+        lines = chunk.split(b"\n")
+        lo = 0
+        while lo < n:
+            hi = bisect_right(chroms, chroms[lo], lo)
+            yield chroms[lo], starts[lo:hi], lines[lo:hi]
+            lo = hi
+
+
+def _bad_fragment(chunk: bytes, mapper: int) -> BadFragment:
+    """The error for a chunk's first line without 6 fields or an integer start."""
+    for line in chunk.split(b"\n")[:-1]:
+        fields = line.split(b"\t")
+        if len(fields) != 6:
+            return BadFragment(
+                mapper, len(fields), f"expected 6 tab-separated columns, got {len(fields)}"
+            )
+        try:
+            int(fields[1])
+        except ValueError:
+            text = fields[1].decode("utf-8", "replace")
+            return BadFragment(mapper, 2, f"start is not an integer: {text!r}")
+    raise AssertionError("no malformed line")
+
+
+def _unparsable_fragment(payloads: list[bytes]) -> BadFragment:
+    """The error for the first fragment with a line that is not one record.
+
+    Called when a merge's tied lines do not parse: each of them is a line
+    of some fragment, and parsing is line by line, so one fragment fails.
+    """
+    for mapper, payload in enumerate(payloads):
+        try:
+            rows = tsv_to_rows(payload)
+        except ParseError as exc:
+            return BadFragment(mapper, exc.column, exc.reason)
+        if len(rows) != payload.count(b"\n") + (payload[-1:] not in (b"", b"\n")):
+            return BadFragment(mapper, 1, "a line is blank or a comment")
+    raise AssertionError("every fragment parses")
+
+
+def _merge_runs(runs: list[Iterator[tuple[int, bytes]]]) -> list[bytes]:
+    """One chromosome's lines in full-tuple order, from sorted (start, line) runs.
+
+    A function of its own, so that its lists are freed before the caller
+    joins the output. Raises ParseError when a tied line is not one record.
+    """
+    pairs = list(chain.from_iterable(runs))
+    pairs.sort(key=_PAIR_START)
+    lines = list(map(_PAIR_LINE, pairs))
+    starts = list(map(_PAIR_START, pairs))
+    del pairs
+    # Lines that share a start are still to be ordered by the rest of the
+    # tuple. Line i is tied when its start equals line i - 1's or i + 1's.
+    # Sorted, the rows of all tied lines group by start in the groups'
+    # order, so the k-th row's line goes to the k-th tied place.
+    shared = list(map(operator.eq, starts, islice(starts, 1, None)))
+    del starts
+    if True in shared:
+        before, after = chain((False,), shared), chain(shared, (False,))
+        tied = list(compress(count(), map(operator.or_, before, after)))
+        del shared
+        rows = tsv_to_rows(b"\n".join(map(lines.__getitem__, tied)))
+        if len(rows) != len(tied):
+            raise ParseError(1, "a tied line is blank or a comment")
+        rows.sort()
+        for i, row in zip(tied, rows):
+            lines[i] = row[6]
+    return lines
 
 
 def split_sorted(records: list[MethRecord], w_out: int) -> list[list[MethRecord]]:

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from faaslab import engine
+from faaslab import cli, engine
 from faaslab.cli import _build_run_store, main
-from faaslab.engine import Mode, request_laws, run_workflow
+from faaslab.engine import ExecHooks, Mode, request_laws, run_workflow
 from faaslab.methpipe import generate_synthetic, split_into_objects
 from faaslab.perfmodel import builtin_profiles, profiles_to_dict
 from faaslab.report import parse_report, report_to_json
@@ -600,6 +600,30 @@ def test_run_emulate_malformed_input_line_exit_1(desk_workflow, tmp_path, capsys
     assert "'sort'" in err
     assert "input_read" in err
     assert "raw/0000" in err
+    assert "Traceback" not in err
+
+
+def test_run_emulate_bad_fragment_exit_1(desk_workflow, tmp_path, capsys, monkeypatch):
+    store = tmp_path / "s"
+    run_cli(capsys, "generate", "--records", "2000", "--objects", "4", "--store", str(store))
+
+    def run_with_bad_fragment(spec, mode, **kwargs):
+        # as reducer 0 starts reading, mapper 0's fragment for it is garbage
+        def corrupt(stage, phase, worker):
+            if (stage, phase, worker) == ("sort", "partition_read", 0):
+                kwargs["store"].seed_object("part/sort/0-0", b"not a fragment\n")
+
+        kwargs["options"].hooks = ExecHooks(on_task_start=corrupt)
+        return run_workflow(spec, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "run_workflow", run_with_bad_fragment)
+    code, _, err = run_cli(
+        capsys, "run", "--workflow", desk_workflow, "--mode", "emulate", "--store", str(store)
+    )
+    assert code == 1
+    assert "'sort'" in err
+    assert "worker 0 in output_write" in err
+    assert "part/sort/0-0" in err
     assert "Traceback" not in err
 
 

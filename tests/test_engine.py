@@ -19,6 +19,7 @@ from faaslab.engine import (
     run_workflow,
 )
 from faaslab.errors import (
+    BadFragment,
     ExecutionError,
     MemoryBudgetError,
     ParseError,
@@ -321,6 +322,26 @@ def test_encode_parse_error_names_object(exchange):
     assert isinstance(cause.cause, ParseError)
     assert "'sorted/sort/1'" in str(err.value)
     assert store.list_prefix("encoded/enc/") == []
+
+
+def test_bad_fragment_names_partition_object():
+    # as reducer 0 starts reading, mapper 0's fragment for it is garbage
+    store = seeded_store(generate_synthetic(2000, seed=19, shuffled=True), 4)
+
+    def corrupt(stage, phase, worker):
+        if (stage, phase, worker) == ("sort", "partition_read", 0):
+            store.seed_object("part/sort/0-0", b"not a fragment\n")
+
+    options = EngineOptions(hooks=ExecHooks(on_task_start=corrupt))
+    with pytest.raises(ExecutionError) as err:
+        run_workflow(two_stage_spec(w=4), Mode.EMULATED, store=store, options=options)
+    cause = err.value.cause
+    assert (err.value.stage_id, cause.worker, cause.phase) == ("sort", 0, "output_write")
+    assert err.value.__cause__ is cause
+    assert isinstance(cause.cause, ParseError)
+    assert isinstance(cause.cause.__cause__, BadFragment)
+    assert "'part/sort/0-0'" in str(err.value)
+    assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
 
 
 def test_non_ascii_chrom_sorts_identically_and_round_trips():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from faaslab import shuffle
 from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock
 from faaslab.engine import Mode, run_workflow
-from faaslab.errors import DomainError, MissingPartition
+from faaslab.errors import BadFragment, DomainError, MissingPartition
 from faaslab.methpipe import (
     MethRecord,
     generate_synthetic,
@@ -21,7 +21,7 @@ from faaslab.methpipe import (
     tsv_to_records,
     tsv_to_rows,
 )
-from faaslab.methpipe.records import SORT_KEY
+from faaslab.methpipe.records import CHUNK_BYTES, SORT_KEY
 from faaslab.perfmodel import builtin_profiles
 from faaslab.shuffle import (
     ShufflePlan,
@@ -377,14 +377,13 @@ def test_partition_matches_route_then_sort_reference(records, data):
     assert [tsv_to_records(p) for p in payloads] == reference
     assert payloads == [records_to_tsv(f) for f in reference]
 
-@settings(deadline=None, max_examples=100)
-@given(st.lists(_small_records, max_size=9))
-def test_merge_fragments_equals_sorted_concat(fragments):
-    payloads = [records_to_tsv(sorted(f)) for f in fragments]
-    merged = merge_fragments(payloads)
-    expected = sorted(r for f in fragments for r in f)
-    assert tsv_to_records(merged) == expected
-    assert merged == records_to_tsv(expected)
+def test_merge_fragments_across_parse_chunks():
+    # fragments of several parse chunks each, so chromosome blocks cross
+    # chunk edges
+    records = generate_synthetic(12_000, seed=3, shuffled=True)
+    payloads = [records_to_tsv(sorted(records[0::2])), records_to_tsv(sorted(records[1::2]))]
+    assert min(map(len, payloads)) > 2 * CHUNK_BYTES
+    assert merge_fragments(payloads) == records_to_tsv(sorted(records))
 
 def test_merge_fragment_without_final_newline_or_empty():
     a = records_to_tsv([rec("chr1", 1), rec("chr1", 3)])
@@ -415,6 +414,39 @@ _off_fast_path_records = st.lists(
     max_size=120,
 )
 
+# Rows that tie on (chrom, start) and differ in an end, coverage or
+# meth_pct written with a different number of digits (9 and 10), so the
+# order of their lines is not the order of their tuples; "c" sorts before
+# "c\x01" as a name, but its line ("c\t...") sorts after.
+_tied_records = st.lists(
+    st.builds(
+        lambda chrom, start, span, strand, cov, meth: MethRecord(chrom, start, start + span, strand, cov, meth),
+        chrom=st.sampled_from(["c", "c\x01"]),
+        start=st.sampled_from([0, 1, 2**64]),
+        span=st.sampled_from([9, 10, 99, 100]),
+        strand=st.sampled_from(["+", "-"]),
+        cov=st.sampled_from([9, 10]),
+        meth=st.sampled_from([9, 10, 100]),
+    ),
+    max_size=40,
+)
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(_small_records, _off_fast_path_records, _tied_records), max_size=9), st.data())
+def test_merge_fragments_equals_sorted_concat(fragments, data):
+    everything = [r for f in fragments for r in f]
+    if everything:
+        # exact duplicates, in another fragment
+        fragments.append(data.draw(st.lists(st.sampled_from(everything), max_size=10)))
+    payloads = [records_to_tsv(sorted(f)) for f in fragments]
+    cut = data.draw(st.lists(st.booleans(), min_size=len(payloads), max_size=len(payloads)))
+    # fragments with no final newline
+    payloads = [p[:-1] if drop else p for p, drop in zip(payloads, cut)]
+    merged = merge_fragments(payloads)
+    expected = sorted(r for f in fragments for r in f)
+    assert tsv_to_records(merged) == expected
+    assert merged == records_to_tsv(expected)
+
 @settings(deadline=None, max_examples=150)
 @given(_off_fast_path_records, st.data())
 def test_partition_matches_sort_then_route_off_fast_paths(records, data):
@@ -432,3 +464,40 @@ def test_partition_matches_sort_then_route_off_fast_paths(records, data):
         reference[plan.range_of(SORT_KEY(row))].append(row)
     assert partition_records(rows, plan) == [rows_to_tsv(fragment) for fragment in reference]
 
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.one_of(_off_fast_path_records, _tied_records), min_size=1, max_size=4), st.data())
+def test_partition_then_merge_equals_sorted_rows(per_mapper, data):
+    rows = [rows_of(records) for records in per_mapper]
+    everything = sorted(row for mapper_rows in rows for row in mapper_rows)
+    keys = sorted({SORT_KEY(row) for row in everything} | {("c", 1, 11, "+")})
+    boundaries = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=4).map(sorted))
+    plan = ShufflePlan(len(boundaries) + 1, tuple(boundaries))
+    fragments = [partition_records(mapper_rows, plan) for mapper_rows in rows]
+    reference = [[] for _ in range(plan.w)]
+    for row in everything:
+        reference[plan.range_of(SORT_KEY(row))].append(row)
+    merged = [merge_fragments([f[reducer] for f in fragments]) for reducer in range(plan.w)]
+    assert merged == [rows_to_tsv(reducer_rows) for reducer_rows in reference]
+
+@pytest.mark.parametrize(
+    "bad, column",
+    [
+        (b"not a fragment\n", 1),
+        (b"chr1\t5\t6\t+\t1\n", 5),
+        (b"chr1\t5\t6\t+\t1\t2\t3\n", 7),
+        # 7 and 5 fields: the field count is that of 2 lines, and int()
+        # reads every sixth field ("\n4" is 4)
+        (b"chr1\t5\t6\t+\t1\t2\t3\n4\t7\t8\t+\t1\n", 7),
+        (b"chr1\tx\t6\t+\t1\t2\n", 2),
+        (b"chr1\t5\t6\t+\t1\t2\nchr1\t\xff\t8\t+\t1\t2", 2),
+        # lines that share (chromosome, start) are parsed in full: a
+        # comment, or a bad end, tied with another line
+        (b"#c\t5\t6\t+\t1\t2\n#c\t5\t7\t+\t1\t2\n", 1),
+        (b"chr1\t1\tx\t+\t1\t2\n", 3),
+    ],
+)
+def test_merge_rejects_malformed_fragment(bad, column):
+    good = records_to_tsv([rec("chr1", 1)])
+    with pytest.raises(BadFragment) as err:
+        merge_fragments([good, b"", bad, good])
+    assert (err.value.mapper, err.value.column) == (2, column)
