@@ -38,6 +38,7 @@ from faaslab.report import indented_json, report_to_json
 from faaslab.workflow import (
     ExchangeStrategy,
     WorkflowSpec,
+    check_bucket,
     parse_workflow,
     with_exchange,
     with_profiles,
@@ -135,12 +136,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return _fail("--objects must be >= 1", 2)
     if args.chroms < 1:
         return _fail("--chroms must be >= 1", 2)
-    records = generate_synthetic(args.records, args.seed, chroms=args.chroms, shuffled=not args.sorted)
-    payloads = split_into_objects(records, args.objects)
+    check_bucket(args.bucket, "--bucket")
+    keys = [f"{args.out}{index:04d}" for index in range(args.objects)]
     store = _unshaped_disk_store(args.store, args.bucket)
+    # a run reads every object under the prefix, so none may be left over
+    stale = sorted({key for key, _ in store.peek_prefix(args.out)} - set(keys))
+    if stale:
+        return _fail(
+            f"--out prefix {args.out!r} already holds {stale[0]!r}, which this call would not write", 2
+        )
+    records = generate_synthetic(args.records, args.seed, chroms=args.chroms, shuffled=not args.sorted)
     manifest = []
-    for index, payload in enumerate(payloads):
-        key = f"{args.out}{index:04d}"
+    for key, payload in zip(keys, split_into_objects(records, args.objects)):
         store.seed_object(key, payload)
         manifest.append({"key": key, "size": len(payload)})
     total = sum(entry["size"] for entry in manifest)

@@ -34,14 +34,7 @@ from typing import Callable, Iterator
 
 from faaslab import shuffle
 from faaslab.blobstore import Blobstore, Session, StoreMetrics, replay
-from faaslab.errors import (
-    BadFragment,
-    ExecutionError,
-    MemoryBudgetError,
-    ParseError,
-    TaskError,
-    ValidationError,
-)
+from faaslab.errors import ExecutionError, MemoryBudgetError, TaskError, ValidationError
 from faaslab.methpipe.codec import decode_block, encode_block, is_encoded_block, tsv_to_batches
 from faaslab.methpipe.records import records_to_tsv, tsv_to_records, tsv_to_rows
 from faaslab.perfmodel import (
@@ -516,7 +509,7 @@ class _Run:
 
         def gather(worker: int):
             got = shuffle.read_fragments(worker, w, session, stage.id)
-            total = sum(len(p) for p in got)
+            total = sum(len(p) for _, p in got)
             if total > self.fn_budget:
                 raise MemoryBudgetError(
                     f"reducer {worker} holds {total} bytes, budget {self.fn_budget}"
@@ -526,11 +519,7 @@ class _Run:
         gathered = self._phase(stage, "partition_read", 0.85, self._each(gather))
 
         def reduce(worker: int):
-            try:
-                payload = shuffle.merge_fragments(gathered[worker])
-            except BadFragment as exc:
-                key = shuffle.partition_key(stage.id, exc.mapper, worker)
-                raise ParseError(exc.column, f"{exc.reason} in object {key!r}") from exc
+            payload = shuffle.merge_fragments(gathered[worker])
             gathered[worker] = None
             track = self._tracker(stage, worker)
             return _write_sorted(session, stage.id, worker, payload, track)

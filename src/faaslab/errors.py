@@ -93,20 +93,6 @@ class MissingPartition(StoreError):
     """A reducer's expected partition object is absent."""
 
 
-class BadFragment(ParseError):
-    """A reducer's fragment has a line without 6 fields or an integer start,
-    or a line that shares (chromosome, start) with another and does not
-    parse as one record.
-
-    `mapper` is the index of the fragment among the reducer's fragments,
-    which is the mapper that wrote it.
-    """
-
-    def __init__(self, mapper: int, column: int, reason: str):
-        self.mapper = mapper
-        super().__init__(column, reason)
-
-
 # --- execution errors -----------------------------------------------------
 
 class ValidationError(FaaslabError):

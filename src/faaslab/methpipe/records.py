@@ -195,32 +195,46 @@ class _Chunk(NamedTuple):
         )
 
 
+def _split_fields(chunk: bytes) -> tuple[list[bytes], list[bytes], set[bytes]] | None:
+    """Split a newline-terminated chunk into its lines' fields, six per line.
+
+    Each newline becomes the first byte of the field after it, and the
+    first field gets one too. With 6 fields per newline, every line has
+    exactly 6 columns when each chromosome field (every sixth) starts with
+    one. Returns the fields, the chromosome fields and the distinct
+    chromosome fields, or None when the chunk holds a ``\\r``, or a line
+    without 6 columns or whose chromosome is empty or starts with '#'.
+    """
+    if b"\r" in chunk:
+        return None
+    fields = chunk.replace(b"\n", b"\t\n").split(b"\t")
+    if len(fields) != 6 * chunk.count(b"\n") + 1:
+        return None
+    fields[0] = b"\n" + fields[0]
+    raw_chroms = fields[0:-1:6]
+    distinct = set(raw_chroms)
+    for raw in distinct:
+        if raw[:1] != b"\n" or len(raw) < 2 or raw[1:2] == b"#":
+            return None
+    return fields, raw_chroms, distinct
+
+
 def _parse_chunk(chunk: bytes) -> _Chunk | None:
     """Batch-parse a newline-terminated chunk of internal 6-column lines.
 
     Returns None when any line is not a valid internal line, in which
     case the caller parses the chunk line by line.
     """
-    if b"\r" in chunk:
+    split = _split_fields(chunk)
+    if split is None:
         return None
-    # Each newline becomes the first byte of the field after it, and the
-    # first field gets one too. With 6 fields per newline, every line has
-    # exactly 6 columns when each chrom field (every sixth) starts with one.
-    fields = chunk.replace(b"\n", b"\t\n").split(b"\t")
-    if len(fields) != 6 * chunk.count(b"\n") + 1:
+    fields, raw_chroms, distinct = split
+    try:
+        # interned, so records share one object per name and sort
+        # comparisons of equal names take the identity fast path
+        names = {raw: sys.intern(raw[1:].decode("utf-8")) for raw in distinct}
+    except UnicodeDecodeError:
         return None
-    fields[0] = b"\n" + fields[0]
-    raw_chroms = fields[0:-1:6]
-    names: dict[bytes, str] = {}
-    for raw in set(raw_chroms):
-        if raw[:1] != b"\n" or len(raw) < 2 or raw[1:2] == b"#":
-            return None
-        try:
-            # interned, so records share one object per name and sort
-            # comparisons of equal names take the identity fast path
-            names[raw] = sys.intern(raw[1:].decode("utf-8"))
-        except UnicodeDecodeError:
-            return None
     raw_strands = fields[3::6]
     if not set(raw_strands) <= _STRAND_TEXT.keys():
         return None

@@ -11,7 +11,9 @@ single strings on CPython's fast paths, so the last pass meets an
 almost sorted list. Its fragments join the rows' canonical lines, so no
 record is serialized again. A reducer does not parse its fragments
 again: it merges their lines on (chromosome, start) and parses in full
-only the lines that share both (see `merge_fragments`).
+only the lines that share both. A fragment that no mapper writes falls
+back to the reference merge, which parses and sorts every fragment's
+rows (see `merge_fragments`).
 
 VM path: gather every input object into one machine, sort globally in
 its memory, and cut the sorted records into w_out ranges for the encode
@@ -34,13 +36,14 @@ from itertools import chain, compress, count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from faaslab.blobstore import Session
-from faaslab.errors import BadFragment, DomainError, MissingPartition, NotFound, ParseError
+from faaslab.errors import DomainError, MissingPartition, NotFound, ParseError
 from faaslab.methpipe.records import (
     CHROM_KEY,
     SORT_KEY,
     START_KEY,
     MethRecord,
     _chunks,
+    _split_fields,
     records_to_tsv,  # noqa: F401 -- perfbench/tracing.py patches it here
     rows_to_tsv,
     tsv_to_records,
@@ -182,16 +185,17 @@ def write_fragments(
 
 def read_fragments(
     reducer: int, w: int, session: Session, stage: str
-) -> list[bytes]:
-    """GET this reducer's w fragment objects; names the first missing one."""
-    payloads = []
+) -> list[tuple[str, bytes]]:
+    """GET this reducer's w fragment objects as (key, payload) pairs; names
+    the first missing one."""
+    fragments = []
     for mapper in range(w):
         key = partition_key(stage, mapper, reducer)
         try:
-            payloads.append(session.get_object(key))
+            fragments.append((key, session.get_object(key)))
         except NotFound:
             raise MissingPartition(f"partition object {key!r} is absent") from None
-    return payloads
+    return fragments
 
 
 # (start, line) pairs of a reducer's merge
@@ -199,108 +203,78 @@ _PAIR_START = operator.itemgetter(0)
 _PAIR_LINE = operator.itemgetter(1)
 
 
-def merge_fragments(payloads: list[bytes]) -> bytes:
-    """Merge sorted fragment payloads into one sorted output payload.
+def merge_fragments(fragments: list[tuple[str, bytes]]) -> bytes:
+    """Merge sorted (key, payload) fragments into one sorted output payload.
 
     Each fragment is `partition_records` output of the run's own mapper:
     canonical lines in full-tuple order, so one contiguous block per
-    chromosome, sorted by start within it. The reducer trusts that, and
-    does not parse the fragments again: it checks only that every line
-    has 6 tab-separated fields and an integer start. Lines that share
-    (chromosome, start) with another line are parsed in full. A fragment
-    that fails either check raises BadFragment naming its index in
-    ``payloads``. The reducer does not check the other fields of the
-    other lines, that the lines are canonical or that they are sorted.
+    chromosome, sorted by start within it. The merge trusts that, and does
+    not parse the fragments again: it checks only that every line has 6
+    tab-separated fields, no ``\\r``, a chromosome that is neither empty
+    nor a comment and an integer start, and it parses in full only the
+    lines that share (chromosome, start) with another line. It does not
+    check the other fields of the other lines, that the lines are
+    canonical or that they are sorted.
 
     Per chromosome, in name order, one stable sort by start merges the
     fragments' blocks (timsort finds them as sorted runs). Only lines that
     share (chromosome, start) are still ordered by the rest of the
     tuple: all of a chromosome's such lines are parsed with one
     `tsv_to_rows` call and reordered, so the cost of ties is bounded by
-    one parse of the tied lines. The result equals
-    ``rows_to_tsv(sorted(rows))`` of the fragments' rows.
+    one parse of the tied lines.
+
+    A fragment that fails a check, or whose tied lines do not parse as one
+    record each, is no mapper's output: then the merge parses every
+    fragment with `tsv_to_rows` and sorts the rows, so a malformed line
+    raises ParseError naming its fragment's key. Either way the result
+    equals ``rows_to_tsv(sorted(rows))`` of the fragments' rows.
     """
-    blocks: dict[bytes, list[Iterator[tuple[int, bytes]]]] = {}
-    for mapper, payload in enumerate(payloads):
-        for chrom, starts, lines in _fragment_blocks(payload, mapper):
-            blocks.setdefault(chrom, []).append(zip(starts, lines))
-    merged: list[bytes] = []
     try:
-        for chrom in sorted(blocks):
-            merged += _merge_runs(blocks.pop(chrom))
-    except ParseError:
-        raise _unparsable_fragment(payloads) from None
+        merged = _merge_lines([payload for _, payload in fragments])
+    except (ValueError, ParseError):
+        merged = None
+    if merged is None:
+        rows: list[tuple] = []
+        for key, payload in fragments:
+            rows += parse_object(tsv_to_rows, payload, key)
+        rows.sort()
+        return rows_to_tsv(rows)
     if not merged:
         return b""
     return b"\n".join(merged) + b"\n"
 
 
-def _fragment_blocks(
-    payload: bytes, mapper: int
-) -> Iterator[tuple[bytes, list[int], list[bytes]]]:
-    """A fragment's chromosome blocks as (raw chromosome, starts, lines).
+def _merge_lines(payloads: list[bytes]) -> list[bytes] | None:
+    """The fragments' lines in full-tuple order, or None when a check fails.
 
-    Reads the fragment in the parse chunks of `records._chunks`, so only
-    one chunk's fields are alive at a time; a block ends at a chunk's
-    end, and the merge takes a chromosome's blocks in fragment order.
-    A raw chromosome is the name's UTF-8 bytes after a newline byte.
-    Those compare as the names do; whole lines would not, because a name
+    Reads each fragment in the parse chunks of `records._chunks`, so only
+    one chunk's fields are alive at a time, and cuts each chunk into
+    chromosome blocks; a chromosome's blocks keep fragment order. A block's
+    raw chromosome is the name's UTF-8 bytes after a newline byte. Those
+    compare as the names do; whole lines would not, because a name
     holding a byte below tab, such as "c" + chr(1), sorts after "c" while
-    its line sorts before.
+    its line sorts before. Raises ValueError for a start that is not an
+    integer and ParseError for tied lines that do not parse.
     """
-    for chunk in _chunks(payload):
-        n = chunk.count(b"\n")
-        # As in records._parse_chunk, each newline becomes the first byte
-        # of the chromosome field after it: every line has 6 fields exactly
-        # when there are 6n + 1 fields and every sixth starts with a newline.
-        fields = chunk.replace(b"\n", b"\t\n").split(b"\t")
-        fields[0] = b"\n" + fields[0]
-        chroms = fields[0:-1:6]
-        if len(fields) != 6 * n + 1 or any(raw[:1] != b"\n" for raw in set(chroms)):
-            raise _bad_fragment(chunk, mapper)
-        try:
+    blocks: dict[bytes, list[Iterator[tuple[int, bytes]]]] = {}
+    for payload in payloads:
+        for chunk in _chunks(payload):
+            split = _split_fields(chunk)
+            if split is None:
+                return None
+            fields, chroms, _ = split
             starts = list(map(int, fields[1::6]))
-        except ValueError:
-            raise _bad_fragment(chunk, mapper) from None
-        del fields
-        lines = chunk.split(b"\n")
-        lo = 0
-        while lo < n:
-            hi = bisect_right(chroms, chroms[lo], lo)
-            yield chroms[lo], starts[lo:hi], lines[lo:hi]
-            lo = hi
-
-
-def _bad_fragment(chunk: bytes, mapper: int) -> BadFragment:
-    """The error for a chunk's first line without 6 fields or an integer start."""
-    for line in chunk.split(b"\n")[:-1]:
-        fields = line.split(b"\t")
-        if len(fields) != 6:
-            return BadFragment(
-                mapper, len(fields), f"expected 6 tab-separated columns, got {len(fields)}"
-            )
-        try:
-            int(fields[1])
-        except ValueError:
-            text = fields[1].decode("utf-8", "replace")
-            return BadFragment(mapper, 2, f"start is not an integer: {text!r}")
-    raise AssertionError("no malformed line")
-
-
-def _unparsable_fragment(payloads: list[bytes]) -> BadFragment:
-    """The error for the first fragment with a line that is not one record.
-
-    Called when a merge's tied lines do not parse: each of them is a line
-    of some fragment, and parsing is line by line, so one fragment fails.
-    """
-    for mapper, payload in enumerate(payloads):
-        try:
-            rows = tsv_to_rows(payload)
-        except ParseError as exc:
-            return BadFragment(mapper, exc.column, exc.reason)
-        if len(rows) != payload.count(b"\n") + (payload[-1:] not in (b"", b"\n")):
-            return BadFragment(mapper, 1, "a line is blank or a comment")
-    raise AssertionError("every fragment parses")
+            del fields, split
+            lines = chunk.split(b"\n")
+            lo, n = 0, len(chroms)
+            while lo < n:
+                hi = bisect_right(chroms, chroms[lo], lo)
+                blocks.setdefault(chroms[lo], []).append(zip(starts[lo:hi], lines[lo:hi]))
+                lo = hi
+    merged: list[bytes] = []
+    for chrom in sorted(blocks):
+        merged += _merge_runs(blocks.pop(chrom))
+    return merged
 
 
 def _merge_runs(runs: list[Iterator[tuple[int, bytes]]]) -> list[bytes]:

@@ -128,6 +128,14 @@ def _finite_positive(value: int | float) -> bool:
         return False
 
 
+def check_bucket(bucket: str, path: str) -> None:
+    """A bucket names one directory under a store root, so it is one path
+    component: not empty, ``.`` or ``..``, and holding no ``/`` or NUL.
+    Raises SchemaError at `path`."""
+    if bucket in ("", ".", "..") or "/" in bucket or "\0" in bucket:
+        raise SchemaError(path, f"must be one path component without '/' or NUL, got {bucket!r}")
+
+
 def _parse_input(data: Any) -> DataRef:
     if not isinstance(data, dict):
         raise SchemaError("input", f"expected an object, got {type(data).__name__}")
@@ -136,8 +144,7 @@ def _parse_input(data: Any) -> DataRef:
         raise SchemaError(f"input.{sorted(unknown)[0]}", "unknown field")
     bucket = _expect(data, "bucket", str, "input")
     prefix = _expect(data, "prefix", str, "input")
-    if not bucket:
-        raise SchemaError("input.bucket", "must be non-empty")
+    check_bucket(bucket, "input.bucket")
     size_bytes = _expect(data, "size_bytes", (int, float), "input", required=False)
     # NaN fails the comparison, and so does an integer too large for a float
     if size_bytes is not None and not 0 < size_bytes <= SIZE_BYTES_LIMIT:

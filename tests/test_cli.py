@@ -121,6 +121,41 @@ def test_generate_after_sorted_generate_is_shuffled(tmp_path, capsys):
     assert objects[1] == split_into_objects(generate_synthetic(2000, 4, shuffled=True), 2)
     assert objects[0] != objects[1]
 
+def test_generate_refuses_stale_objects_under_prefix(tmp_path, capsys):
+    # a run reads every object under the prefix, so a smaller second call
+    # would leave 6 stale objects for it to sort
+    args = ["generate", "--records", "1000", "--objects", "8", "--store", str(tmp_path)]
+    assert run_cli(capsys, *args)[0] == 0
+    bucket = tmp_path / "data"
+    before = {p.name: p.read_bytes() for p in bucket.iterdir()}
+    small = ["generate", "--records", "100", "--objects", "2", "--store", str(tmp_path)]
+    code, out, err = run_cli(capsys, *small)
+    assert (code, out) == (2, "")
+    assert "'raw/'" in err and "'raw/0002'" in err
+    assert {p.name: p.read_bytes() for p in bucket.iterdir()} == before
+    # the same arguments again, and another prefix, still write
+    assert run_cli(capsys, *args)[0] == 0
+    assert {p.name: p.read_bytes() for p in bucket.iterdir()} == before
+    assert run_cli(capsys, *small, "--out", "small/")[0] == 0
+    assert len(list(bucket.iterdir())) == 10
+
+
+@pytest.mark.parametrize("bucket", ["../outside", "..", ".", "a/b", ""])
+def test_bucket_outside_store_root_exit_2(bucket, tmp_path, capsys):
+    store = tmp_path / "store"
+    code, out, err = run_cli(
+        capsys, "generate", "--records", "10", "--objects", "1", "--bucket", bucket, "--store", str(store)
+    )
+    assert (code, out) == (2, "")
+    assert "--bucket" in err
+    doc = dict(PAPER_DOC, input={"bucket": bucket, "prefix": "raw/"})
+    wf = tmp_path / "wf.json"
+    wf.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", "--workflow", str(wf), "--mode", "emulate", "--store", str(store))
+    assert (code, out) == (2, "")
+    assert "input.bucket" in err
+    assert list(tmp_path.iterdir()) == [wf]
+
 
 # --- run ---------------------------------------------------------------------------
 

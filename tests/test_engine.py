@@ -7,6 +7,8 @@ import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faaslab.blobstore import Blobstore, StoreMetrics, StoreProfile, VirtualClock
 from faaslab.engine import (
@@ -19,8 +21,8 @@ from faaslab.engine import (
     run_workflow,
 )
 from faaslab.errors import (
-    BadFragment,
     ExecutionError,
+    FaaslabError,
     MemoryBudgetError,
     ParseError,
     TaskError,
@@ -339,9 +341,76 @@ def test_bad_fragment_names_partition_object():
     assert (err.value.stage_id, cause.worker, cause.phase) == ("sort", 0, "output_write")
     assert err.value.__cause__ is cause
     assert isinstance(cause.cause, ParseError)
-    assert isinstance(cause.cause.__cause__, BadFragment)
+    assert cause.cause.column == 1
     assert "'part/sort/0-0'" in str(err.value)
     assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
+
+
+def test_all_tied_input_gives_identical_outputs():
+    # every record in two input objects, so every fragment line a reducer
+    # merges shares (chromosome, start) with another line
+    records = generate_synthetic(3000, seed=28, shuffled=True)
+    payloads = split_into_objects(records, 2) * 2
+    outputs = []
+    for exchange in ExchangeStrategy:
+        store = Blobstore(DESK_STORE, clock=VirtualClock())
+        for i, payload in enumerate(payloads):
+            store.seed_object(f"raw/{i:04d}", payload)
+        run_workflow(two_stage_spec(exchange=exchange, w=4), Mode.EMULATED, store=store)
+        outputs.append(
+            [{k: store.get_object(k) for k, _ in store.list_prefix(p)} for p in ("sorted/sort/", "encoded/enc/")]
+        )
+        assert decoded_outputs(store) == sorted(records * 2)
+    assert outputs[0] == outputs[1]
+
+
+_SOUND_TSV = records_to_tsv(generate_synthetic(60, seed=29, shuffled=True))
+
+
+@st.composite
+def _hostile_object(draw):
+    """Arbitrary bytes, or valid TSV with up to 3 edits: cut short, or bytes
+    flipped, duplicated or deleted."""
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(st.binary(max_size=300))
+    payload = bytearray(_SOUND_TSV)
+    for edit in draw(st.lists(st.sampled_from(["cut", "flip", "duplicate", "delete"]), max_size=3)):
+        if not payload:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(payload) - 1))
+        n = draw(st.integers(min_value=1, max_value=20))
+        if edit == "cut":
+            del payload[i:]
+        elif edit == "flip":
+            payload[i] ^= 1 << draw(st.integers(min_value=0, max_value=7))
+        elif edit == "duplicate":
+            payload[i:i] = payload[i : i + n]
+        else:
+            del payload[i : i + n]
+    return bytes(payload)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_hostile_object(), min_size=1, max_size=4), st.sampled_from([1, 3]))
+def test_hostile_input_fails_alike_or_decodes_alike(payloads, w):
+    # both strategies succeed with the same records, or both fail with a
+    # FaaslabError at the root of the stage's failure
+    prof = profiles(store=FAST_STORE, fn_startup=0.01, vm_provision=0.01)
+    outcomes = []
+    for exchange in ExchangeStrategy:
+        store = Blobstore(FAST_STORE, clock=VirtualClock())
+        for i, payload in enumerate(payloads):
+            store.seed_object(f"raw/{i:04d}", payload)
+        try:
+            run_workflow(two_stage_spec(prof, exchange, w), Mode.EMULATED, store=store)
+        except FaaslabError as exc:
+            while isinstance(exc, (ExecutionError, TaskError)):
+                exc = exc.cause
+            assert isinstance(exc, FaaslabError), repr(exc)
+            outcomes.append(None)
+        else:
+            outcomes.append(decoded_outputs(store))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_non_ascii_chrom_sorts_identically_and_round_trips():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from faaslab import shuffle
 from faaslab.blobstore import Blobstore, StoreProfile, VirtualClock
 from faaslab.engine import Mode, run_workflow
-from faaslab.errors import BadFragment, DomainError, MissingPartition
+from faaslab.errors import DomainError, MissingPartition, ParseError
 from faaslab.methpipe import (
     MethRecord,
     generate_synthetic,
@@ -51,6 +51,11 @@ def rows_of(records):
 def map_side(records, plan, mapper, session, stage):
     """One mapper of the all-to-all exchange: partition, then write w fragments."""
     write_fragments(partition_records(rows_of(records), plan), stage, mapper, session)
+
+
+def keyed(payloads, reducer=0):
+    """Fragment payloads as the (key, payload) pairs read_fragments returns."""
+    return [(partition_key("s", mapper, reducer), p) for mapper, p in enumerate(payloads)]
 
 
 def reduce_side(reducer, w, session, stage):
@@ -214,7 +219,7 @@ def test_map_phase_writes_w_squared_objects():
 def test_merge_two_fragments():
     a = records_to_tsv([rec("chr1", 1), rec("chr1", 3)])
     b = records_to_tsv([rec("chr1", 2), rec("chr1", 4)])
-    payload = merge_fragments([a, b])
+    payload = merge_fragments(keyed([a, b]))
     merged = tsv_to_records(payload)
     assert [r[1] for r in merged] == [1, 2, 3, 4]
     assert payload == records_to_tsv([rec("chr1", n) for n in (1, 2, 3, 4)])
@@ -377,21 +382,22 @@ def test_partition_matches_route_then_sort_reference(records, data):
     assert [tsv_to_records(p) for p in payloads] == reference
     assert payloads == [records_to_tsv(f) for f in reference]
 
-def test_merge_fragments_across_parse_chunks():
+def test_merge_fragments_across_parse_chunks(monkeypatch):
     # fragments of several parse chunks each, so chromosome blocks cross
-    # chunk edges
+    # chunk edges; mapper output never takes the reference merge
+    monkeypatch.setattr(shuffle, "parse_object", None)
     records = generate_synthetic(12_000, seed=3, shuffled=True)
     payloads = [records_to_tsv(sorted(records[0::2])), records_to_tsv(sorted(records[1::2]))]
     assert min(map(len, payloads)) > 2 * CHUNK_BYTES
-    assert merge_fragments(payloads) == records_to_tsv(sorted(records))
+    assert merge_fragments(keyed(payloads)) == records_to_tsv(sorted(records))
 
 def test_merge_fragment_without_final_newline_or_empty():
     a = records_to_tsv([rec("chr1", 1), rec("chr1", 3)])
     b = records_to_tsv([rec("chr1", 2), rec("chr2", 0)])
     expected = records_to_tsv(sorted([rec("chr1", 1), rec("chr1", 3), rec("chr1", 2), rec("chr2", 0)]))
-    assert merge_fragments([a[:-1], b"", b[:-1]]) == expected
-    assert merge_fragments([b"", a, b"", b[:-1], b""]) == expected
-    assert merge_fragments([b"", b""]) == b""
+    assert merge_fragments(keyed([a[:-1], b"", b[:-1]])) == expected
+    assert merge_fragments(keyed([b"", a, b"", b[:-1], b""])) == expected
+    assert merge_fragments(keyed([b"", b""])) == b""
 
 
 # Rows off CPython's sort fast paths: starts past one int digit (2**30) and
@@ -442,7 +448,7 @@ def test_merge_fragments_equals_sorted_concat(fragments, data):
     cut = data.draw(st.lists(st.booleans(), min_size=len(payloads), max_size=len(payloads)))
     # fragments with no final newline
     payloads = [p[:-1] if drop else p for p, drop in zip(payloads, cut)]
-    merged = merge_fragments(payloads)
+    merged = merge_fragments(keyed(payloads))
     expected = sorted(r for f in fragments for r in f)
     assert tsv_to_records(merged) == expected
     assert merged == records_to_tsv(expected)
@@ -464,6 +470,25 @@ def test_partition_matches_sort_then_route_off_fast_paths(records, data):
         reference[plan.range_of(SORT_KEY(row))].append(row)
     assert partition_records(rows, plan) == [rows_to_tsv(fragment) for fragment in reference]
 
+# Lines no mapper writes: comments, blank and whitespace-only lines,
+# BED-style lines of 7 to 11 columns (strand in column 6, coverage and
+# meth_pct in columns 10 and 11) and internal lines ending in "\r\n". A
+# fragment holding one is merged by parsing every fragment in full. (A
+# 6-column line with an integer start is trusted as a mapper's line.)
+_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=12)
+_foreign_lines = st.one_of(
+    _text.map(lambda text: b"#" + text.encode("utf-8")),
+    st.sampled_from([b"", b" ", b"\t", b" \t "]),
+    st.builds(
+        lambda r, extra: "\t".join(
+            [r.chrom, str(r.start), str(r.end), "site", "0", r.strand, "0", "0", "0", str(r.coverage), str(r.meth_pct)][:extra]
+        ).encode("utf-8"),
+        _off_fast_path_records.filter(bool).map(lambda rs: rs[0]),
+        st.integers(min_value=7, max_value=11),
+    ),
+    _tied_records.filter(bool).map(lambda rs: records_to_tsv(rs[:1])[:-1] + b"\r"),
+)
+
 @settings(deadline=None, max_examples=100)
 @given(st.lists(st.one_of(_off_fast_path_records, _tied_records), min_size=1, max_size=4), st.data())
 def test_partition_then_merge_equals_sorted_rows(per_mapper, data):
@@ -476,28 +501,42 @@ def test_partition_then_merge_equals_sorted_rows(per_mapper, data):
     reference = [[] for _ in range(plan.w)]
     for row in everything:
         reference[plan.range_of(SORT_KEY(row))].append(row)
-    merged = [merge_fragments([f[reducer] for f in fragments]) for reducer in range(plan.w)]
-    assert merged == [rows_to_tsv(reducer_rows) for reducer_rows in reference]
+    for line in data.draw(st.lists(_foreign_lines, max_size=4)):
+        # into one fragment, at a line boundary
+        mapper = data.draw(st.integers(min_value=0, max_value=len(fragments) - 1))
+        reducer = data.draw(st.integers(min_value=0, max_value=plan.w - 1))
+        lines = fragments[mapper][reducer].split(b"\n")[:-1]
+        lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines))), line)
+        fragments[mapper][reducer] = b"\n".join(lines) + b"\n"
+        reference[reducer] += tsv_to_rows(line)
+    merged = [merge_fragments(keyed([f[reducer] for f in fragments], reducer)) for reducer in range(plan.w)]
+    assert merged == [rows_to_tsv(sorted(reducer_rows)) for reducer_rows in reference]
 
 @pytest.mark.parametrize(
     "bad, column",
     [
         (b"not a fragment\n", 1),
         (b"chr1\t5\t6\t+\t1\n", 5),
-        (b"chr1\t5\t6\t+\t1\t2\t3\n", 7),
-        # 7 and 5 fields: the field count is that of 2 lines, and int()
-        # reads every sixth field ("\n4" is 4)
-        (b"chr1\t5\t6\t+\t1\t2\t3\n4\t7\t8\t+\t1\n", 7),
+        # BED-style for the line parser, whose strand column 6 is "2"
+        (b"chr1\t5\t6\t+\t1\t2\t3\n", 6),
+        (b"chr1\t5\t6\t+\t1\t2\t3\n4\t7\t8\t+\t1\n", 6),
         (b"chr1\tx\t6\t+\t1\t2\n", 2),
         (b"chr1\t5\t6\t+\t1\t2\nchr1\t\xff\t8\t+\t1\t2", 2),
-        # lines that share (chromosome, start) are parsed in full: a
-        # comment, or a bad end, tied with another line
-        (b"#c\t5\t6\t+\t1\t2\n#c\t5\t7\t+\t1\t2\n", 1),
+        # lines that share (chromosome, start) are parsed in full: a bad
+        # end tied with another line
         (b"chr1\t1\tx\t+\t1\t2\n", 3),
     ],
 )
 def test_merge_rejects_malformed_fragment(bad, column):
     good = records_to_tsv([rec("chr1", 1)])
-    with pytest.raises(BadFragment) as err:
-        merge_fragments([good, b"", bad, good])
-    assert (err.value.mapper, err.value.column) == (2, column)
+    with pytest.raises(ParseError) as err:
+        merge_fragments(keyed([good, b"", bad, good]))
+    assert err.value.column == column
+    assert "in object 'part/s/2-0'" in str(err.value)
+
+
+def test_merge_skips_tied_comment_lines():
+    # tied comment lines are what the line parser skips, as in any object
+    good = records_to_tsv([rec("c", 5)])
+    comments = b"#c\t5\t6\t+\t1\t2\n#c\t5\t7\t+\t1\t2\n"
+    assert merge_fragments(keyed([good, comments, good])) == good + good

@@ -96,6 +96,10 @@ def test_deeply_nested_json():
         (dict(w_max=1001), "w_max"),
         (dict(stages=[{"id": "e", "kind": "encode", "options": {"ratio": 10**400}}]), "options.ratio"),
         (dict(stages=[{"id": "e", "kind": "encode", "options": {"ratio": math.nan}}]), "options.ratio"),
+        (dict(input={"bucket": "", "prefix": "p/"}), "input.bucket"),
+        (dict(input={"bucket": "../outside", "prefix": "p/"}), "input.bucket"),
+        (dict(input={"bucket": "..", "prefix": "p/"}), "input.bucket"),
+        (dict(input={"bucket": "a\0b", "prefix": "p/"}), "input.bucket"),
     ],
 )
 def test_schema_errors_carry_paths(overrides, path_fragment):
