@@ -36,7 +36,9 @@ from faaslab import shuffle
 from faaslab.blobstore import Blobstore, Session, StoreMetrics, replay
 from faaslab.errors import ExecutionError, MemoryBudgetError, TaskError, ValidationError
 from faaslab.methpipe.codec import decode_block, encode_block, is_encoded_block, tsv_to_batches
-from faaslab.methpipe.records import records_to_tsv, tsv_to_records, tsv_to_rows
+# perfbench/tracing.py patches records_to_tsv and tsv_to_records here
+from faaslab.methpipe.records import records_to_tsv, tsv_to_records  # noqa: F401
+from faaslab.methpipe.records import tsv_to_rows
 from faaslab.perfmodel import (
     DEFAULT_COMPRESSION_RATIO,
     CostBreakdown,
@@ -538,26 +540,24 @@ class _Run:
         )
 
         def sort():
-            records = []
-            for key, payload in payloads:
-                records.extend(shuffle.parse_object(tsv_to_records, payload, key))
+            lines = shuffle.sort_lines(payloads)
             payloads.clear()
-            records.sort()
             self._charge(size / compute.vm_sort_rate)
-            return records
+            return lines
 
-        [records] = self._phase(stage, "sort_compute", 0.7, [sort])
+        [lines] = self._phase(stage, "sort_compute", 0.7, [sort])
 
         def write():
-            # the ranges take over the records; each range is released once
-            # serialized, so the records shrink as the written output grows
-            ranges = shuffle.split_sorted(records, w)
-            records.clear()
+            # the ranges take over the lines; each range is released once
+            # written, so the lines shrink as the written output grows
+            ranges = shuffle.split_sorted(lines, w)
+            lines.clear()
             outputs = []
             for reducer in range(w):
-                payload = records_to_tsv(ranges[reducer])
-                ranges[reducer] = None
+                ranges[reducer].append(b"")
+                payload = b"\n".join(ranges[reducer])
                 outputs.append(_write_sorted(session, stage.id, reducer, payload, track))
+                ranges[reducer] = None
             return outputs
 
         [outputs] = self._phase(stage, "output_write", 1.0, [write])

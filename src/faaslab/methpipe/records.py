@@ -23,6 +23,7 @@ batches, without building records.
 ``tsv_to_rows`` returns rows: those 6-tuples with the record's canonical
 line (the bytes ``record_lines`` writes for it) as a seventh field, so a
 sorted set of rows is serialized by joining lines (``rows_to_tsv``).
+``tsv_to_lines`` keeps only their chromosome, start and line columns.
 
 Sort order is (chrom, start, end, strand), compared field by field.
 Chromosome names compare in raw byte order, so "chr10" sorts before "chr2";
@@ -35,7 +36,7 @@ import operator
 import re
 import sys
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from faaslab.errors import ParseError
 
@@ -311,28 +312,42 @@ def _is_canonical(chunk: bytes, numbers: list[list[bytes]]) -> bool:
     )
 
 
-def tsv_to_rows(payload: bytes) -> list[tuple]:
-    """Parse a TSV payload into rows ``(*record, line)``.
+def _canonical_chunks(payload: bytes) -> Iterator[tuple[Sequence[Iterable], list[bytes]]]:
+    """Each parse chunk's six record columns and canonical lines.
 
-    ``record`` is what tsv_to_records returns and ``line`` is its
-    canonical line, the bytes record_lines writes for it, so errors and
-    records are those of tsv_to_records. A batch chunk whose lines are
-    already canonical keeps its own line bytes; every other chunk is
-    serialized with record_lines. Rows sort exactly as their records:
-    ``line`` is a function of the six fields, so it only breaks ties
-    between identical records, whose lines are identical.
+    The columns are those tsv_to_records parses. A batch chunk whose lines
+    are already canonical keeps its own line bytes; every other chunk is
+    serialized with record_lines.
     """
-    out: list[tuple] = []
     for chunk in _chunks(payload):
         parsed = _parse_chunk(chunk)
         if parsed is not None and _is_canonical(chunk, parsed.numbers):
             lines = chunk.split(b"\n")
             lines.pop()
-            out.extend(zip(*parsed.columns(), lines))
+            yield parsed.columns(), lines
         else:
             records = _parse_lines(chunk) if parsed is None else list(zip(*parsed.columns()))
-            out.extend(map(tuple.__add__, records, zip(record_lines(records))))
+            yield tuple(zip(*records)) or ((),) * 6, record_lines(records)
+
+
+def tsv_to_rows(payload: bytes) -> list[tuple]:
+    """Parse a TSV payload into rows ``(*record, line)``.
+
+    ``record`` is what tsv_to_records returns and ``line`` is its
+    canonical line, the bytes record_lines writes for it (see
+    `_canonical_chunks`). Rows sort exactly as their records: ``line``
+    is a function of the six fields, so it only breaks ties between
+    identical records, whose lines are identical.
+    """
+    out: list[tuple] = []
+    for columns, lines in _canonical_chunks(payload):
+        out.extend(zip(*columns, lines))
     return out
+
+
+def tsv_to_lines(payload: bytes) -> list[tuple[list[str], Sequence[int], list[bytes]]]:
+    """Per parse chunk, the chromosomes, starts and lines of tsv_to_rows' rows."""
+    return [(list(columns[0]), columns[1], lines) for columns, lines in _canonical_chunks(payload)]
 
 
 def rows_to_tsv(rows: Iterable[tuple]) -> bytes:

@@ -15,9 +15,10 @@ only the lines that share both. A fragment that no mapper writes falls
 back to the reference merge, which parses and sorts every fragment's
 rows (see `merge_fragments`).
 
-VM path: gather every input object into one machine, sort globally in
-its memory, and cut the sorted records into w_out ranges for the encode
-stage.
+VM path: gather every input object into one machine, parse each into
+canonical lines with the checks of `tsv_to_rows`, order them with the
+reducer's line merge (`sort_lines`) and cut them into w_out ranges for
+the encode stage; no record tuple outlives its parse chunk.
 
 Partition objects follow the stable naming template
 ``part/<stage-id>/<mapper>-<reducer>``; sorted outputs are
@@ -32,6 +33,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, count, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,11 +43,11 @@ from faaslab.methpipe.records import (
     CHROM_KEY,
     SORT_KEY,
     START_KEY,
-    MethRecord,
     _chunks,
     _split_fields,
     records_to_tsv,  # noqa: F401 -- perfbench/tracing.py patches it here
     rows_to_tsv,
+    tsv_to_lines,
     tsv_to_records,
     tsv_to_rows,
 )
@@ -198,30 +200,13 @@ def read_fragments(
     return fragments
 
 
-# (start, line) pairs of a reducer's merge
-_PAIR_START = operator.itemgetter(0)
-_PAIR_LINE = operator.itemgetter(1)
-
-
 def merge_fragments(fragments: list[tuple[str, bytes]]) -> bytes:
     """Merge sorted (key, payload) fragments into one sorted output payload.
 
     Each fragment is `partition_records` output of the run's own mapper:
-    canonical lines in full-tuple order, so one contiguous block per
-    chromosome, sorted by start within it. The merge trusts that, and does
-    not parse the fragments again: it checks only that every line has 6
-    tab-separated fields, no ``\\r``, a chromosome that is neither empty
-    nor a comment and an integer start, and it parses in full only the
-    lines that share (chromosome, start) with another line. It does not
-    check the other fields of the other lines, that the lines are
-    canonical or that they are sorted.
-
-    Per chromosome, in name order, one stable sort by start merges the
-    fragments' blocks (timsort finds them as sorted runs). Only lines that
-    share (chromosome, start) are still ordered by the rest of the
-    tuple: all of a chromosome's such lines are parsed with one
-    `tsv_to_rows` call and reordered, so the cost of ties is bounded by
-    one parse of the tied lines.
+    canonical lines in full-tuple order. The merge trusts that, and does
+    not parse the fragments again: it orders their lines with
+    `_merge_lines`, making only the checks listed there.
 
     A fragment that fails a check, or whose tied lines do not parse as one
     record each, is no mapper's output: then the merge parses every
@@ -230,10 +215,8 @@ def merge_fragments(fragments: list[tuple[str, bytes]]) -> bytes:
     equals ``rows_to_tsv(sorted(rows))`` of the fragments' rows.
     """
     try:
-        merged = _merge_lines([payload for _, payload in fragments])
+        merged = _merge_lines(_fragment_chunks(payload for _, payload in fragments))
     except (ValueError, ParseError):
-        merged = None
-    if merged is None:
         rows: list[tuple] = []
         for key, payload in fragments:
             rows += parse_object(tsv_to_rows, payload, key)
@@ -244,50 +227,77 @@ def merge_fragments(fragments: list[tuple[str, bytes]]) -> bytes:
     return b"\n".join(merged) + b"\n"
 
 
-def _merge_lines(payloads: list[bytes]) -> list[bytes] | None:
-    """The fragments' lines in full-tuple order, or None when a check fails.
+def sort_lines(objects: list[tuple[str, bytes]]) -> list[bytes]:
+    """The VM's sort: the (key, payload) objects' canonical lines in full-tuple order.
 
-    Reads each fragment in the parse chunks of `records._chunks`, so only
-    one chunk's fields are alive at a time, and cuts each chunk into
-    chromosome blocks; a chromosome's blocks keep fragment order. A block's
-    raw chromosome is the name's UTF-8 bytes after a newline byte. Those
-    compare as the names do; whole lines would not, because a name
-    holding a byte below tab, such as "c" + chr(1), sorts after "c" while
-    its line sorts before. Raises ValueError for a start that is not an
-    integer and ParseError for tied lines that do not parse.
+    A malformed line raises the ParseError tsv_to_records raises, naming its object.
     """
-    blocks: dict[bytes, list[Iterator[tuple[int, bytes]]]] = {}
+    return _merge_lines(
+        chunk for key, payload in objects for chunk in parse_object(tsv_to_lines, payload, key)
+    )
+
+
+def _fragment_chunks(payloads: Iterable[bytes]) -> Iterator[tuple]:
+    """The reducer's (chromosomes, starts, lines) per parse chunk.
+
+    A chromosome is its raw field, the name's UTF-8 bytes after a newline
+    byte, which orders as the name does.
+    """
     for payload in payloads:
         for chunk in _chunks(payload):
             split = _split_fields(chunk)
             if split is None:
-                return None
+                raise ValueError("not a fragment of internal lines")
             fields, chroms, _ = split
             starts = list(map(int, fields[1::6]))
             del fields, split
-            lines = chunk.split(b"\n")
-            lo, n = 0, len(chroms)
-            while lo < n:
-                hi = bisect_right(chroms, chroms[lo], lo)
-                blocks.setdefault(chroms[lo], []).append(zip(starts[lo:hi], lines[lo:hi]))
-                lo = hi
+            yield chroms, starts, chunk.split(b"\n")
+
+
+def _merge_lines(chunks: Iterable[tuple[Sequence, Sequence[int], list[bytes]]]) -> list[bytes]:
+    """Lines in full-tuple order, from (chromosomes, starts, lines) chunks.
+
+    The reducer's chunks come from `_fragment_chunks`, and the merge relies
+    on its checks only: every line has 6 tab-separated fields, no ``\\r``,
+    a chromosome that is neither empty nor a comment and an integer start
+    (ValueError otherwise); tied lines must parse (ParseError otherwise).
+    The VM's chunks come from `tsv_to_lines`, whose full parse adds every
+    other check of `tsv_to_records` and makes each line canonical.
+
+    Chunks may come in any order: one out of chromosome order (VM input)
+    is grouped by a stable sort on its chromosomes, which a chunk in order
+    skips. A chromosome's blocks keep chunk order. Chromosomes must compare
+    as their names do; whole lines would not, as "c" + chr(1) sorts after
+    "c" but its line sorts before.
+    """
+    blocks: dict[object, tuple[list[int], list[bytes]]] = {}
+    for chroms, starts, lines in chunks:
+        if not all(map(operator.le, chroms, islice(chroms, 1, None))):
+            order = sorted(range(len(chroms)), key=chroms.__getitem__)
+            chroms, starts, lines = [list(map(column.__getitem__, order)) for column in (chroms, starts, lines)]
+        lo, n = 0, len(chroms)
+        while lo < n:
+            hi = bisect_right(chroms, chroms[lo], lo)
+            block_starts, block_lines = blocks.setdefault(chroms[lo], ([], []))
+            block_starts += starts[lo:hi]
+            block_lines += lines[lo:hi]
+            lo = hi
     merged: list[bytes] = []
     for chrom in sorted(blocks):
-        merged += _merge_runs(blocks.pop(chrom))
+        merged += _merge_block(*blocks.pop(chrom))
     return merged
 
 
-def _merge_runs(runs: list[Iterator[tuple[int, bytes]]]) -> list[bytes]:
-    """One chromosome's lines in full-tuple order, from sorted (start, line) runs.
+def _merge_block(starts: list[int], lines: list[bytes]) -> list[bytes]:
+    """One chromosome's lines in full-tuple order, given their starts.
 
     A function of its own, so that its lists are freed before the caller
     joins the output. Raises ParseError when a tied line is not one record.
     """
-    pairs = list(chain.from_iterable(runs))
-    pairs.sort(key=_PAIR_START)
-    lines = list(map(_PAIR_LINE, pairs))
-    starts = list(map(_PAIR_START, pairs))
-    del pairs
+    # list.sort calls the key once per line, in list order, before it
+    # sorts, so next() on the starts hands every line its own start
+    lines.sort(key=partial(next, iter(starts)))
+    starts.sort()
     # Lines that share a start are still to be ordered by the rest of the
     # tuple. Line i is tied when its start equals line i - 1's or i + 1's.
     # Sorted, the rows of all tied lines group by start in the groups'
@@ -307,14 +317,14 @@ def _merge_runs(runs: list[Iterator[tuple[int, bytes]]]) -> list[bytes]:
     return lines
 
 
-def split_sorted(records: list[MethRecord], w_out: int) -> list[list[MethRecord]]:
-    """Cut a sorted list into w_out near-equal record-count ranges."""
-    n = len(records)
+def split_sorted(items: list, w_out: int) -> list[list]:
+    """Cut any sorted list (records, rows or lines) into w_out near-equal count ranges."""
+    n = len(items)
     slices = []
     start = 0
     for i in range(w_out):
         count = n // w_out + (1 if i < n % w_out else 0)
-        slices.append(records[start : start + count])
+        slices.append(items[start : start + count])
         start += count
     return slices
 

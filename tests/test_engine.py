@@ -5,11 +5,13 @@ import json
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faaslab import shuffle
 from faaslab.blobstore import Blobstore, StoreMetrics, StoreProfile, VirtualClock
 from faaslab.engine import (
     VM_VOLUME_GB,
@@ -28,7 +30,15 @@ from faaslab.errors import (
     TaskError,
     ValidationError,
 )
-from faaslab.methpipe import decode_block, generate_synthetic, records_to_tsv, split_into_objects
+from faaslab.methpipe import records as records_module
+from faaslab.methpipe import (
+    MethRecord,
+    decode_block,
+    generate_synthetic,
+    records_to_tsv,
+    split_into_objects,
+    tsv_to_records,
+)
 from faaslab.perfmodel import (
     ComputeProfile,
     PriceSheet,
@@ -474,6 +484,151 @@ def test_vm_output_write_releases_each_range():
     assert len(traced) == 4
     assert traced == sorted(traced, reverse=True)
     assert traced[-1] < traced[0]
+
+
+# --- the VM's sort against the record-tuple oracle -------------------------------------
+
+def oracle_vm_outputs(objects, w):
+    """The VM's sorted/ payloads the record way: parse every object into
+    record tuples, sort them, cut w ranges and serialize each."""
+    records = []
+    for key, payload in objects:
+        records.extend(shuffle.parse_object(tsv_to_records, payload, key))
+    records.sort()
+    return [records_to_tsv(records_range) for records_range in shuffle.split_sorted(records, w)]
+
+
+def vm_sort_outcome(objects, w):
+    """The sorted/ payloads of an emulated VM sort, or its root error as
+    (type, column, reason)."""
+    store = Blobstore(FAST_STORE, clock=VirtualClock())
+    for key, payload in objects:
+        store.seed_object(key, payload)
+    spec = replace(
+        two_stage_spec(profiles(store=FAST_STORE), ExchangeStrategy.VM, w),
+        stages=(StageSpec("sort", StageKind.SORT_EXCHANGE),),
+    )
+    try:
+        run_workflow(spec, Mode.EMULATED, store=store)
+    except ExecutionError as exc:
+        while isinstance(exc, (ExecutionError, TaskError)):
+            exc = exc.cause
+        return type(exc), exc.column, exc.reason
+    return [store.get_object(key) for key, _ in store.list_prefix("sorted/sort/")]
+
+
+def oracle_outcome(objects, w):
+    try:
+        return oracle_vm_outputs(objects, w)
+    except ParseError as exc:
+        return type(exc), exc.column, exc.reason
+
+
+# Chromosomes off the ASCII fast path, and "c" + chr(1), which sorts after
+# "c" as a name while its line sorts before.
+_VM_CHROMS = ["chr1", "chr2", "chré", "染色体", "c", "c\x01"]
+
+_vm_records = st.lists(
+    st.builds(
+        lambda chrom, start, span, strand, cov, meth: MethRecord(chrom, start, start + span, strand, cov, meth),
+        chrom=st.sampled_from(_VM_CHROMS),
+        start=st.one_of(st.integers(min_value=0, max_value=30), st.just(2**64)),
+        span=st.sampled_from([1, 9, 10, 100]),
+        strand=st.sampled_from(["+", "-"]),
+        cov=st.sampled_from([0, 9, 10, 500]),
+        meth=st.sampled_from([0, 9, 10, 100]),
+    ),
+    max_size=60,
+)
+
+
+def _written(record, form, field):
+    """One record's line: canonical, with a non-canonical number in the
+    field-th numeric column, BED-style or ending in \\r."""
+    chrom, start, end, strand, cov, meth = record
+    numbers = [str(start), str(end), str(cov), str(meth)]
+    if form in ("+", "00", " "):
+        numbers[field] = form + numbers[field]
+    start_text, end_text, cov_text, meth_text = numbers
+    if form == "bed":
+        fields = [chrom, start_text, end_text, "site", "0", strand, "0", "0", "0", cov_text, meth_text]
+    else:
+        fields = [chrom, start_text, end_text, strand, cov_text, meth_text]
+    return "\t".join(fields).encode("utf-8") + (b"\r" if form == "cr" else b"")
+
+
+_FORMS = st.sampled_from(["canonical"] * 6 + ["+", "00", " ", "bed", "cr"])
+_SKIPPED = st.sampled_from([b"", b"  ", b"#chr1\t1\t2\t+\t1\t2", b"#comment"])
+_BAD = st.sampled_from([
+    b"chr1\tx\t6\t+\t1\t2",  # start
+    b"chr1\t5\t6\t+\t1",  # five columns
+    b"chr1\t5\t5\t+\t1\t2",  # end not past start
+    b"chr1\t5\t6\t+\t1\t101",  # meth_pct
+    b"\t5\t6\t+\t1\t2",  # empty chromosome
+    b"chr\xff\t5\t6\t+\t1\t2",  # not UTF-8
+    b"chr1\t5\t6\t*\t1\t2\t3",  # BED-style, bad strand
+])
+
+
+@settings(deadline=None, max_examples=150)
+@given(_vm_records, st.data())
+def test_vm_sort_matches_the_record_sort(recs, data):
+    order = data.draw(st.sampled_from(["shuffled", "presorted", "tied"]))
+    if recs:
+        recs += data.draw(st.lists(st.sampled_from(recs), max_size=10))  # duplicates
+    if order == "tied":
+        # every record on one (chromosome, start)
+        recs = [r._replace(chrom=recs[0].chrom, start=7, end=7 + r.end - r.start) for r in recs]
+    elif order == "presorted":
+        recs.sort()
+    lines = [_written(r, data.draw(_FORMS), data.draw(st.integers(0, 3))) for r in recs]
+    for extra in data.draw(st.lists(st.one_of(_SKIPPED, _SKIPPED, _BAD), max_size=3)):
+        lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines))), extra)
+    n_objects = data.draw(st.integers(min_value=1, max_value=4))
+    objects = []
+    for i in range(n_objects):
+        payload = b"\n".join(lines[i::n_objects])
+        if payload and data.draw(st.booleans()):
+            payload += b"\n"
+        objects.append((f"raw/{i:04d}", payload))
+    w = data.draw(st.sampled_from([1, 3]))
+    # chunk edges inside a chromosome's lines, a few lines per chunk
+    chunk_bytes = data.draw(st.sampled_from([records_module.CHUNK_BYTES, 64, 200]))
+    with mock.patch.object(records_module, "CHUNK_BYTES", chunk_bytes):
+        assert vm_sort_outcome(objects, w) == oracle_outcome(objects, w)
+
+
+def test_vm_sort_stage_peaks_below_the_record_sort():
+    # the VM holds each record as its line only, so its sort stage's traced
+    # peak stays under the record-tuple sort's on the same presorted input
+    objects = [
+        (f"raw/{i:04d}", payload)
+        for i, payload in enumerate(split_into_objects(generate_synthetic(20_000, seed=5), 4))
+    ]
+    store = Blobstore(FAST_STORE, clock=VirtualClock())
+    for key, payload in objects:
+        store.seed_object(key, payload)
+    spec = two_stage_spec(profiles(store=FAST_STORE), exchange=ExchangeStrategy.VM, w=4)
+    marks = {}
+
+    def start(stage, name, worker):
+        if (stage, name) == ("sort", "input_read"):
+            marks["base"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        elif stage == "enc" and "peak" not in marks:
+            marks["peak"] = tracemalloc.get_traced_memory()[1] - marks["base"]
+
+    tracemalloc.start()
+    try:
+        run_workflow(spec, Mode.EMULATED, store=store, options=EngineOptions(hooks=ExecHooks(on_task_start=start)))
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        outputs = oracle_vm_outputs(objects, 4)
+        oracle_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert outputs == [store.get_object(k) for k, _ in store.list_prefix("sorted/sort/")]
+    assert marks["peak"] < oracle_peak
 
 
 @pytest.fixture

@@ -98,7 +98,6 @@ def test_instrument_patches_existing_attributes_and_undo_restores_them():
     names = {span.name for span in tracer.spans}
     assert {
         "records.parse",
-        "records.serialize",
         "shuffle.plan",
         "shuffle.partition",
         "shuffle.merge",
