@@ -19,9 +19,9 @@ laws (`request_laws`).
 Cold start (or VM provisioning) is injected as a delay once per stage
 wave in both modes.
 
-An emulated run allocates millions of record tuples that never form
+An emulated run allocates millions of lines and ints that never form
 reference cycles, so it turns the cyclic garbage collector off while it
-runs; reference counting still frees every record once it is dropped.
+runs; reference counting still frees each one once it is dropped.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from faaslab.errors import ExecutionError, MemoryBudgetError, TaskError, Validat
 from faaslab.methpipe.codec import decode_block, encode_block, is_encoded_block, tsv_to_batches
 # perfbench/tracing.py patches records_to_tsv and tsv_to_records here
 from faaslab.methpipe.records import records_to_tsv, tsv_to_records  # noqa: F401
-from faaslab.methpipe.records import tsv_to_rows
 from faaslab.perfmodel import (
     DEFAULT_COMPRESSION_RATIO,
     CostBreakdown,
@@ -430,7 +429,8 @@ class _Run:
                         on_start(stage.id, name, worker)
                     results.append(task())
                 except BaseException as exc:
-                    raise TaskError(worker, exc, name) from exc
+                    # sampler j (task w + j) samples object j, which mapper j mod w reads
+                    raise TaskError(worker % self.resolved_w, exc, name) from exc
         finally:
             store.ops = None
         elapsed = max(replay(logs, store.profile, delay), default=delay)
@@ -492,11 +492,9 @@ class _Run:
 
         def partition(worker: int):
             nbytes = sum(len(p) for _, p in payloads[worker])
-            rows = []
-            for key, payload in payloads[worker]:
-                rows.extend(shuffle.parse_object(tsv_to_rows, payload, key))
+            lines = shuffle.sort_lines(payloads[worker])
             payloads[worker] = None
-            routed = shuffle.partition_records(rows, plan)
+            routed = shuffle.partition_records(lines, plan)
             self._charge(nbytes / compute.fn_sort_rate)
             return routed
 

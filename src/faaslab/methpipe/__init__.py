@@ -5,9 +5,7 @@ from faaslab.methpipe.records import (
     SORT_KEY,
     parse_meth_record,
     records_to_tsv,
-    rows_to_tsv,
     tsv_to_records,
-    tsv_to_rows,
 )
 from faaslab.methpipe.synth import generate_synthetic, split_into_objects
 from faaslab.methpipe.codec import (
@@ -30,9 +28,7 @@ __all__ = [
     "is_encoded_block",
     "parse_meth_record",
     "records_to_tsv",
-    "rows_to_tsv",
     "split_into_objects",
     "tsv_to_batches",
     "tsv_to_records",
-    "tsv_to_rows",
 ]

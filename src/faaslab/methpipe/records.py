@@ -20,10 +20,9 @@ back to ``parse_meth_record`` line by line (see ``tsv_to_records``).
 ``codec.tsv_to_batches`` parses the same chunks straight into encoder
 batches, without building records.
 
-``tsv_to_rows`` returns rows: those 6-tuples with the record's canonical
-line (the bytes ``record_lines`` writes for it) as a seventh field, so a
-sorted set of rows is serialized by joining lines (``rows_to_tsv``).
-``tsv_to_lines`` keeps only their chromosome, start and line columns.
+``tsv_to_lines`` parses with the same checks into each record's
+chromosome, start and canonical line (the bytes ``record_lines`` writes
+for it), which is all the sort stage keeps of a record.
 
 Sort order is (chrom, start, end, strand), compared field by field.
 Chromosome names compare in raw byte order, so "chr10" sorts before "chr2";
@@ -36,7 +35,7 @@ import operator
 import re
 import sys
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from faaslab.errors import ParseError
 
@@ -55,14 +54,6 @@ class MethRecord(NamedTuple):
 # Key for sorting records: equal keys compare equal regardless of
 # coverage or methylation percent.
 SORT_KEY = operator.itemgetter(0, 1, 2, 3)
-
-# Single-field keys, for presorting passes that compare one str or one
-# int per step (see shuffle.partition_records).
-CHROM_KEY = operator.itemgetter(0)
-START_KEY = operator.itemgetter(1)
-
-# A row's canonical line (see tsv_to_rows).
-_LINE = operator.itemgetter(6)
 
 
 def _int_field(text: str, column: int, name: str) -> int:
@@ -312,47 +303,22 @@ def _is_canonical(chunk: bytes, numbers: list[list[bytes]]) -> bool:
     )
 
 
-def _canonical_chunks(payload: bytes) -> Iterator[tuple[Sequence[Iterable], list[bytes]]]:
-    """Each parse chunk's six record columns and canonical lines.
+def tsv_to_lines(payload: bytes) -> list[tuple[list[str], list[int], list[bytes]]]:
+    """Per parse chunk, its records' chromosomes, starts and canonical lines.
 
-    The columns are those tsv_to_records parses. A batch chunk whose lines
-    are already canonical keeps its own line bytes; every other chunk is
-    serialized with record_lines.
+    The records, and the ParseError on bad input, are those tsv_to_records
+    parses. A batch chunk whose lines are already canonical keeps its own
+    line bytes; every other chunk is serialized with record_lines.
     """
+    out = []
     for chunk in _chunks(payload):
         parsed = _parse_chunk(chunk)
         if parsed is not None and _is_canonical(chunk, parsed.numbers):
             lines = chunk.split(b"\n")
             lines.pop()
-            yield parsed.columns(), lines
+            columns = parsed.columns()
+            out.append((list(columns[0]), columns[1], lines))
         else:
             records = _parse_lines(chunk) if parsed is None else list(zip(*parsed.columns()))
-            yield tuple(zip(*records)) or ((),) * 6, record_lines(records)
-
-
-def tsv_to_rows(payload: bytes) -> list[tuple]:
-    """Parse a TSV payload into rows ``(*record, line)``.
-
-    ``record`` is what tsv_to_records returns and ``line`` is its
-    canonical line, the bytes record_lines writes for it (see
-    `_canonical_chunks`). Rows sort exactly as their records: ``line``
-    is a function of the six fields, so it only breaks ties between
-    identical records, whose lines are identical.
-    """
-    out: list[tuple] = []
-    for columns, lines in _canonical_chunks(payload):
-        out.extend(zip(*columns, lines))
+            out.append(([r[0] for r in records], [r[1] for r in records], record_lines(records)))
     return out
-
-
-def tsv_to_lines(payload: bytes) -> list[tuple[list[str], Sequence[int], list[bytes]]]:
-    """Per parse chunk, the chromosomes, starts and lines of tsv_to_rows' rows."""
-    return [(list(columns[0]), columns[1], lines) for columns, lines in _canonical_chunks(payload)]
-
-
-def rows_to_tsv(rows: Iterable[tuple]) -> bytes:
-    """Join rows' lines; equals records_to_tsv of the rows' records."""
-    lines = list(map(_LINE, rows))
-    if not lines:
-        return b""
-    return b"\n".join(lines) + b"\n"

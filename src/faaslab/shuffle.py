@@ -4,21 +4,19 @@ Serverless path: sample every input object's head, derive
 range-partition boundaries, have each of w mappers sort and write one
 fragment object per reducer (w*w objects through the store), then let
 each reducer merge its w sorted fragments into one sorted output. A
-mapper parses its input into rows (`tsv_to_rows`), sorts them by start,
-then stably by chromosome, then by the full tuple (see
-`partition_records`): the first two passes compare single ints and
-single strings on CPython's fast paths, so the last pass meets an
-almost sorted list. Its fragments join the rows' canonical lines, so no
-record is serialized again. A reducer does not parse its fragments
-again: it merges their lines on (chromosome, start) and parses in full
-only the lines that share both. A fragment that no mapper writes falls
-back to the reference merge, which parses and sorts every fragment's
-rows (see `merge_fragments`).
+mapper parses its input into canonical lines and orders them with
+`sort_lines`, then cuts them at the plan's boundaries
+(`partition_records`); its fragments join those lines, so no record is
+serialized again. A reducer does not parse its fragments again: it
+merges their lines on (chromosome, start) and parses in full only the
+lines that share both. A fragment that no mapper writes falls back to
+`sort_lines`, which parses every fragment in full (see
+`merge_fragments`).
 
-VM path: gather every input object into one machine, parse each into
-canonical lines with the checks of `tsv_to_rows`, order them with the
-reducer's line merge (`sort_lines`) and cut them into w_out ranges for
-the encode stage; no record tuple outlives its parse chunk.
+VM path: gather every input object into one machine, order their
+canonical lines with `sort_lines` and cut them into w_out ranges for the
+encode stage; no record tuple outlives its parse chunk. Every sort here
+is the one line merge, `_merge_lines`.
 
 Partition objects follow the stable naming template
 ``part/<stage-id>/<mapper>-<reducer>``; sorted outputs are
@@ -40,16 +38,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 from faaslab.blobstore import Session
 from faaslab.errors import DomainError, MissingPartition, NotFound, ParseError
 from faaslab.methpipe.records import (
-    CHROM_KEY,
     SORT_KEY,
-    START_KEY,
     _chunks,
     _split_fields,
+    record_lines,
     records_to_tsv,  # noqa: F401 -- perfbench/tracing.py patches it here
-    rows_to_tsv,
     tsv_to_lines,
     tsv_to_records,
-    tsv_to_rows,
 )
 
 SortKeyT = tuple[str, int, int, str]
@@ -141,34 +136,32 @@ def sample_object(
     return [SORT_KEY(record) for record in parse_object(tsv_to_records, complete, key)]
 
 
-def partition_records(rows: Iterable[tuple], plan: ShufflePlan) -> list[bytes]:
-    """Split rows (see `tsv_to_rows`) into w sorted fragment payloads by key range.
+def partition_records(lines: list[bytes], plan: ShufflePlan) -> list[bytes]:
+    """Cut sorted canonical lines (see `sort_lines`) into w fragment payloads by key range.
 
-    Sorts, then cuts the sorted list at each boundary; bisect_right
-    keeps a key equal to a boundary in the lower range. A fragment's
-    payload joins its rows' lines.
-
-    The sort is three stable passes: by start, by chromosome, then by the
-    full tuple. The first two compare one int or one str per step, which
-    CPython's sort does without rich comparisons, and leave the rows in
-    (chrom, start) order. The tuple pass then costs n - 1 comparisons
-    where no two rows share (chrom, start), and orders the rows that do
-    by end, strand, coverage, meth_pct and line, so the result equals
-    ``sorted(rows)``; it stays because the first two passes alone would
-    leave such ties in input order.
+    bisect_right keeps a key equal to a boundary in the lower range, and
+    parses only the lines it probes, about log2(len(lines)) per boundary.
     """
-    ordered = sorted(rows, key=START_KEY)
-    ordered.sort(key=CHROM_KEY)
-    ordered.sort()
     fragments = []
     lo = 0
     for boundary in plan.boundaries:
-        hi = bisect_right(ordered, boundary, lo, key=SORT_KEY)
-        fragments.append(rows_to_tsv(ordered[lo:hi]))
+        hi = bisect_right(lines, boundary, lo, key=_line_key)
+        fragments.append(_join_lines(lines[lo:hi]))
         lo = hi
-    fragments.append(rows_to_tsv(ordered[lo:]))
+    fragments.append(_join_lines(lines[lo:]))
     fragments.extend(b"" for _ in range(plan.w - len(fragments)))
     return fragments
+
+
+def _line_key(line: bytes) -> SortKeyT:
+    """The sort key of a canonical line."""
+    chrom, start, end, strand, _ = line.split(b"\t", 4)
+    return chrom.decode("utf-8"), int(start), int(end), strand.decode("ascii")
+
+
+def _join_lines(lines: list[bytes]) -> bytes:
+    """The payload of lines: each one ends with a newline."""
+    return b"\n".join(lines) + b"\n" if lines else b""
 
 
 def write_fragments(
@@ -209,28 +202,24 @@ def merge_fragments(fragments: list[tuple[str, bytes]]) -> bytes:
     `_merge_lines`, making only the checks listed there.
 
     A fragment that fails a check, or whose tied lines do not parse as one
-    record each, is no mapper's output: then the merge parses every
-    fragment with `tsv_to_rows` and sorts the rows, so a malformed line
-    raises ParseError naming its fragment's key. Either way the result
-    equals ``rows_to_tsv(sorted(rows))`` of the fragments' rows.
+    record each, is no mapper's output: then the fragments are sorted as
+    the VM sorts its input, with `sort_lines`, whose full parse raises a
+    ParseError naming the fragment's key on a malformed line. On mapper
+    output both ways give the same lines.
     """
     try:
         merged = _merge_lines(_fragment_chunks(payload for _, payload in fragments))
     except (ValueError, ParseError):
-        rows: list[tuple] = []
-        for key, payload in fragments:
-            rows += parse_object(tsv_to_rows, payload, key)
-        rows.sort()
-        return rows_to_tsv(rows)
-    if not merged:
-        return b""
-    return b"\n".join(merged) + b"\n"
+        merged = sort_lines(fragments)
+    return _join_lines(merged)
 
 
 def sort_lines(objects: list[tuple[str, bytes]]) -> list[bytes]:
-    """The VM's sort: the (key, payload) objects' canonical lines in full-tuple order.
+    """The (key, payload) objects' canonical lines in full-tuple order.
 
-    A malformed line raises the ParseError tsv_to_records raises, naming its object.
+    The sort of the VM, of each mapper and of the reducer's fallback. A
+    malformed line raises the ParseError tsv_to_records raises, naming its
+    object.
     """
     return _merge_lines(
         chunk for key, payload in objects for chunk in parse_object(tsv_to_lines, payload, key)
@@ -261,14 +250,14 @@ def _merge_lines(chunks: Iterable[tuple[Sequence, Sequence[int], list[bytes]]]) 
     on its checks only: every line has 6 tab-separated fields, no ``\\r``,
     a chromosome that is neither empty nor a comment and an integer start
     (ValueError otherwise); tied lines must parse (ParseError otherwise).
-    The VM's chunks come from `tsv_to_lines`, whose full parse adds every
-    other check of `tsv_to_records` and makes each line canonical.
+    `sort_lines`' chunks come from `tsv_to_lines`, whose full parse adds
+    every other check of `tsv_to_records` and makes each line canonical.
 
-    Chunks may come in any order: one out of chromosome order (VM input)
-    is grouped by a stable sort on its chromosomes, which a chunk in order
-    skips. A chromosome's blocks keep chunk order. Chromosomes must compare
-    as their names do; whole lines would not, as "c" + chr(1) sorts after
-    "c" but its line sorts before.
+    Chunks may come in any order: one out of chromosome order (unsorted
+    input) is grouped by a stable sort on its chromosomes, which a chunk
+    in order skips. A chromosome's blocks keep chunk order. Chromosomes
+    must compare as their names do; whole lines would not, as "c" + chr(1)
+    sorts after "c" but its line sorts before.
     """
     blocks: dict[object, tuple[list[int], list[bytes]]] = {}
     for chroms, starts, lines in chunks:
@@ -300,25 +289,25 @@ def _merge_block(starts: list[int], lines: list[bytes]) -> list[bytes]:
     starts.sort()
     # Lines that share a start are still to be ordered by the rest of the
     # tuple. Line i is tied when its start equals line i - 1's or i + 1's.
-    # Sorted, the rows of all tied lines group by start in the groups'
-    # order, so the k-th row's line goes to the k-th tied place.
+    # Sorted, the records of all tied lines group by start in the groups'
+    # order, so the k-th record's line goes to the k-th tied place.
     shared = list(map(operator.eq, starts, islice(starts, 1, None)))
     del starts
     if True in shared:
         before, after = chain((False,), shared), chain(shared, (False,))
         tied = list(compress(count(), map(operator.or_, before, after)))
         del shared
-        rows = tsv_to_rows(b"\n".join(map(lines.__getitem__, tied)))
-        if len(rows) != len(tied):
+        records = tsv_to_records(b"\n".join(map(lines.__getitem__, tied)))
+        if len(records) != len(tied):
             raise ParseError(1, "a tied line is blank or a comment")
-        rows.sort()
-        for i, row in zip(tied, rows):
-            lines[i] = row[6]
+        records.sort()
+        for i, line in zip(tied, record_lines(records)):
+            lines[i] = line
     return lines
 
 
-def split_sorted(items: list, w_out: int) -> list[list]:
-    """Cut any sorted list (records, rows or lines) into w_out near-equal count ranges."""
+def split_sorted(items: list[bytes], w_out: int) -> list[list[bytes]]:
+    """Cut sorted lines into w_out near-equal count ranges."""
     n = len(items)
     slices = []
     start = 0

@@ -1,16 +1,23 @@
 """CLI tests: flags, exit codes, JSON output, progress stream."""
 
+import io
 import json
 import math
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faaslab import cli, engine
+from faaslab.blobstore import Blobstore
 from faaslab.cli import _build_run_store, main
 from faaslab.engine import ExecHooks, Mode, request_laws, run_workflow
-from faaslab.methpipe import generate_synthetic, split_into_objects
+from faaslab.errors import FaaslabError
+from faaslab.methpipe import generate_synthetic, records_to_tsv, split_into_objects
 from faaslab.perfmodel import builtin_profiles, profiles_to_dict
 from faaslab.report import parse_report, report_to_json
 from faaslab.workflow import (
@@ -703,3 +710,52 @@ def test_run_reserved_input_prefix_exit_2(tmp_path, capsys, prefix):
     assert code == 2
     assert "reserved" in err
     assert not store.exists()
+
+
+_SOUND_TSV = records_to_tsv(generate_synthetic(40, seed=31, shuffled=True))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.lists(
+        st.one_of(
+            st.binary(max_size=200),
+            st.integers(min_value=0, max_value=len(_SOUND_TSV)).map(lambda n: _SOUND_TSV[:n]),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+def test_run_emulate_hostile_input_exits_1_or_2_without_traceback(payloads, w):
+    # arbitrary bytes as input objects: `run --mode emulate` exits 0 exactly
+    # when the engine run on the same objects succeeds, else 1 or 2, and
+    # never lets an exception out
+    doc = dict(PAPER_DOC, input={"bucket": "data", "prefix": "raw/"}, parallelism=w)
+    doc["profiles"] = profiles_to_dict(builtin_profiles("desk-v1"))
+    with tempfile.TemporaryDirectory() as tmp:
+        wf = Path(tmp) / "wf.json"
+        wf.write_text(json.dumps(doc))
+        bucket = Path(tmp) / "s" / "data"
+        bucket.mkdir(parents=True)
+        for i, payload in enumerate(payloads):
+            (bucket / f"raw%2F{i:04d}").write_bytes(payload)
+        for exchange in ExchangeStrategy:
+            spec = with_exchange(parse_workflow(json.dumps(doc)), exchange)
+            store = Blobstore(spec.profiles.store, bucket="data")
+            for i, payload in enumerate(payloads):
+                store.seed_object(f"raw/{i:04d}", payload)
+            try:
+                run_workflow(spec, Mode.EMULATED, store=store)
+                engine_ok = True
+            except FaaslabError:
+                engine_ok = False
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(
+                    ["run", "--workflow", str(wf), "--mode", "emulate", "--store",
+                     str(Path(tmp) / "s"), "--exchange", exchange.value]
+                )
+            assert code in (0, 1, 2)
+            assert (code == 0) == engine_ok, err.getvalue()
+            assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -266,16 +266,21 @@ def test_run_workflow_wraps_stage_failure():
 
 
 @pytest.mark.parametrize(
-    "exchange, worker, phase",
-    [(ExchangeStrategy.SERVERLESS, 4, "input_read"), (ExchangeStrategy.VM, 0, "sort_compute")],
-    ids=["sampler", "vm"],
+    "exchange, bad, worker, phase",
+    [
+        (ExchangeStrategy.SERVERLESS, 0, 0, "input_read"),
+        (ExchangeStrategy.SERVERLESS, 2, 2, "input_read"),
+        (ExchangeStrategy.VM, 0, 0, "sort_compute"),
+    ],
+    ids=["sampler", "sampler-of-object-2", "vm"],
 )
-def test_parse_error_names_stage(exchange, worker, phase):
-    # serverless: object 0's sampler (worker w + 0) parses the bad line
-    # first and names the object; VM: the one VM task parses it in
+def test_parse_error_names_stage(exchange, bad, worker, phase):
+    # serverless: object `bad`'s sampler parses the bad line first, names
+    # the object and is named as the mapper that reads the object (with 4
+    # objects and w = 4, mapper `bad`); VM: the one VM task parses it in
     # sort_compute
     payloads = split_into_objects(generate_synthetic(2000, seed=18, shuffled=True), 4)
-    payloads[0] = b"chr1\tx\t5\t+\t1\t2\n" + payloads[0]
+    payloads[bad] = b"chr1\tx\t5\t+\t1\t2\n" + payloads[bad]
     store = Blobstore(DESK_STORE, clock=VirtualClock())
     for i, payload in enumerate(payloads):
         store.seed_object(f"raw/{i:04d}", payload)
@@ -287,7 +292,7 @@ def test_parse_error_names_stage(exchange, worker, phase):
     assert err.value.cause.phase == phase
     assert isinstance(err.value.cause.cause, ParseError)
     if phase == "input_read":
-        assert "raw/0000" in str(err.value)
+        assert f"raw/{bad:04d}" in str(err.value)
     assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
 
 

@@ -26,14 +26,13 @@ from faaslab.methpipe import (
     generate_synthetic,
     parse_meth_record,
     records_to_tsv,
-    rows_to_tsv,
     split_into_objects,
     tsv_to_records,
-    tsv_to_rows,
 )
 from faaslab.methpipe import records as records_module
 from faaslab.methpipe.codec import MAGIC
-from faaslab.methpipe.records import CHUNK_BYTES, record_lines
+from faaslab.methpipe.records import CHUNK_BYTES, record_lines, tsv_to_lines
+from faaslab.shuffle import sort_lines
 
 
 # --- parsing ---------------------------------------------------------------
@@ -434,7 +433,7 @@ def test_tsv_matches_line_oracle(insertions, trailing_newline):
         assert got == expected
 
 
-# --- rows: records with their canonical line ------------------------------------
+# --- lines: each record's chromosome, start and canonical line ------------------
 
 def _written(n: int, form: str) -> str:
     """n as int() reads it; only "plain" is how record_lines writes it."""
@@ -462,7 +461,7 @@ def _record_line(draw):
         cols = [chrom, numbers[0], numbers[1], strand, numbers[2], numbers[3]]
     return "\t".join(cols).encode()
 
-_rows_line = st.one_of(
+_any_line = st.one_of(
     _record_line(),
     _record_line(),
     _record_line(),
@@ -475,14 +474,22 @@ def _outcome(parse, payload):
     except ParseError as exc:
         return "error", (exc.column, exc.reason)
 
+def _lines_outcome(payload):
+    """tsv_to_lines' chunks as three flat columns: chromosomes, starts, lines."""
+    got = _outcome(tsv_to_lines, payload)
+    if got[0] == "error":
+        return got
+    assert all(len(chroms) == len(starts) == len(lines) for chroms, starts, lines in got[1])
+    return "ok", [[item for chunk in got[1] for item in chunk[column]] for column in range(3)]
+
 @settings(deadline=None, max_examples=150)
 @given(
-    st.lists(st.tuples(_rows_line, st.sampled_from([b"\n", b"\n", b"\r\n"])), max_size=40),
+    st.lists(st.tuples(_any_line, st.sampled_from([b"\n", b"\n", b"\r\n"])), max_size=40),
     st.one_of(st.none(), st.tuples(st.integers(min_value=0, max_value=40), _hostile_line)),
     st.booleans(),
     st.sampled_from([1, 60, 400, CHUNK_BYTES]),
 )
-def test_rows_match_records_and_serialize_identically(lines, bad, trailing_newline, chunk_bytes):
+def test_lines_match_records_and_serialize_identically(lines, bad, trailing_newline, chunk_bytes):
     body = [line + end for line, end in lines]
     if bad is not None:
         body.insert(bad[0], bad[1] + b"\n")
@@ -491,15 +498,18 @@ def test_rows_match_records_and_serialize_identically(lines, bad, trailing_newli
         payload = payload[:-1]
     with mock.patch.object(records_module, "CHUNK_BYTES", chunk_bytes):
         expected = _outcome(tsv_to_records, payload)
-        got = _outcome(tsv_to_rows, payload)
+        got = _lines_outcome(payload)
+        ordered = _outcome(lambda p: sort_lines([("raw/0", p)]), payload)
     if expected[0] == "error":
         assert got == expected
+        assert ordered[0] == "error" and ordered[1][0] == expected[1][0]
+        assert ordered[1][1] == expected[1][1] + " in object 'raw/0'"
         return
-    assert got[0] == "ok"
-    records, rows = expected[1], got[1]
-    assert [row[:6] for row in rows] == records
-    assert rows_to_tsv(rows) == records_to_tsv(records)
-    assert rows_to_tsv(sorted(rows)) == records_to_tsv(sorted(records))
+    records, (chroms, starts, lines) = expected[1], got[1]
+    assert chroms == [r[0] for r in records]
+    assert starts == [r[1] for r in records]
+    assert b"".join(line + b"\n" for line in lines) == records_to_tsv(records)
+    assert b"".join(line + b"\n" for line in ordered[1]) == records_to_tsv(sorted(records))
 
 @pytest.mark.parametrize("text", ["+7", "007", " 7", "7_0", "1e2"])
 @pytest.mark.parametrize("column", [5, 6])
@@ -513,10 +523,11 @@ def test_small_int_columns_parse_as_line_parser(text, column):
         lambda p: [tuple(parse_meth_record(line)) for line in p.decode().splitlines()], payload
     )
     assert _outcome(tsv_to_records, payload) == expected
-    rows = _outcome(tsv_to_rows, payload)
+    got = _lines_outcome(payload)
     if expected[0] == "error":
-        assert rows == expected
+        assert got == expected
     else:
-        assert [row[:6] for row in rows[1]] == expected[1]
-        assert rows_to_tsv(rows[1]) == records_to_tsv(expected[1])
+        chroms, starts, lines = got[1]
+        assert (chroms, starts) == ([r[0] for r in expected[1]], [r[1] for r in expected[1]])
+        assert b"".join(line + b"\n" for line in lines) == records_to_tsv(expected[1])
 

@@ -16,10 +16,8 @@ from faaslab.methpipe import (
     MethRecord,
     generate_synthetic,
     records_to_tsv,
-    rows_to_tsv,
     split_into_objects,
     tsv_to_records,
-    tsv_to_rows,
 )
 from faaslab.methpipe.records import CHUNK_BYTES, SORT_KEY
 from faaslab.perfmodel import builtin_profiles
@@ -31,6 +29,7 @@ from faaslab.shuffle import (
     plan_partitions,
     read_fragments,
     sample_object,
+    sort_lines,
     split_sorted,
     write_fragments,
 )
@@ -43,14 +42,14 @@ def fast_store():
     return Blobstore(StoreProfile(0.0, INF, INF, INF), clock=VirtualClock())
 
 
-def rows_of(records):
-    """Rows of records, as a mapper parses them from its input."""
-    return tsv_to_rows(records_to_tsv(records))
+def lines_of(records):
+    """The sorted canonical lines of records, as a mapper sorts its input."""
+    return sort_lines([("raw/0", records_to_tsv(records))])
 
 
 def map_side(records, plan, mapper, session, stage):
-    """One mapper of the all-to-all exchange: partition, then write w fragments."""
-    write_fragments(partition_records(rows_of(records), plan), stage, mapper, session)
+    """One mapper of the all-to-all exchange: sort, partition, then write w fragments."""
+    write_fragments(partition_records(lines_of(records), plan), stage, mapper, session)
 
 
 def keyed(payloads, reducer=0):
@@ -147,7 +146,7 @@ def test_closed_upper_boundary_tie_rule():
 def test_partition_records_respects_ranges_and_sorts():
     records = [rec("chr1", n) for n in (30, 10, 50, 20, 40)]
     plan = plan_partitions([SORT_KEY(r) for r in records], 2)
-    payloads = partition_records(rows_of(records), plan)
+    payloads = partition_records(lines_of(records), plan)
     fragments = [tsv_to_records(p) for p in payloads]
     assert len(fragments) == 2
     for fragment, payload in zip(fragments, payloads):
@@ -178,7 +177,7 @@ def test_partition_permutation_law(records, w):
     if w > 1 and not records:
         return
     plan = plan_partitions([SORT_KEY(r) for r in records], w) if records else ShufflePlan(1, ())
-    payloads = partition_records(rows_of(records), plan)
+    payloads = partition_records(lines_of(records), plan)
     fragments = [tsv_to_records(p) for p in payloads]
     assert len(fragments) == plan.w
     assert sorted(r for f in fragments for r in f) == sorted(records)
@@ -378,7 +377,7 @@ def test_partition_matches_route_then_sort_reference(records, data):
         reference[bisect.bisect_left(plan.boundaries, SORT_KEY(r))].append(r)
     for fragment in reference:
         fragment.sort()
-    payloads = partition_records(rows_of(records), plan)
+    payloads = partition_records(lines_of(records), plan)
     assert [tsv_to_records(p) for p in payloads] == reference
     assert payloads == [records_to_tsv(f) for f in reference]
 
@@ -400,7 +399,7 @@ def test_merge_fragment_without_final_newline_or_empty():
     assert merge_fragments(keyed([b"", b""])) == b""
 
 
-# Rows off CPython's sort fast paths: starts past one int digit (2**30) and
+# Records off CPython's sort fast paths: starts past one int digit (2**30) and
 # past 64 bits, chromosome names outside Latin-1, (chrom, start) ties that
 # differ only in a later field, and exact duplicates.
 _off_fast_path_records = st.lists(
@@ -420,7 +419,7 @@ _off_fast_path_records = st.lists(
     max_size=120,
 )
 
-# Rows that tie on (chrom, start) and differ in an end, coverage or
+# Records that tie on (chrom, start) and differ in an end, coverage or
 # meth_pct written with a different number of digits (9 and 10), so the
 # order of their lines is not the order of their tuples; "c" sorts before
 # "c\x01" as a name, but its line ("c\t...") sorts after.
@@ -464,11 +463,41 @@ def test_partition_matches_sort_then_route_off_fast_paths(records, data):
     keys = sorted({SORT_KEY(r) for r in records} | {("chr1", 2**30, 2**30 + 1, "+")})
     boundaries = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=6).map(sorted))
     plan = ShufflePlan(len(boundaries) + data.draw(st.integers(min_value=1, max_value=2)), tuple(boundaries))
-    rows = rows_of(records)
     reference = [[] for _ in range(plan.w)]
-    for row in sorted(rows):
-        reference[plan.range_of(SORT_KEY(row))].append(row)
-    assert partition_records(rows, plan) == [rows_to_tsv(fragment) for fragment in reference]
+    for r in sorted(records):
+        reference[plan.range_of(SORT_KEY(r))].append(r)
+    assert partition_records(lines_of(records), plan) == [records_to_tsv(fragment) for fragment in reference]
+
+@pytest.mark.parametrize("boundary_end, boundary_strand", [(12, "+"), (12, "-"), (11, "-"), (13, "+")])
+def test_partition_splits_lines_tied_with_a_boundary(boundary_end, boundary_strand):
+    # lines that share (chromosome, start) with the boundary fall on either
+    # side of it by end and strand, so the cut must read both
+    records = [
+        MethRecord("chr1", 10, end, strand, cov, 5)
+        for end in (11, 12, 13)
+        for strand in "+-"
+        for cov in (3, 1)
+    ] + [rec("chr1", 9), rec("chr1", 11), rec("chr0", 10), rec("chr2", 10)]
+    boundary = ("chr1", 10, boundary_end, boundary_strand)
+    low = sorted(r for r in records if SORT_KEY(r) <= boundary)
+    high = sorted(r for r in records if SORT_KEY(r) > boundary)
+    assert any(r[:2] == ("chr1", 10) for r in low) and any(r[:2] == ("chr1", 10) for r in high)
+    plan = ShufflePlan(3, (boundary,))
+    assert partition_records(lines_of(records), plan) == [records_to_tsv(low), records_to_tsv(high), b""]
+
+def test_partition_fragments_hold_canonical_lines_of_non_canonical_input():
+    payload = (
+        b"chr1\t007\t8\t+\t01\t+5\n"
+        b"chr1\t+7\t9\t-\t2\t 6\n"
+        b"chr1\t3\t4\t.\t0\t-\t0\t0\t0\t+9\t010\n"
+        b"chr2\t 1\t2\t+\t1_0\t7\n"
+    )
+    records = sorted(tsv_to_records(payload))
+    plan = ShufflePlan(2, (("chr1", 7, 8, "+"),))
+    reference = [[r for r in records if plan.range_of(SORT_KEY(r)) == i] for i in range(2)]
+    fragments = partition_records(sort_lines([("raw/0", payload)]), plan)
+    assert fragments == [records_to_tsv(fragment) for fragment in reference]
+    assert fragments[0] == b"chr1\t3\t4\t-\t9\t10\nchr1\t7\t8\t+\t1\t5\n"
 
 # Lines no mapper writes: comments, blank and whitespace-only lines,
 # BED-style lines of 7 to 11 columns (strand in column 6, coverage and
@@ -492,15 +521,14 @@ _foreign_lines = st.one_of(
 @settings(deadline=None, max_examples=100)
 @given(st.lists(st.one_of(_off_fast_path_records, _tied_records), min_size=1, max_size=4), st.data())
 def test_partition_then_merge_equals_sorted_rows(per_mapper, data):
-    rows = [rows_of(records) for records in per_mapper]
-    everything = sorted(row for mapper_rows in rows for row in mapper_rows)
-    keys = sorted({SORT_KEY(row) for row in everything} | {("c", 1, 11, "+")})
+    everything = sorted(r for records in per_mapper for r in records)
+    keys = sorted({SORT_KEY(r) for r in everything} | {("c", 1, 11, "+")})
     boundaries = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=4).map(sorted))
     plan = ShufflePlan(len(boundaries) + 1, tuple(boundaries))
-    fragments = [partition_records(mapper_rows, plan) for mapper_rows in rows]
+    fragments = [partition_records(lines_of(records), plan) for records in per_mapper]
     reference = [[] for _ in range(plan.w)]
-    for row in everything:
-        reference[plan.range_of(SORT_KEY(row))].append(row)
+    for r in everything:
+        reference[plan.range_of(SORT_KEY(r))].append(r)
     for line in data.draw(st.lists(_foreign_lines, max_size=4)):
         # into one fragment, at a line boundary
         mapper = data.draw(st.integers(min_value=0, max_value=len(fragments) - 1))
@@ -508,9 +536,9 @@ def test_partition_then_merge_equals_sorted_rows(per_mapper, data):
         lines = fragments[mapper][reducer].split(b"\n")[:-1]
         lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines))), line)
         fragments[mapper][reducer] = b"\n".join(lines) + b"\n"
-        reference[reducer] += tsv_to_rows(line)
+        reference[reducer] += tsv_to_records(line)
     merged = [merge_fragments(keyed([f[reducer] for f in fragments], reducer)) for reducer in range(plan.w)]
-    assert merged == [rows_to_tsv(sorted(reducer_rows)) for reducer_rows in reference]
+    assert merged == [records_to_tsv(sorted(reducer_records)) for reducer_records in reference]
 
 @pytest.mark.parametrize(
     "bad, column",
