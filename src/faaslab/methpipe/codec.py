@@ -316,7 +316,7 @@ def tsv_to_batches(payload: bytes) -> Batches:
         else:
             strands = b"".join(parsed.raw_strands)
             columns = [parsed.raw_chroms, parsed.starts, parsed.ends, strands.decode(),
-                       parsed.coverages, parsed.meths]
+                       *parsed.columns()[4:]]
             extra = {"bits": strands.translate(_STRAND_BITS), "name": parsed.names.__getitem__}
         if columns and unsorted is None:
             try:

@@ -22,7 +22,9 @@ batches, without building records.
 
 ``tsv_to_lines`` parses with the same checks into each record's
 chromosome, start and canonical line (the bytes ``record_lines`` writes
-for it), which is all the sort stage keeps of a record.
+for it). The sort stage keeps only the line and the start, packed into
+8 bytes. A batch chunk converts and checks each distinct coverage and
+meth_pct text once, and maps those two columns only when read.
 
 Sort order is (chrom, start, end, strand), compared field by field.
 Chromosome names compare in raw byte order, so "chr10" sorts before "chr2";
@@ -172,8 +174,8 @@ class _Chunk(NamedTuple):
     raw_strands: list[bytes]
     starts: list[int]
     ends: list[int]
-    coverages: list[int]
-    meths: list[int]
+    coverage_of: dict[bytes, int]  # distinct coverage text -> int; mapped by columns()
+    meth_of: dict[bytes, int]  # distinct meth_pct text -> int
 
     def columns(self) -> tuple:
         """The six record columns, in MethRecord field order."""
@@ -182,8 +184,8 @@ class _Chunk(NamedTuple):
             self.starts,
             self.ends,
             map(_STRAND_TEXT.__getitem__, self.raw_strands),
-            self.coverages,
-            self.meths,
+            map(self.coverage_of.__getitem__, self.numbers[2]),
+            map(self.meth_of.__getitem__, self.numbers[3]),
         )
 
 
@@ -233,23 +235,20 @@ def _parse_chunk(chunk: bytes) -> _Chunk | None:
     numbers = [fields[1::6], fields[2::6], fields[4::6], fields[5::6]]
     try:
         starts, ends = [list(map(int, column)) for column in numbers[:2]]
-        # Coverage and meth_pct repeat few values per chunk: convert each
-        # distinct one once, and let records share the ints.
-        coverages, meths = [
-            list(map({raw: int(raw) for raw in set(column)}.__getitem__, column))
-            for column in numbers[2:]
-        ]
+        # Coverage and meth_pct repeat few values per chunk: convert and
+        # check each distinct one once, and let records share the ints.
+        coverage_of, meth_of = [{raw: int(raw) for raw in set(column)} for column in numbers[2:]]
     except ValueError:
         return None
     if (
         min(starts) < 0
-        or min(coverages) < 0
-        or min(meths) < 0
-        or max(meths) > 100
+        or min(coverage_of.values()) < 0
+        or min(meth_of.values()) < 0
+        or max(meth_of.values()) > 100
         or any(map(operator.le, ends, starts))
     ):
         return None
-    return _Chunk(numbers, raw_chroms, names, raw_strands, starts, ends, coverages, meths)
+    return _Chunk(numbers, raw_chroms, names, raw_strands, starts, ends, coverage_of, meth_of)
 
 
 def _parse_lines(chunk: bytes) -> list[tuple]:
@@ -290,17 +289,15 @@ def tsv_to_records(payload: bytes) -> list[tuple]:
 _LEADING_ZERO = re.compile(rb"\t0[0-9]")
 
 
-def _is_canonical(chunk: bytes, numbers: list[list[bytes]]) -> bool:
+def _is_canonical(chunk: bytes, parsed: _Chunk) -> bool:
     """Whether a batch-parsed chunk's lines are the ones record_lines writes.
 
     Chrom and strand bytes always are. A number is when it is plain ASCII
     digits without a leading zero; int() also accepts "+7", " 7", "7_0"
-    and "007".
+    and "007". Coverage and meth_pct are checked once per distinct text.
     """
-    return (
-        all(b"".join(column).isdigit() for column in numbers)
-        and _LEADING_ZERO.search(chunk) is None
-    )
+    texts = (*parsed.numbers[:2], parsed.coverage_of, parsed.meth_of)
+    return all(b"".join(column).isdigit() for column in texts) and _LEADING_ZERO.search(chunk) is None
 
 
 def tsv_to_lines(payload: bytes) -> list[tuple[list[str], list[int], list[bytes]]]:
@@ -313,7 +310,7 @@ def tsv_to_lines(payload: bytes) -> list[tuple[list[str], list[int], list[bytes]
     out = []
     for chunk in _chunks(payload):
         parsed = _parse_chunk(chunk)
-        if parsed is not None and _is_canonical(chunk, parsed.numbers):
+        if parsed is not None and _is_canonical(chunk, parsed):
             lines = chunk.split(b"\n")
             lines.pop()
             columns = parsed.columns()

@@ -29,6 +29,7 @@ same input.
 from __future__ import annotations
 
 import operator
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -243,7 +244,13 @@ def _fragment_chunks(payloads: Iterable[bytes]) -> Iterator[tuple]:
             yield chroms, starts, chunk.split(b"\n")
 
 
-def _merge_lines(chunks: Iterable[tuple[Sequence, Sequence[int], list[bytes]]]) -> list[bytes]:
+class _IntStarts(list):
+    """A block's starts once one is outside int64: ints, filled as an array is."""
+
+    fromlist = list.extend
+
+
+def _merge_lines(chunks: Iterable[tuple[Sequence, list[int], list[bytes]]]) -> list[bytes]:
     """Lines in full-tuple order, from (chromosomes, starts, lines) chunks.
 
     The reducer's chunks come from `_fragment_chunks`, and the merge relies
@@ -258,8 +265,12 @@ def _merge_lines(chunks: Iterable[tuple[Sequence, Sequence[int], list[bytes]]]) 
     in order skips. A chromosome's blocks keep chunk order. Chromosomes
     must compare as their names do; whole lines would not, as "c" + chr(1)
     sorts after "c" but its line sorts before.
+
+    A block packs its starts into an int64 array, 8 bytes a line, not an
+    int object. From a start outside int64 (2**63 or more, or a reducer's
+    huge negative) on, it keeps ints; a failed fromlist adds nothing.
     """
-    blocks: dict[object, tuple[list[int], list[bytes]]] = {}
+    blocks: dict[object, list] = {}
     for chroms, starts, lines in chunks:
         if not all(map(operator.le, chroms, islice(chroms, 1, None))):
             order = sorted(range(len(chroms)), key=chroms.__getitem__)
@@ -267,9 +278,13 @@ def _merge_lines(chunks: Iterable[tuple[Sequence, Sequence[int], list[bytes]]]) 
         lo, n = 0, len(chroms)
         while lo < n:
             hi = bisect_right(chroms, chroms[lo], lo)
-            block_starts, block_lines = blocks.setdefault(chroms[lo], ([], []))
-            block_starts += starts[lo:hi]
-            block_lines += lines[lo:hi]
+            block = blocks.setdefault(chroms[lo], [array("q"), []])
+            try:
+                block[0].fromlist(starts[lo:hi])
+            except OverflowError:
+                block[0] = _IntStarts(block[0])
+                block[0].fromlist(starts[lo:hi])
+            block[1] += lines[lo:hi]
             lo = hi
     merged: list[bytes] = []
     for chrom in sorted(blocks):
@@ -277,22 +292,26 @@ def _merge_lines(chunks: Iterable[tuple[Sequence, Sequence[int], list[bytes]]]) 
     return merged
 
 
-def _merge_block(starts: list[int], lines: list[bytes]) -> list[bytes]:
+def _merge_block(starts: Sequence[int], lines: list[bytes]) -> list[bytes]:
     """One chromosome's lines in full-tuple order, given their starts.
 
-    A function of its own, so that its lists are freed before the caller
-    joins the output. Raises ParseError when a tied line is not one record.
+    The starts, packed or not (see `_merge_lines`), become ints once, for
+    the line sort and the tie scan, so ints exist for one chromosome at a
+    time. A function of its own, so that its lists are freed before the
+    caller joins the output. Raises ParseError when a tied line is not one
+    record.
     """
+    keys = list(starts)
     # list.sort calls the key once per line, in list order, before it
-    # sorts, so next() on the starts hands every line its own start
-    lines.sort(key=partial(next, iter(starts)))
-    starts.sort()
+    # sorts, so next() on the keys hands every line its own start
+    lines.sort(key=partial(next, iter(keys)))
+    keys.sort()
     # Lines that share a start are still to be ordered by the rest of the
     # tuple. Line i is tied when its start equals line i - 1's or i + 1's.
     # Sorted, the records of all tied lines group by start in the groups'
     # order, so the k-th record's line goes to the k-th tied place.
-    shared = list(map(operator.eq, starts, islice(starts, 1, None)))
-    del starts
+    shared = list(map(operator.eq, keys, islice(keys, 1, None)))
+    del keys
     if True in shared:
         before, after = chain((False,), shared), chain(shared, (False,))
         tied = list(compress(count(), map(operator.or_, before, after)))

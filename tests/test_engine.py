@@ -39,6 +39,7 @@ from faaslab.methpipe import (
     split_into_objects,
     tsv_to_records,
 )
+from faaslab.methpipe.records import record_lines
 from faaslab.perfmodel import (
     ComputeProfile,
     PriceSheet,
@@ -603,9 +604,73 @@ def test_vm_sort_matches_the_record_sort(recs, data):
         assert vm_sort_outcome(objects, w) == oracle_outcome(objects, w)
 
 
+def _past_int64_records(case):
+    """Records whose starts reach int64's edges and past them, in input order."""
+    if case == "int64-edges":
+        starts = [0, 5, 2**63 - 2, 2**63 - 1, 2**63, 2**64, 2**64 + 1]
+        return [MethRecord(chrom, s, s + 10, "+", 1, 2) for s in starts for chrom in ("chr2", "chr1")][::-1]
+    if case == "overflow-after-packed-chunks":
+        # chr1's first chunks pack; a later chunk holds 2**63, and the
+        # chunks after it add to the block's ints
+        recs = [MethRecord("chr1", s, s + 1, "+", 1, 2) for s in range(300, 0, -1)]
+        recs[200:200] = [MethRecord("chr1", 2**63, 2**63 + 1, "-", 3, 4)]
+        return recs + [MethRecord("chr2", s, s + 1, "+", 1, 2) for s in range(50)]
+    # lines tied on a start past int64, ordered by the rest of the record
+    return [
+        MethRecord("chr1", s, s + span, strand, cov, 5)
+        for s in (2**64, 2**63 - 1) for span in (9, 1) for strand in "-+" for cov in (2, 1)
+    ]
+
+
+def _parse_error(call):
+    with pytest.raises(ParseError) as caught:
+        call()
+    return caught.value.column, caught.value.reason
+
+
+@pytest.mark.parametrize("case", ["int64-edges", "overflow-after-packed-chunks", "ties-past-int64"])
+def test_vm_sort_matches_the_record_sort_past_int64(case):
+    # a chromosome block packs its starts into int64 until one does not
+    # fit, then keeps ints; mapper, reducer and VM give the record sort
+    recs = _past_int64_records(case)
+    objects = [(f"raw/{i:04d}", records_to_tsv(recs[i::2])) for i in range(2)]
+    fragments = [(shuffle.partition_key("sort", i, 0), records_to_tsv(sorted(recs[i::3]))) for i in range(3)]
+    expected = record_lines(sorted(r for _, payload in objects for r in tsv_to_records(payload)))
+    with mock.patch.object(records_module, "CHUNK_BYTES", 64):
+        assert shuffle.sort_lines(objects) == expected
+        assert shuffle.merge_fragments(fragments) == b"".join(line + b"\n" for line in expected)
+        assert vm_sort_outcome(objects, 3) == oracle_outcome(objects, 3)
+        objects.append(("raw/bad", records_to_tsv(recs[:5]) + b"chr1\t5\t5\t+\t1\t2\n"))
+        assert _parse_error(lambda: shuffle.sort_lines(objects)) == _parse_error(
+            lambda: [shuffle.parse_object(tsv_to_records, payload, key) for key, payload in objects]
+        )
+        assert vm_sort_outcome(objects, 3) == oracle_outcome(objects, 3)
+
+
+def test_merge_fragments_orders_a_start_below_int64():
+    # the reducer's light parse takes any integer start, and merges it as
+    # a list of ints would; tied, it fails the full parse, and the error
+    # is the one every full parse raises
+    huge = -(2**64)
+    fragments = [
+        ("raw/0", f"chr1\t{huge}\t5\t+\t1\t2\nchr1\t3\t4\t+\t1\t2\n".encode()),
+        ("raw/1", f"chr1\t-1\t9\t+\t1\t2\nchr1\t{2**64}\t{2**64 + 1}\t+\t1\t2\n".encode()),
+    ]
+    assert shuffle.merge_fragments(fragments) == (
+        f"chr1\t{huge}\t5\t+\t1\t2\nchr1\t-1\t9\t+\t1\t2\nchr1\t3\t4\t+\t1\t2\n"
+        f"chr1\t{2**64}\t{2**64 + 1}\t+\t1\t2\n"
+    ).encode()
+    fragments.append(("raw/2", f"chr1\t{huge}\t6\t+\t1\t2\n".encode()))
+    error = (2, f"start is negative: {huge} in object 'raw/0'")
+    assert _parse_error(lambda: shuffle.merge_fragments(fragments)) == error
+    assert _parse_error(lambda: shuffle.sort_lines(fragments)) == error
+    assert vm_sort_outcome(fragments, 3) == oracle_outcome(fragments, 3) == (ParseError, *error)
+
+
 def test_vm_sort_stage_peaks_below_the_record_sort():
-    # the VM holds each record as its line only, so its sort stage's traced
-    # peak stays under the record-tuple sort's on the same presorted input
+    # the VM holds each record as its canonical line plus an 8-byte packed
+    # start, so its sort stage's traced peak stays under the record-tuple
+    # sort's on the same presorted input
     objects = [
         (f"raw/{i:04d}", payload)
         for i, payload in enumerate(split_into_objects(generate_synthetic(20_000, seed=5), 4))

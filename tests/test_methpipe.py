@@ -30,7 +30,7 @@ from faaslab.methpipe import (
     tsv_to_records,
 )
 from faaslab.methpipe import records as records_module
-from faaslab.methpipe.codec import MAGIC
+from faaslab.methpipe.codec import MAGIC, tsv_to_batches
 from faaslab.methpipe.records import CHUNK_BYTES, record_lines, tsv_to_lines
 from faaslab.shuffle import sort_lines
 
@@ -511,23 +511,32 @@ def test_lines_match_records_and_serialize_identically(lines, bad, trailing_newl
     assert b"".join(line + b"\n" for line in lines) == records_to_tsv(records)
     assert b"".join(line + b"\n" for line in ordered[1]) == records_to_tsv(sorted(records))
 
-@pytest.mark.parametrize("text", ["+7", "007", " 7", "7_0", "1e2"])
+@pytest.mark.parametrize(
+    "text", ["+7", "007", " 7", "7_0", "1e2", "-0", "+5", " 5", "7,007", "007,007", "100,101", "101,100"]
+)
 @pytest.mark.parametrize("column", [5, 6])
 def test_small_int_columns_parse_as_line_parser(text, column):
-    # a batch chunk converts each distinct coverage and meth_pct text once
-    fields = ["chr1", "1", "2", "+", "4", "5"]
-    fields[column - 1] = text
+    # a batch chunk converts and checks each distinct coverage and meth_pct
+    # text once; "a,b" writes one line per text into the same chunk
     good = b"chr1\t1\t2\t+\t4\t5\n"
-    payload = good * 50 + "\t".join(fields).encode() + b"\n" + good * 50
+    odd = b""
+    for one in text.split(","):
+        fields = ["chr1", "1", "2", "+", "4", "5"]
+        fields[column - 1] = one
+        odd += "\t".join(fields).encode() + b"\n"
+    payload = good * 50 + odd + good * 50
     expected = _outcome(
         lambda p: [tuple(parse_meth_record(line)) for line in p.decode().splitlines()], payload
     )
     assert _outcome(tsv_to_records, payload) == expected
+    batches = _outcome(lambda p: encode_block(tsv_to_batches(p)), payload)
     got = _lines_outcome(payload)
     if expected[0] == "error":
-        assert got == expected
+        assert got == batches == expected
     else:
+        assert batches == ("ok", encode_block(expected[1]))
         chroms, starts, lines = got[1]
         assert (chroms, starts) == ([r[0] for r in expected[1]], [r[1] for r in expected[1]])
-        assert b"".join(line + b"\n" for line in lines) == records_to_tsv(expected[1])
+        # a non-canonical text, repeated or not, is written as record_lines writes it
+        assert lines == record_lines(expected[1])
 

@@ -2,7 +2,11 @@
 
 import bisect
 import math
+import operator
 import random
+import tracemalloc
+from functools import partial
+from itertools import chain, compress, count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,7 @@ from faaslab.methpipe import (
     split_into_objects,
     tsv_to_records,
 )
-from faaslab.methpipe.records import CHUNK_BYTES, SORT_KEY
+from faaslab.methpipe.records import CHUNK_BYTES, SORT_KEY, record_lines, tsv_to_lines
 from faaslab.perfmodel import builtin_profiles
 from faaslab.shuffle import (
     ShufflePlan,
@@ -568,3 +572,72 @@ def test_merge_skips_tied_comment_lines():
     good = records_to_tsv([rec("c", 5)])
     comments = b"#c\t5\t6\t+\t1\t2\n#c\t5\t7\t+\t1\t2\n"
     assert merge_fragments(keyed([good, comments, good])) == good + good
+
+
+# --- packed starts ----------------------------------------------------------------------------
+
+def _list_merge_lines(chunks):
+    """The line merge with every start held as an int in a list until its
+    chromosome merges: the form before starts were packed, kept as the
+    memory reference."""
+    blocks = {}
+    for chroms, starts, lines in chunks:
+        if not all(map(operator.le, chroms, islice(chroms, 1, None))):
+            order = sorted(range(len(chroms)), key=chroms.__getitem__)
+            chroms, starts, lines = [list(map(column.__getitem__, order)) for column in (chroms, starts, lines)]
+        lo, n = 0, len(chroms)
+        while lo < n:
+            hi = bisect.bisect_right(chroms, chroms[lo], lo)
+            block_starts, block_lines = blocks.setdefault(chroms[lo], ([], []))
+            block_starts += starts[lo:hi]
+            block_lines += lines[lo:hi]
+            lo = hi
+    merged = []
+    for chrom in sorted(blocks):
+        merged += _list_merge_block(*blocks.pop(chrom))
+    return merged
+
+
+def _list_merge_block(starts, lines):
+    lines.sort(key=partial(next, iter(starts)))
+    starts.sort()
+    shared = list(map(operator.eq, starts, islice(starts, 1, None)))
+    del starts
+    if True in shared:
+        before, after = chain((False,), shared), chain(shared, (False,))
+        tied = list(compress(count(), map(operator.or_, before, after)))
+        del shared
+        records = tsv_to_records(b"\n".join(map(lines.__getitem__, tied)))
+        if len(records) != len(tied):
+            raise ParseError(1, "a tied line is blank or a comment")
+        records.sort()
+        for i, line in zip(tied, record_lines(records)):
+            lines[i] = line
+    return lines
+
+
+def _traced_peak(sort):
+    """sort()'s result and the tracemalloc peak it reached, in bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = sort()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_packed_starts_peak_below_the_list_merge():
+    # each gathered line costs its bytes plus an 8-byte packed start, not
+    # an int object and a list slot; on this presorted input the list
+    # form peaked about 11% higher
+    objects = [
+        (f"raw/{i}", payload)
+        for i, payload in enumerate(split_into_objects(generate_synthetic(20_000, seed=5), 4))
+    ]
+    packed, packed_peak = _traced_peak(lambda: sort_lines(objects))
+    listed, list_peak = _traced_peak(
+        lambda: _list_merge_lines(chunk for _, payload in objects for chunk in tsv_to_lines(payload))
+    )
+    assert packed == listed
+    assert packed_peak < 0.95 * list_peak
