@@ -16,8 +16,9 @@ The encoder works on `Batches`: records added chunk by chunk, each
 chunk checked for order and appended at once to six stream writers;
 a run stream's last run stays open, since the next chunk may go on
 with it. `tsv_to_batches` builds them straight from a TSV payload's
-parse chunks, without record tuples; a record sequence is added in
-chunks of BATCH_RECORDS.
+parse chunks, without record tuples, and writes coverage and meth_pct
+from their texts, each distinct text encoded once; a record sequence is
+added in chunks of BATCH_RECORDS.
 """
 
 from __future__ import annotations
@@ -202,11 +203,18 @@ class _Stream:
         except (Overflow, TypeError) as exc:
             self.error = exc.with_traceback(None)
 
-    def varints(self, values) -> None:
-        """Append one chunk's values as plain varints."""
+    def varints(self, values, value_of: dict | None = None) -> None:
+        """Append one chunk's values as plain varints; with `value_of`, a
+        {text: value} map, the values are texts, each distinct one encoded once."""
+        encode = self.value_bytes.__getitem__
+        if value_of is not None:
+            try:
+                encode = {text: encode(value) for text, value in value_of.items()}.__getitem__
+            except Overflow:  # met in set order: map in stream order, so the first one raises
+                values = map(value_of.__getitem__, values)
         if self.error is None:
             try:
-                self.data += b"".join(map(self.value_bytes.__getitem__, values))
+                self.data += b"".join(map(encode, values))
             except (Overflow, TypeError) as exc:
                 self.error = exc.with_traceback(None)
 
@@ -254,16 +262,19 @@ class Batches:
             batches.add(*islice(zip(*chunk), 6))
         return batches
 
-    def add(self, chroms, starts, ends, strands, coverages, meths, bits=None, name=_same) -> None:
+    def add(self, chroms, starts, ends, strands, coverages, meths,
+            bits=None, name=_same, coverage_of=None, meth_of=None) -> None:
         """Append one chunk of records, given as six equal-length columns.
 
         `chroms` may hold any keys that sort as the names do, `name`
         turning a key into its name; `strands` may be any sequence of
         strand strings, such as one str. `bits` are the strand bits,
-        when the caller has them. Raises UnsortedInput naming the first
-        record that sorts before its predecessor by (chrom, start, end,
-        strand). A value with no varint form raises nothing here: its
-        stream keeps the error for encode_block.
+        when the caller has them. With `coverage_of` and `meth_of`,
+        {text: value} maps, `coverages` and `meths` are written from their
+        texts. Raises UnsortedInput naming the first record that sorts
+        before its predecessor by (chrom, start, end, strand). A value
+        with no varint form raises nothing here: its stream keeps the
+        error for encode_block.
         """
         n = len(starts)
         if not n:
@@ -289,8 +300,8 @@ class Batches:
         delta.runs(*_runs(deltas))
         length.runs(*_runs(list(map(sub, ends, starts))))
         strand.runs(*_runs(bits))
-        coverage.varints(coverages)
-        meth.varints(meths)
+        coverage.varints(coverages, coverage_of)
+        meth.varints(meths, meth_of)
 
 
 _STRAND_BITS = bytes.maketrans(b"+-", b"\x00\x01")
@@ -316,8 +327,9 @@ def tsv_to_batches(payload: bytes) -> Batches:
         else:
             strands = b"".join(parsed.raw_strands)
             columns = [parsed.raw_chroms, parsed.starts, parsed.ends, strands.decode(),
-                       *parsed.columns()[4:]]
-            extra = {"bits": strands.translate(_STRAND_BITS), "name": parsed.names.__getitem__}
+                       *parsed.numbers[2:]]
+            extra = {"bits": strands.translate(_STRAND_BITS), "name": parsed.names.__getitem__,
+                     "coverage_of": parsed.coverage_of, "meth_of": parsed.meth_of}
         if columns and unsorted is None:
             try:
                 batches.add(*columns, **extra)

@@ -24,7 +24,8 @@ batches, without building records.
 chromosome, start and canonical line (the bytes ``record_lines`` writes
 for it). The sort stage keeps only the line and the start, packed into
 8 bytes. A batch chunk converts and checks each distinct coverage and
-meth_pct text once, and maps those two columns only when read.
+meth_pct text once: `columns()` maps them for records, and the encoder
+writes them from their texts.
 
 Sort order is (chrom, start, end, strand), compared field by field.
 Chromosome names compare in raw byte order, so "chr10" sorts before "chr2";

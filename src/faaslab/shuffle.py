@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from faaslab.blobstore import Session
 from faaslab.errors import DomainError, MissingPartition, NotFound, ParseError
 from faaslab.methpipe.records import (
+    SERIALIZE_BATCH,
     SORT_KEY,
     _chunks,
     _split_fields,
@@ -295,32 +296,37 @@ def _merge_lines(chunks: Iterable[tuple[Sequence, list[int], list[bytes]]]) -> l
 def _merge_block(starts: Sequence[int], lines: list[bytes]) -> list[bytes]:
     """One chromosome's lines in full-tuple order, given their starts.
 
-    The starts, packed or not (see `_merge_lines`), become ints once, for
-    the line sort and the tie scan, so ints exist for one chromosome at a
-    time. A function of its own, so that its lists are freed before the
-    caller joins the output. Raises ParseError when a tied line is not one
-    record.
+    The line sort and the tie count read the starts, packed or not (see
+    `_merge_lines`), from the block, so no list of them is built and ints
+    exist for one chromosome at a time. The starts are sorted, for the tie
+    scan, only when two lines share one, and tied lines are written back a
+    SERIALIZE_BATCH at a time. A function of its own, so that its lists are
+    freed before the caller joins the output. Raises ParseError when a tied
+    line is not one record.
     """
-    keys = list(starts)
     # list.sort calls the key once per line, in list order, before it
-    # sorts, so next() on the keys hands every line its own start
-    lines.sort(key=partial(next, iter(keys)))
-    keys.sort()
+    # sorts, so next() on the starts hands every line its own start
+    lines.sort(key=partial(next, iter(starts)))
+    if len(set(starts)) == len(lines):
+        return lines
+    keys = sorted(starts)
     # Lines that share a start are still to be ordered by the rest of the
     # tuple. Line i is tied when its start equals line i - 1's or i + 1's.
     # Sorted, the records of all tied lines group by start in the groups'
     # order, so the k-th record's line goes to the k-th tied place.
     shared = list(map(operator.eq, keys, islice(keys, 1, None)))
     del keys
-    if True in shared:
-        before, after = chain((False,), shared), chain(shared, (False,))
-        tied = list(compress(count(), map(operator.or_, before, after)))
-        del shared
-        records = tsv_to_records(b"\n".join(map(lines.__getitem__, tied)))
-        if len(records) != len(tied):
-            raise ParseError(1, "a tied line is blank or a comment")
-        records.sort()
-        for i, line in zip(tied, record_lines(records)):
+    before, after = chain((False,), shared), chain(shared, (False,))
+    tied = list(compress(count(), map(operator.or_, before, after)))
+    del shared
+    records = tsv_to_records(b"\n".join(map(lines.__getitem__, tied)))
+    if len(records) != len(tied):
+        raise ParseError(1, "a tied line is blank or a comment")
+    records.sort()
+    places = iter(tied)
+    for lo in range(0, len(records), SERIALIZE_BATCH):
+        # the batch first: zip stops on it without taking one more place
+        for line, i in zip(record_lines(records[lo : lo + SERIALIZE_BATCH]), places):
             lines[i] = line
     return lines
 

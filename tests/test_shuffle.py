@@ -23,6 +23,7 @@ from faaslab.methpipe import (
     split_into_objects,
     tsv_to_records,
 )
+from faaslab.methpipe import records as records_module
 from faaslab.methpipe.records import CHUNK_BYTES, SORT_KEY, record_lines, tsv_to_lines
 from faaslab.perfmodel import builtin_profiles
 from faaslab.shuffle import (
@@ -641,3 +642,73 @@ def test_packed_starts_peak_below_the_list_merge():
     )
     assert packed == listed
     assert packed_peak < 0.95 * list_peak
+
+
+# --- ties ---------------------------------------------------------------------------------
+
+def _whole_merge_block(starts, lines):
+    """The block merge that sorted the starts again whatever they held and
+    serialized all tied records at once: kept as the memory reference."""
+    keys = list(starts)
+    lines.sort(key=partial(next, iter(keys)))
+    keys.sort()
+    shared = list(map(operator.eq, keys, islice(keys, 1, None)))
+    del keys
+    if True in shared:
+        before, after = chain((False,), shared), chain(shared, (False,))
+        tied = list(compress(count(), map(operator.or_, before, after)))
+        del shared
+        records = tsv_to_records(b"\n".join(map(lines.__getitem__, tied)))
+        if len(records) != len(tied):
+            raise ParseError(1, "a tied line is blank or a comment")
+        records.sort()
+        for i, line in zip(tied, record_lines(records)):
+            lines[i] = line
+    return lines
+
+
+def test_all_tied_block_writes_back_a_batch_at_a_time(monkeypatch):
+    # every line on one (chromosome, start), more than two SERIALIZE_BATCH
+    # of them, so a batch that took one place too many would shift every
+    # later line; small parse chunks keep the parse's own peak below the
+    # write-back's
+    monkeypatch.setattr(records_module, "CHUNK_BYTES", 1024)
+    records = [
+        r._replace(chrom="chr1", start=7, end=8 + r.start % 3)
+        for r in generate_synthetic(5 * shuffle.SERIALIZE_BATCH + 11, seed=41, shuffled=True)
+    ]
+    objects = [(f"raw/{i}", p) for i, p in enumerate(split_into_objects(records, 8))]
+    expected = record_lines(sorted(records))
+    merged, peak = _traced_peak(lambda: sort_lines(objects))
+    assert merged == expected
+    fragments = keyed([shuffle._join_lines(sort_lines([obj])) for obj in objects])
+    assert merge_fragments(fragments) == shuffle._join_lines(expected)
+    # on this input the form that serialized all tied records at once
+    # peaked about 18% higher
+    monkeypatch.setattr(shuffle, "_merge_block", _whole_merge_block)
+    whole, whole_peak = _traced_peak(lambda: sort_lines(objects))
+    assert whole == expected
+    assert peak < 0.9 * whole_peak
+
+
+def test_distinct_starts_parse_no_line_again(monkeypatch):
+    def refuse(payload):
+        raise AssertionError("a line was parsed again")
+
+    # generated starts ascend within a chromosome, so none repeats
+    records = generate_synthetic(3000, seed=42, shuffled=True)
+    objects = [(f"raw/{i}", p) for i, p in enumerate(split_into_objects(records, 4))]
+    fragments = keyed([shuffle._join_lines(sort_lines([obj])) for obj in objects])
+    expected = record_lines(sorted(records))
+    monkeypatch.setattr(shuffle, "tsv_to_records", refuse)
+    assert sort_lines(objects) == expected
+    assert merge_fragments(fragments) == shuffle._join_lines(expected)
+    monkeypatch.undo()
+    # one start tied across two objects, one across two fragments; ends 9
+    # and 10, whose lines sort in byte order the other way round
+    pair = [rec("chr2", 4)._replace(end=10), rec("chr2", 4)._replace(end=9)]
+    tied = records + pair
+    objects += [("raw/tied-0", records_to_tsv(pair[:1])), ("raw/tied-1", records_to_tsv(pair[1:]))]
+    assert sort_lines(objects) == record_lines(sorted(tied))
+    fragments += keyed([records_to_tsv(pair[:1]), records_to_tsv(pair[1:])])
+    assert merge_fragments(fragments) == shuffle._join_lines(record_lines(sorted(tied)))
