@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
 from faaslab.blobstore import Blobstore, StoreProfile
@@ -31,6 +30,7 @@ from faaslab.errors import (
     SemanticError,
     ValidationError,
     WorkflowSyntaxError,
+    read_utf8,
 )
 from faaslab.methpipe import generate_synthetic, split_into_objects
 from faaslab.perfmodel import load_profiles
@@ -56,23 +56,11 @@ def _progress_printer(event: dict) -> None:
     print(json.dumps(event), file=sys.stderr, flush=True)
 
 
-@contextmanager
-def _utf8_file(path: str):
-    """Report a file that is not UTF-8 text as a usage error naming it."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        raise SchemaError(path, f"file is not UTF-8 text: {exc}") from exc
-
-
 def _load_spec(path: str) -> WorkflowSpec:
-    with _utf8_file(path), open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    spec = parse_workflow(text)
+    spec = parse_workflow(read_utf8(path))
     override = os.environ.get("FAASLAB_PROFILE")
     if override:
-        with _utf8_file(override):
-            spec = with_profiles(spec, load_profiles(override))
+        spec = with_profiles(spec, load_profiles(override))
     return spec
 
 

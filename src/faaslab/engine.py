@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 from faaslab import shuffle
 from faaslab.blobstore import Blobstore, Session, StoreMetrics, replay
 from faaslab.errors import ExecutionError, MemoryBudgetError, TaskError, ValidationError
-from faaslab.methpipe.codec import decode_block, encode_block, is_encoded_block, tsv_to_batches
+from faaslab.methpipe.codec import encode_block, tsv_to_batches
 # perfbench/tracing.py patches records_to_tsv and tsv_to_records here
 from faaslab.methpipe.records import records_to_tsv, tsv_to_records  # noqa: F401
 from faaslab.perfmodel import (
@@ -352,7 +352,8 @@ class _Run:
                 model, args, delay = shuffle_latency_model, (size, w, count), compute.fn_startup
             latency = model(*args, store, compute) if size > 0 else LatencyBreakdown(startup=delay)
             self._record_stage(stage, latency, requests)
-            size, count = (size / ratio, count) if stage.kind is StageKind.ENCODE else (size, w)
+            # the encode stage reads the sort stage's w outputs
+            count = w
         return self._finish()
 
     # -- emulated mode ---------------------------------------------------------
@@ -562,7 +563,7 @@ class _Run:
         return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs))
 
     def _encode(self, stage: StageSpec, inputs: DataRef) -> DataRef:
-        """Encode the previous stage's w outputs, one object per worker."""
+        """Encode the sort stage's w outputs, one object per worker."""
         compute = self.profiles.compute
         session = self.store.session()
         readers = self._readers(stage, "encoder", inputs.objects, session)
@@ -571,8 +572,7 @@ class _Run:
 
         def encode(worker: int):
             [(key, payload)] = payloads[worker]
-            decode = decode_block if is_encoded_block(payload) else tsv_to_batches
-            block = encode_block(shuffle.parse_object(decode, payload, key))
+            block = encode_block(shuffle.parse_object(tsv_to_batches, payload, key))
             track = self._tracker(stage, worker)
             if track:
                 track(len(block))

@@ -1,6 +1,11 @@
-"""Exception hierarchy shared across faaslab modules."""
+"""Exception hierarchy shared across faaslab modules, and the file and
+JSON readers that report bad input documents with it."""
 
 from __future__ import annotations
+
+import json
+import sys
+from typing import Any, Callable
 
 
 class FaaslabError(Exception):
@@ -27,6 +32,31 @@ class SchemaError(FaaslabError):
 
 class SemanticError(FaaslabError):
     """The workflow parses but violates a structural invariant."""
+
+
+def read_utf8(path: str) -> str:
+    """The text of the file at `path`; a file that is not UTF-8 text
+    raises SchemaError naming it. OSError propagates."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(path, f"file is not UTF-8 text: {exc}") from exc
+
+
+def load_json(text: str, noun: str, error: Callable[[str], FaaslabError]) -> Any:
+    """json.loads(text); a document that does not parse raises
+    error(reason), the reason naming the document as `noun`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{noun} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{noun} is nested too deeply to parse") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise error(
+            f"{noun} holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 # --- blob store errors --------------------------------------------------

@@ -13,7 +13,6 @@ from faaslab.methpipe.codec import (
     baseline_compressed_size,
     decode_block,
     encode_block,
-    is_encoded_block,
     tsv_to_batches,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "decode_block",
     "encode_block",
     "generate_synthetic",
-    "is_encoded_block",
     "parse_meth_record",
     "records_to_tsv",
     "split_into_objects",

@@ -475,11 +475,6 @@ def decode_block(payload: bytes) -> list[MethRecord]:
     return records
 
 
-def is_encoded_block(payload: bytes) -> bool:
-    """True when the payload starts with the codec magic."""
-    return payload[: len(MAGIC)] == MAGIC
-
-
 def baseline_compressed_size(data: bytes) -> int:
     """Size of `data` under gzip at level 9, compressed in process."""
     return len(gzip.compress(data, compresslevel=9))

@@ -27,12 +27,11 @@ import functools
 import json
 import math
 import operator
-import sys
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from faaslab.blobstore import StoreMetrics, StoreProfile
-from faaslab.errors import DomainError, SchemaError
+from faaslab.errors import DomainError, SchemaError, load_json, read_utf8
 
 DEFAULT_COMPRESSION_RATIO = 10.0
 
@@ -342,13 +341,17 @@ def _parse_section(name: str, cls, data: dict):
     if missing:
         raise SchemaError(f"{name}.{sorted(missing)[0]}", "missing field")
     for key, value in data.items():
-        # every field is used as a float; an integer past the float range
-        # would fail later inside a formula
-        if isinstance(value, int) and not isinstance(value, bool):
+        # every field is used as a float: an integer past the float range
+        # would overflow inside a formula, and an infinity (JSON's 1e999 or
+        # Infinity) would turn its result into NaN. Sheets built in code,
+        # not parsed, may hold infinite rates.
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             try:
-                float(value)
+                fits = not math.isinf(value)
             except OverflowError:
-                raise SchemaError(f"{name}.{key}", "does not fit a float") from None
+                fits = False
+            if not fits:
+                raise SchemaError(f"{name}.{key}", "does not fit a float")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -377,17 +380,8 @@ def profiles_to_dict(profiles: Profiles) -> dict:
 
 
 def load_profiles(path: str) -> Profiles:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(path, f"profile file is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise SchemaError(path, "profile file is nested too deeply to parse") from exc
-        except ValueError as exc:  # an integer past the interpreter's digit limit
-            raise SchemaError(
-                path, f"profile file holds an integer of more than {sys.get_int_max_str_digits()} digits"
-            ) from exc
+    """Read and validate the profile file at `path`."""
+    data = load_json(read_utf8(path), "profile file", functools.partial(SchemaError, path))
     return parse_profiles(data)
 
 

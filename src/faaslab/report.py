@@ -9,13 +9,12 @@ indents.
 
 from __future__ import annotations
 
-import json
-import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from faaslab.blobstore import StoreMetrics
 from faaslab.engine import RunReport, StageReport
-from faaslab.errors import SchemaError
+from faaslab.errors import SchemaError, load_json
 from faaslab.perfmodel import CostBreakdown, LatencyBreakdown
 
 REPORT_SCHEMA = "faaslab-report-v1"
@@ -123,16 +122,7 @@ def _breakdown_from_dict(cls, data: dict):
 
 
 def parse_report(text: str) -> RunReport:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"report is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise SchemaError("$", "report is nested too deeply to parse") from exc
-    except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise SchemaError(
-            "$", f"report holds an integer of more than {sys.get_int_max_str_digits()} digits"
-        ) from exc
+    data = load_json(text, "report", partial(SchemaError, "$"))
     if not isinstance(data, dict):
         raise SchemaError("$", f"expected a JSON object, got {type(data).__name__}")
     if data.get("schema") != REPORT_SCHEMA:

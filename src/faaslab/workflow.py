@@ -1,7 +1,7 @@
 """Workflow declarations: JSON schema v1, validation, and round-tripping.
 
-A workflow is a linear pipeline: exactly one sort-exchange stage followed
-by encode stages, over one input prefix, with an exchange strategy and a
+A workflow is a linear pipeline: one sort-exchange stage, then at most
+one encode stage, over one input prefix, with an exchange strategy and a
 parallelism that is either a fixed worker count or resolved by the
 optimizer at plan time. The full schema with defaults is documented in
 docs/workflow-schema.md; example declarations ship under workflows/.
@@ -15,11 +15,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
-from faaslab.errors import SchemaError, SemanticError, WorkflowSyntaxError
+from faaslab.errors import SchemaError, SemanticError, WorkflowSyntaxError, load_json
 from faaslab.perfmodel import (
     CALIBRATED_PROFILE,
     Profiles,
@@ -59,6 +58,15 @@ class ExchangeStrategy(str, enum.Enum):
 class StageKind(str, enum.Enum):
     SORT_EXCHANGE = "sort"
     ENCODE = "encode"
+
+
+# The stage-kind sequences a workflow may declare: one sort, then at most
+# one encode. The model, the optimizer's scan and the emulator each
+# describe exactly these.
+STAGE_SHAPES = (
+    (StageKind.SORT_EXCHANGE,),
+    (StageKind.SORT_EXCHANGE, StageKind.ENCODE),
+)
 
 
 @dataclass(frozen=True)
@@ -233,16 +241,7 @@ def parse_workflow(text: str) -> WorkflowSpec:
     field path for missing/ill-typed/unknown fields, and SemanticError
     when the document violates a structural invariant.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorkflowSyntaxError(f"workflow document is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise WorkflowSyntaxError("workflow document is nested too deeply to parse") from exc
-    except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise WorkflowSyntaxError(
-            f"workflow document holds an integer of more than {sys.get_int_max_str_digits()} digits"
-        ) from exc
+    data = load_json(text, "workflow document", WorkflowSyntaxError)
     if not isinstance(data, dict):
         raise SchemaError("$", f"expected a JSON object, got {type(data).__name__}")
     unknown = set(data) - _TOP_KEYS
@@ -310,17 +309,12 @@ def validate_workflow(spec: WorkflowSpec) -> list[str]:
             # a stage's outputs live under <reserved prefix><stage id>/
             violations.append(f"stage id contains '/': {stage.id}")
         seen.add(stage.id)
-    sort_positions = [i for i, s in enumerate(spec.stages) if s.kind is StageKind.SORT_EXCHANGE]
-    if not sort_positions and spec.stages:
-        violations.append("missing SortExchange stage")
-    elif len(sort_positions) > 1:
-        violations.append("multiple SortExchange stages")
-    if sort_positions:
-        first_sort = sort_positions[0]
-        if any(
-            s.kind is StageKind.ENCODE for s in spec.stages[:first_sort]
-        ):
-            violations.append("Encode precedes SortExchange")
+    kinds = tuple(s.kind for s in spec.stages)
+    if spec.stages and kinds not in STAGE_SHAPES:
+        violations.append(
+            "stage kinds must be [sort] or [sort, encode], got "
+            f"[{', '.join(kind.value for kind in kinds)}]"
+        )
     if spec.parallelism is not None and not 1 <= spec.parallelism <= spec.w_max:
         violations.append("parallelism out of range")
     prefix = spec.input.prefix

@@ -262,7 +262,25 @@ def test_run_semantic_error_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "run", "--workflow", str(bad), "--mode", "model")
     assert code == 2
-    assert "Encode precedes SortExchange" in err
+    assert "stage kinds must be [sort] or [sort, encode], got [encode, sort]" in err
+
+@pytest.mark.parametrize("mode", ["model", "emulate"])
+def test_run_chained_encode_exit_2(desk_workflow, tmp_path, capsys, mode):
+    doc = json.loads(Path(desk_workflow).read_text())
+    doc["stages"].append({"id": "encode2", "kind": "encode"})
+    doc["input"].update(size_bytes=1e6, objects=4)
+    wf = tmp_path / "chained.json"
+    wf.write_text(json.dumps(doc))
+    store = tmp_path / "s"
+    run_cli(capsys, "generate", "--records", "200", "--objects", "4", "--store", str(store))
+    code, out, err = run_cli(capsys, "run", "--workflow", str(wf), "--mode", mode,
+                             "--store", str(store))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "faaslab: stage kinds must be [sort] or [sort, encode], got [sort, encode, encode]\n"
+    )
+    assert sorted(p.name for p in (store / "data").iterdir()) == [f"raw%2F{i:04d}" for i in range(4)]
 
 def test_run_execution_failure_exit_1(tmp_path, capsys):
     # a one-byte function memory budget cannot hold any mapper input
@@ -621,6 +639,40 @@ def test_faaslab_profile_field_past_float_range_exit_2(paper_workflow, tmp_path,
     assert code == 2
     assert out == ""
     assert err == "faaslab: store.conn_bandwidth: does not fit a float\n"
+
+@pytest.mark.parametrize("literal", ["1e999", "Infinity"])
+def test_infinite_profile_number_exit_2(paper_workflow, tmp_path, capsys, monkeypatch, literal):
+    # read as inf, it passed every sheet check and made the modeled costs NaN
+    doc = dict(PAPER_DOC)
+    doc["profiles"] = profiles_to_dict(builtin_profiles())
+    doc["profiles"]["compute"]["fn_startup"] = 0.5
+    wf = tmp_path / "inf.json"
+    wf.write_text(json.dumps(doc).replace('"fn_startup": 0.5', f'"fn_startup": {literal}'))
+    code, out, err = run_cli(capsys, "run", "--workflow", str(wf), "--mode", "model")
+    assert (code, out, err) == (2, "", "faaslab: compute.fn_startup: does not fit a float\n")
+    override = tmp_path / "prof.json"
+    data = profiles_to_dict(builtin_profiles())
+    data["store"]["conn_bandwidth"] = 1.5
+    override.write_text(json.dumps(data).replace('"conn_bandwidth": 1.5', f'"conn_bandwidth": {literal}'))
+    monkeypatch.setenv("FAASLAB_PROFILE", str(override))
+    code, out, err = run_cli(capsys, "compare", "--workflow", paper_workflow, "--mode", "model")
+    assert (code, out, err) == (2, "", "faaslab: store.conn_bandwidth: does not fit a float\n")
+
+@pytest.mark.parametrize("route", ["FAASLAB_PROFILE", "workflow"])
+def test_profile_file_not_utf8_exit_2(paper_workflow, tmp_path, capsys, monkeypatch, route):
+    profile = tmp_path / "prof.json"
+    profile.write_bytes(b"\xff")
+    workflow = paper_workflow
+    if route == "FAASLAB_PROFILE":
+        monkeypatch.setenv("FAASLAB_PROFILE", str(profile))
+    else:
+        workflow = tmp_path / "wf-profile-path.json"
+        workflow.write_text(json.dumps(dict(PAPER_DOC, profiles=str(profile))))
+    code, out, err = run_cli(capsys, "compare", "--workflow", str(workflow), "--mode", "model")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"faaslab: {profile}: file is not UTF-8 text: ")
+    assert "Traceback" not in err
 
 @pytest.mark.parametrize(
     "bad",

@@ -1,6 +1,7 @@
 """Engine tests: stage mechanics, determinism, accounting, agreement."""
 
 import gc
+import itertools
 import json
 import math
 import tracemalloc
@@ -103,9 +104,9 @@ def seeded_store(records, n_objects, store_profile=DESK_STORE):
     return store
 
 
-def decoded_outputs(store, stage_id="enc"):
+def decoded_outputs(store):
     out = []
-    for key, _ in store.list_prefix(f"encoded/{stage_id}/"):
+    for key, _ in store.list_prefix("encoded/enc/"):
         out.extend(decode_block(store.get_object(key)))
     return out
 
@@ -899,21 +900,14 @@ def billed_so_far(stages, spec):
 @pytest.mark.parametrize("exchange", list(ExchangeStrategy))
 @pytest.mark.parametrize("mode", list(Mode))
 def test_progress_cost_is_compute_cost_of_recorded_stages_bit_for_bit(mode, exchange):
-    spec = replace(
-        modeled_spec(exchange, parallelism=4),
-        stages=(
-            StageSpec("sort", StageKind.SORT_EXCHANGE),
-            StageSpec("e1", StageKind.ENCODE, {"ratio": 10}),
-            StageSpec("e2", StageKind.ENCODE),
-        ),
-    )
+    spec = modeled_spec(exchange, parallelism=4)
     store = None
     if mode is Mode.EMULATED:
         spec = replace(spec, input=DataRef("data", "raw/"), profiles=profiles())
         store = seeded_store(generate_synthetic(3000, seed=16, shuffled=True), 4)
     events = []
     report = run_workflow(spec, mode, store=store, options=EngineOptions(progress=events.append))
-    assert len(report.stages) == 3
+    assert len(report.stages) == 2
     assert events[-1]["phase"] == "done"
     recorded = 0
     for event in events:
@@ -921,32 +915,42 @@ def test_progress_cost_is_compute_cost_of_recorded_stages_bit_for_bit(mode, exch
             assert event["stage"] == report.stages[recorded].stage_id
             recorded += 1
         elif event["phase"] == "done":
-            assert recorded == 3
+            assert recorded == 2
         expected = billed_so_far(report.stages[:recorded], spec)
         assert event["cost_so_far"].hex() == expected.total.hex(), event
     assert report.cost == billed_so_far(report.stages, spec)
-    assert recorded == 3
+    assert recorded == 2
 
 
 # --- misc -----------------------------------------------------------------------------------------
 
-def test_encode_chain_re_encodes_blocks():
-    records = generate_synthetic(2000, seed=15, shuffled=True)
-    store = seeded_store(records, 4)
-    spec = WorkflowSpec(
-        name="chain",
-        input=DataRef("data", "raw/"),
-        exchange=ExchangeStrategy.SERVERLESS,
-        stages=(
-            StageSpec("sort", StageKind.SORT_EXCHANGE),
-            StageSpec("e1", StageKind.ENCODE),
-            StageSpec("e2", StageKind.ENCODE),
-        ),
-        profiles=profiles(),
-        parallelism=4,
-    )
-    run_workflow(spec, Mode.EMULATED, store=store)
-    assert decoded_outputs(store, "e2") == sorted(records)
+_BAD_SHAPES = [
+    kinds
+    for n in range(4)
+    for kinds in itertools.product(list(StageKind), repeat=n)
+    if kinds not in ((StageKind.SORT_EXCHANGE,), (StageKind.SORT_EXCHANGE, StageKind.ENCODE))
+]
+
+
+@pytest.mark.parametrize(
+    "kinds", _BAD_SHAPES, ids=lambda kinds: "-".join(k.value for k in kinds) or "none"
+)
+@pytest.mark.parametrize("mode", list(Mode))
+def test_stage_shapes_other_than_sort_then_encode_fail_before_any_request(mode, kinds):
+    # a chained encode ([sort, encode, encode]) is one of these
+    stages = tuple(StageSpec(f"s{i}", kind) for i, kind in enumerate(kinds))
+    spec = replace(modeled_spec(parallelism=4), stages=stages, profiles=profiles())
+    store = seeded_store(generate_synthetic(500, seed=15, shuffled=True), 4)
+    before = store.store_metrics()
+    with pytest.raises(ValidationError) as info:
+        run_workflow(spec, mode, store=store)
+    names = ", ".join(k.value for k in kinds)
+    assert info.value.violations == [
+        f"stage kinds must be [sort] or [sort, encode], got [{names}]" if kinds
+        else "workflow has no stages"
+    ]
+    assert store.store_metrics() == before
+    assert [key for key, _ in store.peek_prefix("")] == [f"raw/{i:04d}" for i in range(4)]
 
 def test_report_json_round_trip():
     report = run_workflow(modeled_spec(), Mode.MODELED)

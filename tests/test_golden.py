@@ -42,7 +42,6 @@ SORT_ENCODE = (
     StageSpec("sort", StageKind.SORT_EXCHANGE),
     StageSpec("enc", StageKind.ENCODE, {"ratio": 10}),
 )
-CHAINED = SORT_ENCODE + (StageSpec("enc2", StageKind.ENCODE),)
 
 
 def _model(workflow: str, exchange):
@@ -50,12 +49,12 @@ def _model(workflow: str, exchange):
     return with_exchange(spec, exchange), Mode.MODELED, None, {}
 
 
-def _emulate(exchange, w, payloads, stages=SORT_ENCODE, **options):
+def _emulate(exchange, w, payloads, **options):
     spec = WorkflowSpec(
         name="golden",
         input=DataRef("data", "raw/"),
         exchange=exchange,
-        stages=stages,
+        stages=SORT_ENCODE,
         profiles=builtin_profiles("desk-v1"),
         parallelism=w,
     )
@@ -85,7 +84,6 @@ CASES = {
     "emulate-vm-presorted": lambda: _emulate(VM, 4, _presorted()),
     "emulate-serverless-empty": lambda: _emulate(SERVERLESS, 4, [b""] * 3),
     "emulate-vm-empty": lambda: _emulate(VM, 4, [b""] * 3),
-    "emulate-serverless-chained": lambda: _emulate(SERVERLESS, 4, _shuffled(), CHAINED),
 }
 
 

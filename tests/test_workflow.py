@@ -1,7 +1,10 @@
 """Workflow declaration tests: parsing, validation, round-trip."""
 
+import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,14 @@ MINIMAL = {
 }
 
 
+WORKFLOWS = Path(__file__).parent.parent / "workflows"
+
+
+def shape_error(*kinds: str) -> str:
+    """The violation a stage-kind sequence other than [sort] or [sort, encode] reports."""
+    return f"stage kinds must be [sort] or [sort, encode], got [{', '.join(kinds)}]"
+
+
 def doc(**overrides) -> str:
     data = json.loads(json.dumps(MINIMAL))
     data.update(overrides)
@@ -51,8 +62,29 @@ def test_minimal_document_defaults():
 
 def test_encode_before_sort_is_semantic_error():
     bad = doc(stages=[{"id": "encode", "kind": "encode"}, {"id": "sort", "kind": "sort"}])
-    with pytest.raises(SemanticError, match="Encode precedes SortExchange"):
+    with pytest.raises(SemanticError, match=re.escape(shape_error("encode", "sort"))):
         parse_workflow(bad)
+
+@pytest.mark.parametrize(
+    "kinds",
+    [kinds for n in range(4) for kinds in itertools.product(("sort", "encode"), repeat=n)],
+    ids=lambda kinds: "-".join(kinds) or "none",
+)
+def test_only_sort_or_sort_then_encode_parses(kinds):
+    stages = [{"id": f"s{i}", "kind": kind} for i, kind in enumerate(kinds)]
+    if kinds in (("sort",), ("sort", "encode")):
+        assert [s.kind.value for s in parse_workflow(doc(stages=stages)).stages] == list(kinds)
+        return
+    expected = shape_error(*kinds) if kinds else "workflow has no stages"
+    with pytest.raises(SemanticError) as info:
+        parse_workflow(doc(stages=stages))
+    assert str(info.value) == expected
+
+@pytest.mark.parametrize("path", sorted(WORKFLOWS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_workflow_parses_validates_and_round_trips(path):
+    spec = parse_workflow(path.read_text(encoding="utf-8"))
+    assert validate_workflow(spec) == []
+    assert parse_workflow(serialize_workflow(spec)) == spec
 
 def test_fixed_parallelism_vm_exchange():
     spec = parse_workflow(doc(parallelism=8, exchange="vm"))
@@ -165,31 +197,40 @@ def test_validate_duplicate_stage_id():
 
 def test_validate_mutants_each_break_one_invariant():
     base = valid_spec()
-    mutants = {
-        "workflow has no stages": valid_spec(stages=()),
-        "missing SortExchange stage": valid_spec(stages=(StageSpec("e", StageKind.ENCODE),)),
-        "multiple SortExchange stages": valid_spec(
-            stages=(
-                StageSpec("s1", StageKind.SORT_EXCHANGE),
-                StageSpec("s2", StageKind.SORT_EXCHANGE),
-            )
+    mutants = [
+        ("workflow has no stages", valid_spec(stages=())),
+        (shape_error("encode"), valid_spec(stages=(StageSpec("e", StageKind.ENCODE),))),
+        (
+            shape_error("sort", "sort"),
+            valid_spec(
+                stages=(
+                    StageSpec("s1", StageKind.SORT_EXCHANGE),
+                    StageSpec("s2", StageKind.SORT_EXCHANGE),
+                )
+            ),
         ),
-        "Encode precedes SortExchange": valid_spec(
-            stages=(
-                StageSpec("e", StageKind.ENCODE),
-                StageSpec("s", StageKind.SORT_EXCHANGE),
-            )
+        (
+            shape_error("encode", "sort"),
+            valid_spec(
+                stages=(
+                    StageSpec("e", StageKind.ENCODE),
+                    StageSpec("s", StageKind.SORT_EXCHANGE),
+                )
+            ),
         ),
-        "parallelism out of range": valid_spec(parallelism=-3),
-        "stage id contains '/': e/x": valid_spec(
-            stages=(
-                StageSpec("s", StageKind.SORT_EXCHANGE),
-                StageSpec("e/x", StageKind.ENCODE),
-            )
+        ("parallelism out of range", valid_spec(parallelism=-3)),
+        (
+            "stage id contains '/': e/x",
+            valid_spec(
+                stages=(
+                    StageSpec("s", StageKind.SORT_EXCHANGE),
+                    StageSpec("e/x", StageKind.ENCODE),
+                )
+            ),
         ),
-    }
+    ]
     assert validate_workflow(base) == []
-    for expected, mutant in mutants.items():
+    for expected, mutant in mutants:
         violations = validate_workflow(mutant)
         assert expected in violations, (expected, violations)
 
