@@ -37,12 +37,13 @@ from faaslab.errors import (
     Truncated,
     UnsortedInput,
 )
-from faaslab.methpipe.records import MethRecord, _chunks, _parse_chunk, _parse_lines
+from faaslab.methpipe.records import COVERAGE_LIMIT, MethRecord, _chunks, _parse_chunk, _parse_lines
 
 MAGIC = b"MCP1"
 VERSION = 1
 
-_UVARINT_MAX = (1 << 64) - 1
+# 64 bits: each coverage, length and zigzag start delta of the record domain
+_UVARINT_MAX = COVERAGE_LIMIT - 1
 
 # Records per chunk when a record sequence is encoded.
 BATCH_RECORDS = 4096
@@ -205,13 +206,11 @@ class _Stream:
 
     def varints(self, values, value_of: dict | None = None) -> None:
         """Append one chunk's values as plain varints; with `value_of`, a
-        {text: value} map, the values are texts, each distinct one encoded once."""
+        {text: value} map, the values are texts, each distinct one encoded once
+        (a parse keeps their values in the record domain, so none overflows)."""
         encode = self.value_bytes.__getitem__
         if value_of is not None:
-            try:
-                encode = {text: encode(value) for text, value in value_of.items()}.__getitem__
-            except Overflow:  # met in set order: map in stream order, so the first one raises
-                values = map(value_of.__getitem__, values)
+            encode = {text: encode(value) for text, value in value_of.items()}.__getitem__
         if self.error is None:
             try:
                 self.data += b"".join(map(encode, values))
@@ -347,8 +346,8 @@ def encode_block(records: Batches | Iterable[MethRecord]) -> bytes:
     is added to Batches first. Writes the header and dictionary, then
     each stream's bytes and open run; the Batches is left as it was.
     Errors, first found first: UnsortedInput, a chromosome name with no
-    UTF-8 form (UnicodeEncodeError), then Overflow for the first value
-    out of varint range in stream order.
+    UTF-8 form (UnicodeEncodeError), then Overflow for the first value out
+    of varint range in stream order, which no parsed TSV payload holds.
     """
     batches = records if isinstance(records, Batches) else Batches.of_records(records)
     block = bytearray(MAGIC)

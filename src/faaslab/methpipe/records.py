@@ -27,6 +27,11 @@ for it). The sort stage keeps only the line and the start, packed into
 meth_pct text once: `columns()` maps them for records, and the encoder
 writes them from their texts.
 
+Every parser checks one record domain, all of which MCP1 can encode:
+``0 <= start < end < END_LIMIT`` (2**63), ``0 <= coverage < COVERAGE_LIMIT``
+(2**64) and ``0 <= meth_pct <= METH_PCT_MAX``. A value outside it is a
+ParseError naming its column.
+
 Sort order is (chrom, start, end, strand), compared field by field.
 Chromosome names compare in raw byte order, so "chr10" sorts before "chr2";
 the pipeline only needs a total order, not the genomics natural order.
@@ -43,6 +48,11 @@ from typing import Iterable, Iterator, NamedTuple
 from faaslab.errors import ParseError
 
 _STRANDS = ("+", "-")
+
+# The record domain (see the module docstring).
+END_LIMIT = 1 << 63
+COVERAGE_LIMIT = 1 << 64
+METH_PCT_MAX = 100
 
 
 class MethRecord(NamedTuple):
@@ -72,10 +82,10 @@ def _pct_field(text: str, column: int) -> int:
     except ValueError:
         try:
             value = round(float(text))
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: inf and 1e400
             raise ParseError(column, f"meth_pct is not numeric: {text!r}") from None
-    if not 0 <= value <= 100:
-        raise ParseError(column, f"meth_pct out of [0, 100]: {text!r}")
+    if not 0 <= value <= METH_PCT_MAX:
+        raise ParseError(column, f"meth_pct out of [0, {METH_PCT_MAX}]: {text!r}")
     return value
 
 
@@ -113,8 +123,10 @@ def parse_meth_record(line: str) -> MethRecord | None:
         raise ParseError(2, f"start is negative: {start}")
     if end <= start:
         raise ParseError(3, f"end must exceed start: start={start} end={end}")
-    if coverage < 0:
-        raise ParseError(10 if not internal else 5, f"coverage is negative: {coverage}")
+    if end >= END_LIMIT:
+        raise ParseError(3, f"end is not below 2**63: {end}")
+    if not 0 <= coverage < COVERAGE_LIMIT:
+        raise ParseError(5 if internal else 10, f"coverage out of [0, 2**64): {coverage}")
     return MethRecord(chrom, start, end, strand, coverage, meth_pct)
 
 
@@ -243,9 +255,9 @@ def _parse_chunk(chunk: bytes) -> _Chunk | None:
         return None
     if (
         min(starts) < 0
-        or min(coverage_of.values()) < 0
-        or min(meth_of.values()) < 0
-        or max(meth_of.values()) > 100
+        or max(ends) >= END_LIMIT
+        or min(coverage_of.values()) < 0 or max(coverage_of.values()) >= COVERAGE_LIMIT
+        or min(meth_of.values()) < 0 or max(meth_of.values()) > METH_PCT_MAX
         or any(map(operator.le, ends, starts))
     ):
         return None

@@ -8,10 +8,11 @@ mapper parses its input into canonical lines and orders them with
 `sort_lines`, then cuts them at the plan's boundaries
 (`partition_records`); its fragments join those lines, so no record is
 serialized again. A reducer does not parse its fragments again: it
-merges their lines on (chromosome, start) and parses in full only the
-lines that share both. A fragment that no mapper writes falls back to
-`sort_lines`, which parses every fragment in full (see
-`merge_fragments`).
+merges their lines on (chromosome, start), and orders lines that share
+both by the rest of the record, read from the line. A fragment that no
+mapper writes falls back to `sort_lines`, which parses every fragment
+in full (see `merge_fragments`). The parse keeps every start below
+2**63, so a block's starts always pack into an int64 array.
 
 VM path: gather every input object into one machine, order their
 canonical lines with `sort_lines` and cut them into w_out ranges for the
@@ -39,11 +40,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from faaslab.blobstore import Session
 from faaslab.errors import DomainError, MissingPartition, NotFound, ParseError
 from faaslab.methpipe.records import (
-    SERIALIZE_BATCH,
     SORT_KEY,
     _chunks,
     _split_fields,
-    record_lines,
     records_to_tsv,  # noqa: F401 -- perfbench/tracing.py patches it here
     tsv_to_lines,
     tsv_to_records,
@@ -203,15 +202,16 @@ def merge_fragments(fragments: list[tuple[str, bytes]]) -> bytes:
     not parse the fragments again: it orders their lines with
     `_merge_lines`, making only the checks listed there.
 
-    A fragment that fails a check, or whose tied lines do not parse as one
-    record each, is no mapper's output: then the fragments are sorted as
-    the VM sorts its input, with `sort_lines`, whose full parse raises a
-    ParseError naming the fragment's key on a malformed line. On mapper
-    output both ways give the same lines.
+    A fragment that fails a check, with a start outside int64
+    (OverflowError) or a tied line whose numbers are not integers, is no
+    mapper's output: then the fragments are sorted as the VM sorts its
+    input, with `sort_lines`, whose full parse raises a ParseError naming
+    the fragment's key on a malformed line. On mapper output both ways
+    give the same lines.
     """
     try:
         merged = _merge_lines(_fragment_chunks(payload for _, payload in fragments))
-    except (ValueError, ParseError):
+    except (ValueError, OverflowError):
         merged = sort_lines(fragments)
     return _join_lines(merged)
 
@@ -245,19 +245,14 @@ def _fragment_chunks(payloads: Iterable[bytes]) -> Iterator[tuple]:
             yield chroms, starts, chunk.split(b"\n")
 
 
-class _IntStarts(list):
-    """A block's starts once one is outside int64: ints, filled as an array is."""
-
-    fromlist = list.extend
-
-
 def _merge_lines(chunks: Iterable[tuple[Sequence, list[int], list[bytes]]]) -> list[bytes]:
     """Lines in full-tuple order, from (chromosomes, starts, lines) chunks.
 
     The reducer's chunks come from `_fragment_chunks`, and the merge relies
     on its checks only: every line has 6 tab-separated fields, no ``\\r``,
     a chromosome that is neither empty nor a comment and an integer start
-    (ValueError otherwise); tied lines must parse (ParseError otherwise).
+    (ValueError otherwise), which fits int64 (OverflowError otherwise);
+    tied lines must have integer numbers (ValueError otherwise).
     `sort_lines`' chunks come from `tsv_to_lines`, whose full parse adds
     every other check of `tsv_to_records` and makes each line canonical.
 
@@ -268,10 +263,9 @@ def _merge_lines(chunks: Iterable[tuple[Sequence, list[int], list[bytes]]]) -> l
     sorts after "c" but its line sorts before.
 
     A block packs its starts into an int64 array, 8 bytes a line, not an
-    int object. From a start outside int64 (2**63 or more, or a reducer's
-    huge negative) on, it keeps ints; a failed fromlist adds nothing.
+    int object.
     """
-    blocks: dict[object, list] = {}
+    blocks: dict[object, tuple[array, list[bytes]]] = {}
     for chroms, starts, lines in chunks:
         if not all(map(operator.le, chroms, islice(chroms, 1, None))):
             order = sorted(range(len(chroms)), key=chroms.__getitem__)
@@ -279,13 +273,9 @@ def _merge_lines(chunks: Iterable[tuple[Sequence, list[int], list[bytes]]]) -> l
         lo, n = 0, len(chroms)
         while lo < n:
             hi = bisect_right(chroms, chroms[lo], lo)
-            block = blocks.setdefault(chroms[lo], [array("q"), []])
-            try:
-                block[0].fromlist(starts[lo:hi])
-            except OverflowError:
-                block[0] = _IntStarts(block[0])
-                block[0].fromlist(starts[lo:hi])
-            block[1] += lines[lo:hi]
+            block_starts, block_lines = blocks.setdefault(chroms[lo], (array("q"), []))
+            block_starts.fromlist(starts[lo:hi])
+            block_lines += lines[lo:hi]
             lo = hi
     merged: list[bytes] = []
     for chrom in sorted(blocks):
@@ -293,16 +283,14 @@ def _merge_lines(chunks: Iterable[tuple[Sequence, list[int], list[bytes]]]) -> l
     return merged
 
 
-def _merge_block(starts: Sequence[int], lines: list[bytes]) -> list[bytes]:
-    """One chromosome's lines in full-tuple order, given their starts.
+def _merge_block(starts: array, lines: list[bytes]) -> list[bytes]:
+    """One chromosome's lines in full-tuple order, given their packed starts.
 
-    The line sort and the tie count read the starts, packed or not (see
-    `_merge_lines`), from the block, so no list of them is built and ints
-    exist for one chromosome at a time. The starts are sorted, for the tie
-    scan, only when two lines share one, and tied lines are written back a
-    SERIALIZE_BATCH at a time. A function of its own, so that its lists are
-    freed before the caller joins the output. Raises ParseError when a tied
-    line is not one record.
+    The line sort and the tie count read the starts from the block, so no
+    list of them is built. Only when two lines share a start are the
+    starts sorted, for the tie scan, and the tied lines alone sorted by
+    `_tie_key` and written back in place. A function of its own, so that
+    its lists are freed before the caller joins the output.
     """
     # list.sort calls the key once per line, in list order, before it
     # sorts, so next() on the starts hands every line its own start
@@ -312,23 +300,22 @@ def _merge_block(starts: Sequence[int], lines: list[bytes]) -> list[bytes]:
     keys = sorted(starts)
     # Lines that share a start are still to be ordered by the rest of the
     # tuple. Line i is tied when its start equals line i - 1's or i + 1's.
-    # Sorted, the records of all tied lines group by start in the groups'
-    # order, so the k-th record's line goes to the k-th tied place.
+    # Sorted by their keys, the tied lines group by start in the groups'
+    # order, so the k-th of them goes to the k-th tied place.
     shared = list(map(operator.eq, keys, islice(keys, 1, None)))
     del keys
     before, after = chain((False,), shared), chain(shared, (False,))
     tied = list(compress(count(), map(operator.or_, before, after)))
     del shared
-    records = tsv_to_records(b"\n".join(map(lines.__getitem__, tied)))
-    if len(records) != len(tied):
-        raise ParseError(1, "a tied line is blank or a comment")
-    records.sort()
-    places = iter(tied)
-    for lo in range(0, len(records), SERIALIZE_BATCH):
-        # the batch first: zip stops on it without taking one more place
-        for line, i in zip(record_lines(records[lo : lo + SERIALIZE_BATCH]), places):
-            lines[i] = line
+    for i, line in zip(tied, sorted(map(lines.__getitem__, tied), key=_tie_key)):
+        lines[i] = line
     return lines
+
+
+def _tie_key(line: bytes) -> tuple:
+    """A line's (start, end, strand, coverage, meth_pct); strand bytes order as its strings do."""
+    _, start, end, strand, coverage, meth_pct = line.split(b"\t")
+    return int(start), int(end), strand, int(coverage), int(meth_pct)
 
 
 def split_sorted(items: list[bytes], w_out: int) -> list[list[bytes]]:

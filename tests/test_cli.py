@@ -676,7 +676,16 @@ def test_profile_file_not_utf8_exit_2(paper_workflow, tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize(
     "bad",
-    [b"chr1\tx\t5\t+\t1\t2\n", b"chr\xff1\t1\t5\t+\t1\t2\n"],
+    [
+        b"chr1\tx\t5\t+\t1\t2\n",
+        b"chr\xff1\t1\t5\t+\t1\t2\n",
+        # non-finite meth_pct
+        b"chr1\t5\t6\t+\t1\tinf\n",
+        b"chr1\t5\t6\t+\t1\t1e400\n",
+        # outside the record domain, which MCP1 could not encode
+        b"chr1\t9223372036854775808\t9223372036854775809\t+\t1\t2\n",
+        b"chr1\t5\t6\t+\t18446744073709551616\t2\n",
+    ],
 )
 def test_run_emulate_malformed_input_line_exit_1(desk_workflow, tmp_path, capsys, bad):
     store = tmp_path / "s"

@@ -40,7 +40,7 @@ from faaslab.methpipe import (
     split_into_objects,
     tsv_to_records,
 )
-from faaslab.methpipe.records import record_lines
+from faaslab.methpipe.records import END_LIMIT, record_lines
 from faaslab.perfmodel import (
     ComputeProfile,
     PriceSheet,
@@ -539,7 +539,7 @@ _vm_records = st.lists(
     st.builds(
         lambda chrom, start, span, strand, cov, meth: MethRecord(chrom, start, start + span, strand, cov, meth),
         chrom=st.sampled_from(_VM_CHROMS),
-        start=st.one_of(st.integers(min_value=0, max_value=30), st.just(2**64)),
+        start=st.one_of(st.integers(min_value=0, max_value=30), st.just(END_LIMIT - 101)),
         span=st.sampled_from([1, 9, 10, 100]),
         strand=st.sampled_from(["+", "-"]),
         cov=st.sampled_from([0, 9, 10, 500]),
@@ -605,21 +605,22 @@ def test_vm_sort_matches_the_record_sort(recs, data):
         assert vm_sort_outcome(objects, w) == oracle_outcome(objects, w)
 
 
-def _past_int64_records(case):
-    """Records whose starts reach int64's edges and past them, in input order."""
+def _int64_edge_records(case):
+    """Records whose starts and ends reach the record domain's int64 edge, in input order."""
     if case == "int64-edges":
-        starts = [0, 5, 2**63 - 2, 2**63 - 1, 2**63, 2**64, 2**64 + 1]
-        return [MethRecord(chrom, s, s + 10, "+", 1, 2) for s in starts for chrom in ("chr2", "chr1")][::-1]
-    if case == "overflow-after-packed-chunks":
-        # chr1's first chunks pack; a later chunk holds 2**63, and the
-        # chunks after it add to the block's ints
+        spans = [(0, 10), (5, 15), (END_LIMIT - 12, END_LIMIT - 2), (END_LIMIT - 11, END_LIMIT - 1),
+                 (END_LIMIT - 2, END_LIMIT - 1)]
+        return [MethRecord(chrom, s, e, "+", 1, 2) for s, e in spans for chrom in ("chr2", "chr1")][::-1]
+    if case == "edge-after-packed-chunks":
+        # chr1's first chunks pack small starts; a later chunk holds the
+        # largest start, and the chunks after it pack small ones again
         recs = [MethRecord("chr1", s, s + 1, "+", 1, 2) for s in range(300, 0, -1)]
-        recs[200:200] = [MethRecord("chr1", 2**63, 2**63 + 1, "-", 3, 4)]
+        recs[200:200] = [MethRecord("chr1", END_LIMIT - 2, END_LIMIT - 1, "-", 3, 4)]
         return recs + [MethRecord("chr2", s, s + 1, "+", 1, 2) for s in range(50)]
-    # lines tied on a start past int64, ordered by the rest of the record
+    # lines tied on a start at the edge, ordered by the rest of the record
     return [
         MethRecord("chr1", s, s + span, strand, cov, 5)
-        for s in (2**64, 2**63 - 1) for span in (9, 1) for strand in "-+" for cov in (2, 1)
+        for s in (END_LIMIT - 10, 7) for span in (9, 1) for strand in "-+" for cov in (2, 1)
     ]
 
 
@@ -629,11 +630,10 @@ def _parse_error(call):
     return caught.value.column, caught.value.reason
 
 
-@pytest.mark.parametrize("case", ["int64-edges", "overflow-after-packed-chunks", "ties-past-int64"])
-def test_vm_sort_matches_the_record_sort_past_int64(case):
-    # a chromosome block packs its starts into int64 until one does not
-    # fit, then keeps ints; mapper, reducer and VM give the record sort
-    recs = _past_int64_records(case)
+@pytest.mark.parametrize("case", ["int64-edges", "edge-after-packed-chunks", "ties-at-int64-edge"])
+def test_vm_sort_matches_the_record_sort_at_the_int64_edge(case):
+    # every start packs into int64; mapper, reducer and VM give the record sort
+    recs = _int64_edge_records(case)
     objects = [(f"raw/{i:04d}", records_to_tsv(recs[i::2])) for i in range(2)]
     fragments = [(shuffle.partition_key("sort", i, 0), records_to_tsv(sorted(recs[i::3]))) for i in range(3)]
     expected = record_lines(sorted(r for _, payload in objects for r in tsv_to_records(payload)))
@@ -641,27 +641,35 @@ def test_vm_sort_matches_the_record_sort_past_int64(case):
         assert shuffle.sort_lines(objects) == expected
         assert shuffle.merge_fragments(fragments) == b"".join(line + b"\n" for line in expected)
         assert vm_sort_outcome(objects, 3) == oracle_outcome(objects, 3)
-        objects.append(("raw/bad", records_to_tsv(recs[:5]) + b"chr1\t5\t5\t+\t1\t2\n"))
-        assert _parse_error(lambda: shuffle.sort_lines(objects)) == _parse_error(
+        # an end of 2**63 is outside the record domain
+        bad = records_to_tsv(recs[:5]) + b"chr1\t5\t%d\t+\t1\t2\n" % END_LIMIT
+        objects.append(("raw/bad", bad))
+        error = (3, f"end is not below 2**63: {END_LIMIT} in object 'raw/bad'")
+        assert _parse_error(lambda: shuffle.sort_lines(objects)) == error
+        assert _parse_error(
             lambda: [shuffle.parse_object(tsv_to_records, payload, key) for key, payload in objects]
-        )
-        assert vm_sort_outcome(objects, 3) == oracle_outcome(objects, 3)
+        ) == error
+        assert vm_sort_outcome(objects, 3) == oracle_outcome(objects, 3) == (ParseError, *error)
+        # a blank line makes the fragment no mapper's output, so the
+        # reducer falls back to the full parse
+        fragments.append(("raw/bad", b"\n" + bad))
+        assert _parse_error(lambda: shuffle.merge_fragments(fragments)) == error
 
 
-def test_merge_fragments_orders_a_start_below_int64():
-    # the reducer's light parse takes any integer start, and merges it as
-    # a list of ints would; tied, it fails the full parse, and the error
-    # is the one every full parse raises
-    huge = -(2**64)
+def test_merge_fragments_orders_ties_by_key_and_falls_back_below_int64():
+    # the reducer's light parse takes any int64 start: lines tied at -1
+    # merge by the tie key, end 9 before end 10 though its line sorts after
     fragments = [
-        ("raw/0", f"chr1\t{huge}\t5\t+\t1\t2\nchr1\t3\t4\t+\t1\t2\n".encode()),
-        ("raw/1", f"chr1\t-1\t9\t+\t1\t2\nchr1\t{2**64}\t{2**64 + 1}\t+\t1\t2\n".encode()),
+        ("raw/0", b"chr1\t-1\t10\t+\t1\t2\nchr1\t3\t4\t+\t1\t2\n"),
+        ("raw/1", b"chr1\t-1\t9\t+\t1\t2\nchr1\t5\t6\t+\t1\t2\n"),
     ]
     assert shuffle.merge_fragments(fragments) == (
-        f"chr1\t{huge}\t5\t+\t1\t2\nchr1\t-1\t9\t+\t1\t2\nchr1\t3\t4\t+\t1\t2\n"
-        f"chr1\t{2**64}\t{2**64 + 1}\t+\t1\t2\n"
-    ).encode()
-    fragments.append(("raw/2", f"chr1\t{huge}\t6\t+\t1\t2\n".encode()))
+        b"chr1\t-1\t9\t+\t1\t2\nchr1\t-1\t10\t+\t1\t2\nchr1\t3\t4\t+\t1\t2\nchr1\t5\t6\t+\t1\t2\n"
+    )
+    # a start below int64 does not pack: the fragments take the fallback,
+    # whose error is the one every full parse raises
+    huge = -(2**64)
+    fragments[0] = ("raw/0", f"chr1\t{huge}\t5\t+\t1\t2\n".encode() + fragments[0][1])
     error = (2, f"start is negative: {huge} in object 'raw/0'")
     assert _parse_error(lambda: shuffle.merge_fragments(fragments)) == error
     assert _parse_error(lambda: shuffle.sort_lines(fragments)) == error

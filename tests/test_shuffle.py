@@ -24,7 +24,7 @@ from faaslab.methpipe import (
     tsv_to_records,
 )
 from faaslab.methpipe import records as records_module
-from faaslab.methpipe.records import CHUNK_BYTES, SORT_KEY, record_lines, tsv_to_lines
+from faaslab.methpipe.records import CHUNK_BYTES, END_LIMIT, SORT_KEY, record_lines, tsv_to_lines
 from faaslab.perfmodel import builtin_profiles
 from faaslab.shuffle import (
     ShufflePlan,
@@ -405,8 +405,8 @@ def test_merge_fragment_without_final_newline_or_empty():
 
 
 # Records off CPython's sort fast paths: starts past one int digit (2**30) and
-# past 64 bits, chromosome names outside Latin-1, (chrom, start) ties that
-# differ only in a later field, and exact duplicates.
+# at the record domain's int64 edge, chromosome names outside Latin-1,
+# (chrom, start) ties that differ only in a later field, and exact duplicates.
 _off_fast_path_records = st.lists(
     st.builds(
         lambda chrom, start, span, strand, cov, meth: MethRecord(chrom, start, start + span, strand, cov, meth),
@@ -414,7 +414,7 @@ _off_fast_path_records = st.lists(
         start=st.one_of(
             st.integers(min_value=0, max_value=20),
             st.integers(min_value=2**30 - 2, max_value=2**30 + 20),
-            st.integers(min_value=2**64 - 2, max_value=2**64 + 20),
+            st.integers(min_value=END_LIMIT - 26, max_value=END_LIMIT - 4),
         ),
         span=st.integers(min_value=1, max_value=3),
         strand=st.sampled_from(["+", "-"]),
@@ -432,7 +432,7 @@ _tied_records = st.lists(
     st.builds(
         lambda chrom, start, span, strand, cov, meth: MethRecord(chrom, start, start + span, strand, cov, meth),
         chrom=st.sampled_from(["c", "c\x01"]),
-        start=st.sampled_from([0, 1, 2**64]),
+        start=st.sampled_from([0, 1, END_LIMIT - 101]),
         span=st.sampled_from([9, 10, 99, 100]),
         strand=st.sampled_from(["+", "-"]),
         cov=st.sampled_from([9, 10]),
@@ -555,8 +555,8 @@ def test_partition_then_merge_equals_sorted_rows(per_mapper, data):
         (b"chr1\t5\t6\t+\t1\t2\t3\n4\t7\t8\t+\t1\n", 6),
         (b"chr1\tx\t6\t+\t1\t2\n", 2),
         (b"chr1\t5\t6\t+\t1\t2\nchr1\t\xff\t8\t+\t1\t2", 2),
-        # lines that share (chromosome, start) are parsed in full: a bad
-        # end tied with another line
+        # lines that share (chromosome, start) are ordered by their
+        # numbers: a bad end tied with another line takes the fallback
         (b"chr1\t1\tx\t+\t1\t2\n", 3),
     ],
 )
@@ -667,15 +667,14 @@ def _whole_merge_block(starts, lines):
     return lines
 
 
-def test_all_tied_block_writes_back_a_batch_at_a_time(monkeypatch):
-    # every line on one (chromosome, start), more than two SERIALIZE_BATCH
-    # of them, so a batch that took one place too many would shift every
-    # later line; small parse chunks keep the parse's own peak below the
-    # write-back's
+def test_all_tied_block_sorts_by_key_below_the_reparse_peak(monkeypatch):
+    # every line on one (chromosome, start), so every line is ordered by
+    # the tie key read from it; small parse chunks keep the parse's own
+    # peak below the tie sort's
     monkeypatch.setattr(records_module, "CHUNK_BYTES", 1024)
     records = [
         r._replace(chrom="chr1", start=7, end=8 + r.start % 3)
-        for r in generate_synthetic(5 * shuffle.SERIALIZE_BATCH + 11, seed=41, shuffled=True)
+        for r in generate_synthetic(5 * records_module.SERIALIZE_BATCH + 11, seed=41, shuffled=True)
     ]
     objects = [(f"raw/{i}", p) for i, p in enumerate(split_into_objects(records, 8))]
     expected = record_lines(sorted(records))
@@ -683,15 +682,15 @@ def test_all_tied_block_writes_back_a_batch_at_a_time(monkeypatch):
     assert merged == expected
     fragments = keyed([shuffle._join_lines(sort_lines([obj])) for obj in objects])
     assert merge_fragments(fragments) == shuffle._join_lines(expected)
-    # on this input the form that serialized all tied records at once
-    # peaked about 18% higher
+    # on this input the form that parsed the tied lines again and
+    # serialized all their records at once peaked about 19% higher
     monkeypatch.setattr(shuffle, "_merge_block", _whole_merge_block)
     whole, whole_peak = _traced_peak(lambda: sort_lines(objects))
     assert whole == expected
     assert peak < 0.9 * whole_peak
 
 
-def test_distinct_starts_parse_no_line_again(monkeypatch):
+def test_sort_and_merge_parse_no_line_again(monkeypatch):
     def refuse(payload):
         raise AssertionError("a line was parsed again")
 
@@ -703,9 +702,9 @@ def test_distinct_starts_parse_no_line_again(monkeypatch):
     monkeypatch.setattr(shuffle, "tsv_to_records", refuse)
     assert sort_lines(objects) == expected
     assert merge_fragments(fragments) == shuffle._join_lines(expected)
-    monkeypatch.undo()
-    # one start tied across two objects, one across two fragments; ends 9
-    # and 10, whose lines sort in byte order the other way round
+    # still refused: one start tied across two objects, one across two
+    # fragments; ends 9 and 10, whose lines sort in byte order the other
+    # way round, are ordered by the tie key, not by a parse
     pair = [rec("chr2", 4)._replace(end=10), rec("chr2", 4)._replace(end=9)]
     tied = records + pair
     objects += [("raw/tied-0", records_to_tsv(pair[:1])), ("raw/tied-1", records_to_tsv(pair[1:]))]
