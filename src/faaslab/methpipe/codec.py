@@ -12,13 +12,12 @@ boundaries). Encoding requires input sorted by (chrom, start, end,
 strand); sorting is the upstream stage's job, so unsorted input is an
 error here, not something to fix quietly.
 
-The encoder works on `Batches`: records added chunk by chunk, each
-chunk checked for order and appended at once to six stream writers;
-a run stream's last run stays open, since the next chunk may go on
-with it. `tsv_to_batches` builds them straight from a TSV payload's
-parse chunks, without record tuples, and writes coverage and meth_pct
-from their texts, each distinct text encoded once; a record sequence is
-added in chunks of BATCH_RECORDS.
+The encoder takes one input, `Batches`, which `tsv_to_batches` builds
+from a TSV payload: each parse chunk (`records._Chunk`, the one form
+every chunk parses to) is checked for order and appended at once to six
+stream writers, without record tuples; a run stream's last run stays
+open, since the next chunk may go on with it. Coverage and meth_pct are
+written from their texts, each distinct text encoded once.
 """
 
 from __future__ import annotations
@@ -26,9 +25,8 @@ from __future__ import annotations
 import gzip
 import zlib
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice
 from operator import ne, not_, sub
-from typing import Iterable
 
 from faaslab.errors import (
     BadMagic,
@@ -37,16 +35,13 @@ from faaslab.errors import (
     Truncated,
     UnsortedInput,
 )
-from faaslab.methpipe.records import COVERAGE_LIMIT, MethRecord, _chunks, _parse_chunk, _parse_lines
+from faaslab.methpipe.records import COVERAGE_LIMIT, MethRecord, _Chunk, _parsed_chunks
 
 MAGIC = b"MCP1"
 VERSION = 1
 
 # 64 bits: each coverage, length and zigzag start delta of the record domain
 _UVARINT_MAX = COVERAGE_LIMIT - 1
-
-# Records per chunk when a record sequence is encoded.
-BATCH_RECORDS = 4096
 
 
 def _write_uvarint(buf: bytearray, value: int) -> None:
@@ -157,10 +152,6 @@ def _first_unsorted(last: tuple, keys) -> tuple:
     raise AssertionError("no record out of order")
 
 
-def _same(value):
-    return value
-
-
 def _pairs(values: list, sizes: list, value_bytes: _Varints, size_bytes: _Varints) -> bytes:
     """(value, size) runs as varint pairs."""
     pairs = [None] * (2 * len(values))
@@ -170,28 +161,23 @@ def _pairs(values: list, sizes: list, value_bytes: _Varints, size_bytes: _Varint
 
 
 class _Stream:
-    """One stream's bytes so far, with its open run and its first error.
+    """One stream's bytes so far, with its open run.
 
     A run stream's last run stays open as (value, size), since the next
-    chunk may go on with it. The first Overflow or TypeError that
-    writing raised is kept, and nothing more is written; the encoder
-    raises it when it reaches this stream.
+    chunk may go on with it.
     """
 
-    __slots__ = ("data", "value", "size", "error", "value_bytes", "size_bytes")
+    __slots__ = ("data", "value", "size", "value_bytes", "size_bytes")
 
     def __init__(self, value_bytes: _Varints, size_bytes: _Varints) -> None:
         self.data = bytearray()
         self.value = None
         self.size = 0  # no open run
-        self.error: Exception | None = None
         self.value_bytes = value_bytes
         self.size_bytes = size_bytes
 
     def runs(self, values: list, sizes: list) -> None:
         """Append one chunk's (values, sizes) runs, taking the lists over."""
-        if self.error is not None:
-            return
         if self.size:
             if values[0] == self.value:
                 sizes[0] += self.size
@@ -199,39 +185,30 @@ class _Stream:
                 values.insert(0, self.value)
                 sizes.insert(0, self.size)
         self.value, self.size = values.pop(), sizes.pop()
-        try:
-            self.data += _pairs(values, sizes, self.value_bytes, self.size_bytes)
-        except (Overflow, TypeError) as exc:
-            self.error = exc.with_traceback(None)
+        self.data += _pairs(values, sizes, self.value_bytes, self.size_bytes)
 
-    def varints(self, values, value_of: dict | None = None) -> None:
-        """Append one chunk's values as plain varints; with `value_of`, a
-        {text: value} map, the values are texts, each distinct one encoded once
-        (a parse keeps their values in the record domain, so none overflows)."""
+    def varints(self, texts: list[bytes], value_of: dict[bytes, int]) -> None:
+        """Append one chunk's values as plain varints, from their texts and
+        a {text: value} map, each distinct text encoded once."""
         encode = self.value_bytes.__getitem__
-        if value_of is not None:
-            encode = {text: encode(value) for text, value in value_of.items()}.__getitem__
-        if self.error is None:
-            try:
-                self.data += b"".join(map(encode, values))
-            except (Overflow, TypeError) as exc:
-                self.error = exc.with_traceback(None)
+        encoded = {text: encode(value) for text, value in value_of.items()}
+        self.data += b"".join(map(encoded.__getitem__, texts))
 
     def open_run(self) -> bytes:
-        """The open run's bytes, or the kept error raised."""
-        if self.error is not None:
-            raise self.error.with_traceback(None)  # each raise starts a fresh traceback
+        """The open run's bytes."""
         return self.value_bytes[self.value] + self.size_bytes[self.size] if self.size else b""
+
+
+_STRAND_BITS = bytes.maketrans(b"+-", b"\x00\x01")
 
 
 class Batches:
     """Sorted records, order-checked and written to the six streams as they come.
 
-    `add` takes one chunk's columns and writes them at once: run-length
-    and varint bytes, with no record tuples and no start or end ints.
-    Start deltas are taken from the previous record, across chunk edges.
-    `ids` is the chromosome dictionary in first-seen order. len() is the
-    record count.
+    `add` takes one parsed chunk and writes it at once: run-length and
+    varint bytes, with no record tuples. Start deltas are taken from the
+    previous record, across chunk edges. `ids` is the chromosome
+    dictionary in first-seen order. len() is the record count.
     """
 
     __slots__ = ("ids", "count", "streams", "_last", "_start")
@@ -252,32 +229,18 @@ class Batches:
     def __len__(self) -> int:
         return self.count
 
-    @classmethod
-    def of_records(cls, records: Iterable[MethRecord]) -> Batches:
-        """Add records in chunks of BATCH_RECORDS; fields past the sixth are ignored."""
-        batches = cls()
-        records = iter(records)
-        while chunk := list(islice(records, BATCH_RECORDS)):
-            batches.add(*islice(zip(*chunk), 6))
-        return batches
+    def add(self, parsed: _Chunk) -> None:
+        """Append one parsed chunk's records.
 
-    def add(self, chroms, starts, ends, strands, coverages, meths,
-            bits=None, name=_same, coverage_of=None, meth_of=None) -> None:
-        """Append one chunk of records, given as six equal-length columns.
-
-        `chroms` may hold any keys that sort as the names do, `name`
-        turning a key into its name; `strands` may be any sequence of
-        strand strings, such as one str. `bits` are the strand bits,
-        when the caller has them. With `coverage_of` and `meth_of`,
-        {text: value} maps, `coverages` and `meths` are written from their
-        texts. Raises UnsortedInput naming the first record that sorts
-        before its predecessor by (chrom, start, end, strand). A value
-        with no varint form raises nothing here: its stream keeps the
-        error for encode_block.
+        The order check and the chromosome and strand runs work on the
+        raw fields, which sort as the names and strands do. Raises
+        UnsortedInput naming the first record that sorts before its
+        predecessor by (chrom, start, end, strand).
         """
-        n = len(starts)
-        if not n:
-            return
+        chroms, starts, ends = parsed.raw_chroms, parsed.starts, parsed.ends
+        name = parsed.names.__getitem__
+        strand_bytes = b"".join(parsed.raw_strands)
+        strands = strand_bytes.decode()
         deltas = list(map(sub, starts, chain((self._start,), starts)))
         runs = _chrom_runs(chroms)
         if (
@@ -290,48 +253,32 @@ class Batches:
             raise UnsortedInput(f"record ({c}, {s}, {e}, {t}) sorts before its predecessor")
         self._last = (name(chroms[-1]), starts[-1], ends[-1], strands[-1])
         self._start = starts[-1]
-        self.count += n
-        if bits is None:
-            bits = bytes(map(ne, strands, repeat("+")))
+        self.count += len(starts)
         ids = self.ids
         chrom, delta, length, strand, coverage, meth = self.streams
         chrom.runs([ids.setdefault(name(key), len(ids)) for key in runs[0]], runs[1])
         delta.runs(*_runs(deltas))
         length.runs(*_runs(list(map(sub, ends, starts))))
-        strand.runs(*_runs(bits))
-        coverage.varints(coverages, coverage_of)
-        meth.varints(meths, meth_of)
-
-
-_STRAND_BITS = bytes.maketrans(b"+-", b"\x00\x01")
+        strand.runs(*_runs(strand_bytes.translate(_STRAND_BITS)))
+        coverage.varints(parsed.numbers[2], parsed.coverage_of)
+        meth.varints(parsed.numbers[3], parsed.meth_of)
 
 
 def tsv_to_batches(payload: bytes) -> Batches:
     """Parse a sorted TSV payload straight into the encoder's Batches.
 
-    Each parse chunk (see records.tsv_to_records) is added as it parses; the
+    Each parse chunk (see records._parsed_chunks) is added as it parses; the
     records, and the ParseError on bad input, are those of
-    tsv_to_records. A batch-parsed chunk is checked and run-length coded
-    on its raw chromosome and strand fields. A record out of order
-    raises UnsortedInput, but only after the whole payload has parsed,
-    so a parse error anywhere in the payload comes first.
+    records.tsv_to_records. A record out of order raises UnsortedInput,
+    but only after the whole payload has parsed, so a parse error
+    anywhere in the payload comes first.
     """
     batches = Batches()
     unsorted = None
-    for chunk in _chunks(payload):
-        parsed = _parse_chunk(chunk)
-        if parsed is None:
-            columns = list(zip(*_parse_lines(chunk)))
-            extra = {}
-        else:
-            strands = b"".join(parsed.raw_strands)
-            columns = [parsed.raw_chroms, parsed.starts, parsed.ends, strands.decode(),
-                       *parsed.numbers[2:]]
-            extra = {"bits": strands.translate(_STRAND_BITS), "name": parsed.names.__getitem__,
-                     "coverage_of": parsed.coverage_of, "meth_of": parsed.meth_of}
-        if columns and unsorted is None:
+    for _, parsed in _parsed_chunks(payload):
+        if unsorted is None:
             try:
-                batches.add(*columns, **extra)
+                batches.add(parsed)
             except UnsortedInput as exc:
                 unsorted = exc
     if unsorted is not None:
@@ -339,17 +286,13 @@ def tsv_to_batches(payload: bytes) -> Batches:
     return batches
 
 
-def encode_block(records: Batches | Iterable[MethRecord]) -> bytes:
-    """Encode sorted records into one self-checking binary block.
+def encode_block(batches: Batches) -> bytes:
+    """Encode sorted records, added to Batches (see tsv_to_batches), into
+    one self-checking binary block.
 
-    `records` is Batches (see tsv_to_batches) or a record sequence, which
-    is added to Batches first. Writes the header and dictionary, then
-    each stream's bytes and open run; the Batches is left as it was.
-    Errors, first found first: UnsortedInput, a chromosome name with no
-    UTF-8 form (UnicodeEncodeError), then Overflow for the first value out
-    of varint range in stream order, which no parsed TSV payload holds.
+    Writes the header and dictionary, then each stream's bytes and open
+    run; the Batches is left as it was.
     """
-    batches = records if isinstance(records, Batches) else Batches.of_records(records)
     block = bytearray(MAGIC)
     block.append(VERSION)
     _write_uvarint(block, len(batches.ids))
@@ -391,19 +334,24 @@ class _Reader:
             shift += 7
             if shift > 63:
                 raise Truncated("varint exceeds 64 bits")
+        if result > _UVARINT_MAX:
+            raise Truncated("varint exceeds 64 bits")
         self.pos = pos
         return result
 
     def uvarints(self, count: int) -> list[int]:
         return [self.uvarint() for _ in range(count)]
 
-    def runs(self, total: int) -> list[int]:
+    def runs(self, total: int, top: int) -> list[int]:
+        """`total` values from (value, run length) pairs, each value at most `top`."""
         out: list[int] = []
         while len(out) < total:
             value = self.uvarint()
             run = self.uvarint()
             if run == 0 or len(out) + run > total:
                 raise Truncated("run-length stream inconsistent with record count")
+            if value > top:
+                raise Truncated(f"run value {value} is above {top}")
             out.extend([value] * run)
         return out
 
@@ -436,6 +384,8 @@ def decode_block(payload: bytes) -> list[MethRecord]:
     if count > reader.end - reader.pos:  # each record takes a byte in streams 4 and 5
         raise Truncated(f"record count {count} exceeds the bytes left in the block")
 
+    # the largest run value of streams 0 to 3: a dictionary index, a strand bit
+    tops = (chrom_count - 1, _UVARINT_MAX, _UVARINT_MAX, 1)
     columns: list[list[int]] = []
     for i in range(6):
         length = reader.uvarint()
@@ -443,7 +393,7 @@ def decode_block(payload: bytes) -> list[MethRecord]:
             raise Truncated(f"stream {i} runs past end of block")
         sub = _Reader(body, reader.pos, reader.pos + length)
         if i < 4:
-            columns.append(sub.runs(count))
+            columns.append(sub.runs(count, tops[i]))
         else:
             columns.append(sub.uvarints(count))
         if not sub.exhausted():
@@ -457,13 +407,10 @@ def decode_block(payload: bytes) -> list[MethRecord]:
     append = records.append
     pos = 0
     for i in range(count):
-        ci = chrom_idx[i]
-        if ci >= chrom_count:
-            raise Truncated(f"chromosome index {ci} outside dictionary")
         pos += _unzigzag(delta_zz[i])
         append(
             MethRecord(
-                chroms[ci],
+                chroms[chrom_idx[i]],
                 pos,
                 pos + lengths[i],
                 "+" if strands[i] == 0 else "-",

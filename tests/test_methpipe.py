@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from faaslab.errors import (
     BadMagic,
     ChecksumMismatch,
-    Overflow,
     ParseError,
     Truncated,
     UnsortedInput,
@@ -33,6 +32,7 @@ from faaslab.methpipe import records as records_module
 from faaslab.methpipe.codec import MAGIC, tsv_to_batches
 from faaslab.methpipe.records import CHUNK_BYTES, record_lines, tsv_to_lines
 from faaslab.shuffle import sort_lines
+from helpers import encode_records
 
 
 # --- parsing ---------------------------------------------------------------
@@ -157,17 +157,17 @@ def test_split_into_objects_matches_least_loaded_scan():
 # --- codec -------------------------------------------------------------------
 
 def test_encode_empty_block():
-    block = encode_block([])
+    block = encode_records([])
     assert block.startswith(MAGIC)
     assert decode_block(block) == []
 
 def test_encode_single_record():
     records = [MethRecord("chr1", 100, 101, "+", 25, 80)]
-    assert decode_block(encode_block(records)) == records
+    assert decode_block(encode_records(records)) == records
 
 def test_encode_10k_round_trip_and_smaller_than_text():
     records = generate_synthetic(10_000, seed=7)
-    block = encode_block(records)
+    block = encode_records(records)
     assert decode_block(block) == records
     assert len(block) < len(records_to_tsv(records))
 
@@ -177,31 +177,33 @@ def test_encode_rejects_unsorted():
         MethRecord("chr1", 5, 6, "+", 1, 1),
     ]
     with pytest.raises(UnsortedInput):
-        encode_block(records)
+        encode_records(records)
 
 def test_equal_keys_different_payloads_are_sorted_input():
     records = [
         MethRecord("chr1", 10, 11, "+", 9, 90),
         MethRecord("chr1", 10, 11, "+", 1, 10),
     ]
-    assert decode_block(encode_block(records)) == records
+    assert decode_block(encode_records(records)) == records
 
 def test_encode_rejects_negative_field():
-    with pytest.raises(Overflow):
-        encode_block([MethRecord("chr1", 5, 6, "+", -1, 0)])
+    payload = records_to_tsv([MethRecord("chr1", 5, 6, "+", -1, 0)])
+    with pytest.raises(ParseError) as err:
+        tsv_to_batches(payload)
+    assert err.value.column == 5
 
 def test_decode_bad_magic():
     with pytest.raises(BadMagic):
         decode_block(b"NOPE" + b"\x00" * 16)
 
 def test_decode_corrupt_byte():
-    block = bytearray(encode_block(generate_synthetic(200, seed=3)))
+    block = bytearray(encode_records(generate_synthetic(200, seed=3)))
     block[len(block) // 2] ^= 0x40
     with pytest.raises(ChecksumMismatch):
         decode_block(bytes(block))
 
 def test_decode_truncated():
-    block = encode_block(generate_synthetic(200, seed=3))
+    block = encode_records(generate_synthetic(200, seed=3))
     # keep the checksum consistent with a shortened body
     import zlib
     body = block[: len(block) // 2]
@@ -236,6 +238,34 @@ def test_decode_rejects_record_count_past_block_end():
         tracemalloc.stop()
     assert peak < 1_000_000
 
+def _one_record_block(chrom=b"\x00", strand=b"\x00", coverage=b"\x05"):
+    """A block of one record, chr1 5..6 with meth_pct 50, whose chromosome and strand
+    run values and coverage varint are the given bytes; the checksum is valid."""
+    streams = [chrom + b"\x01", b"\x0a\x01", b"\x01\x01", strand + b"\x01", coverage, b"\x32"]
+    body = MAGIC + b"\x01\x01\x04chr1\x01" + b"".join(bytes([len(s)]) + s for s in streams)
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+def test_decode_takes_each_value_at_its_largest():
+    record = MethRecord("chr1", 5, 6, "+", 5, 50)
+    assert _one_record_block() == encode_records([record])
+    assert decode_block(_one_record_block(strand=b"\x01")) == [record._replace(strand="-")]
+    top = b"\xff" * 9 + b"\x01"
+    assert decode_block(_one_record_block(coverage=top)) == [record._replace(coverage=2**64 - 1)]
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"coverage": b"\xff" * 9 + b"\x7f"},  # 2**70 - 1: ten bytes, past 64 bits
+        {"coverage": b"\x80" * 9 + b"\x02"},  # 2**64
+        {"strand": b"\x05"},
+        {"strand": b"\x02"},
+        {"chrom": b"\x01"},  # the dictionary holds one name
+    ],
+)
+def test_decode_rejects_a_value_the_encoder_cannot_write(fields):
+    with pytest.raises(Truncated):
+        decode_block(_one_record_block(**fields))
+
 _records_strategy = st.lists(
     st.builds(
         MethRecord,
@@ -253,19 +283,19 @@ _records_strategy = st.lists(
 @given(_records_strategy)
 def test_codec_round_trip_property(records):
     records = sorted(records)
-    assert decode_block(encode_block(records)) == records
+    assert decode_block(encode_records(records)) == records
 
 @settings(deadline=None)
 @given(_records_strategy)
 def test_decode_output_is_sorted(records):
-    decoded = decode_block(encode_block(sorted(records)))
+    decoded = decode_block(encode_records(sorted(records)))
     assert all(
         a[:4] <= b[:4] for a, b in zip(decoded, decoded[1:])
     )
 
 def test_encode_deterministic():
     records = generate_synthetic(5000, seed=13)
-    assert encode_block(records) == encode_block(records)
+    assert encode_records(records) == encode_records(records)
 
 
 # --- compression baseline -----------------------------------------------------
@@ -331,7 +361,7 @@ def test_records_to_tsv_writes_utf8_chrom():
     payload = records_to_tsv([record])
     assert payload == "chré\t5\t6\t-\t3\t50\n".encode()
     assert tsv_to_records(payload) == [record]
-    assert decode_block(encode_block([record])) == [record]
+    assert decode_block(encode_records([record])) == [record]
     ascii_records = generate_synthetic(500, seed=6)
     assert records_to_tsv(ascii_records).decode("ascii").count("\n") == 500
 
@@ -534,7 +564,7 @@ def test_small_int_columns_parse_as_line_parser(text, column):
     if expected[0] == "error":
         assert got == batches == expected
     else:
-        assert batches == ("ok", encode_block(expected[1]))
+        assert batches == ("ok", encode_records(expected[1]))
         chroms, starts, lines = got[1]
         assert (chroms, starts) == ([r[0] for r in expected[1]], [r[1] for r in expected[1]])
         # a non-canonical text, repeated or not, is written as record_lines writes it
