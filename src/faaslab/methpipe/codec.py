@@ -35,7 +35,14 @@ from faaslab.errors import (
     Truncated,
     UnsortedInput,
 )
-from faaslab.methpipe.records import COVERAGE_LIMIT, MethRecord, _Chunk, _parsed_chunks
+from faaslab.methpipe.records import (
+    COVERAGE_LIMIT,
+    END_LIMIT,
+    METH_PCT_MAX,
+    MethRecord,
+    _Chunk,
+    _parsed_chunks,
+)
 
 MAGIC = b"MCP1"
 VERSION = 1
@@ -55,10 +62,6 @@ def _write_uvarint(buf: bytearray, value: int) -> None:
 
 def _zigzag(value: int) -> int:
     return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
-
-
-def _unzigzag(value: int) -> int:
-    return -((value + 1) >> 1) if value & 1 else value >> 1
 
 
 class _Varints(dict):
@@ -342,16 +345,16 @@ class _Reader:
     def uvarints(self, count: int) -> list[int]:
         return [self.uvarint() for _ in range(count)]
 
-    def runs(self, total: int, top: int) -> list[int]:
-        """`total` values from (value, run length) pairs, each value at most `top`."""
+    def runs(self, total: int, low: int, top: int) -> list[int]:
+        """`total` values from (value, run length) pairs, each in [low, top]."""
         out: list[int] = []
         while len(out) < total:
             value = self.uvarint()
             run = self.uvarint()
             if run == 0 or len(out) + run > total:
                 raise Truncated("run-length stream inconsistent with record count")
-            if value > top:
-                raise Truncated(f"run value {value} is above {top}")
+            if not low <= value <= top:
+                raise Truncated(f"run value {value} is outside [{low}, {top}]")
             out.extend([value] * run)
         return out
 
@@ -378,14 +381,18 @@ def decode_block(payload: bytes) -> list[MethRecord]:
         length = reader.uvarint()
         if reader.pos + length > reader.end:
             raise Truncated("chromosome dictionary runs past end of block")
-        chroms.append(body[reader.pos : reader.pos + length].decode("utf-8"))
+        try:
+            chroms.append(body[reader.pos : reader.pos + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise Truncated(f"chromosome dictionary entry {len(chroms)} is not UTF-8") from None
         reader.pos += length
     count = reader.uvarint()
     if count > reader.end - reader.pos:  # each record takes a byte in streams 4 and 5
         raise Truncated(f"record count {count} exceeds the bytes left in the block")
 
-    # the largest run value of streams 0 to 3: a dictionary index, a strand bit
-    tops = (chrom_count - 1, _UVARINT_MAX, _UVARINT_MAX, 1)
+    # the run values of streams 0 to 3: a dictionary index, any start
+    # delta, a length of at least 1, a strand bit
+    bounds = ((0, chrom_count - 1), (0, _UVARINT_MAX), (1, _UVARINT_MAX), (0, 1))
     columns: list[list[int]] = []
     for i in range(6):
         length = reader.uvarint()
@@ -393,7 +400,7 @@ def decode_block(payload: bytes) -> list[MethRecord]:
             raise Truncated(f"stream {i} runs past end of block")
         sub = _Reader(body, reader.pos, reader.pos + length)
         if i < 4:
-            columns.append(sub.runs(count, tops[i]))
+            columns.append(sub.runs(count, *bounds[i]))
         else:
             columns.append(sub.uvarints(count))
         if not sub.exhausted():
@@ -403,21 +410,23 @@ def decode_block(payload: bytes) -> list[MethRecord]:
         raise Truncated("block has trailing bytes after streams")
 
     chrom_idx, delta_zz, lengths, strands, coverages, meths = columns
+    top_meth = max(meths, default=0)
+    if top_meth > METH_PCT_MAX:
+        raise Truncated(f"meth_pct {top_meth} is above {METH_PCT_MAX}")
     records: list[MethRecord] = []
     append = records.append
+    # _make takes the tuple MethRecord's own __new__ would build, without its Python frame
+    make = MethRecord._make
+    signs = ("+", "-")
     pos = 0
-    for i in range(count):
-        pos += _unzigzag(delta_zz[i])
-        append(
-            MethRecord(
-                chroms[chrom_idx[i]],
-                pos,
-                pos + lengths[i],
-                "+" if strands[i] == 0 else "-",
-                coverages[i],
-                meths[i],
-            )
-        )
+    for i, chrom, delta, length, strand, coverage, meth in zip(
+        range(count), chrom_idx, delta_zz, lengths, strands, coverages, meths
+    ):
+        pos += -((delta + 1) >> 1) if delta & 1 else delta >> 1  # zigzag decode
+        end = pos + length
+        if pos < 0 or end >= END_LIMIT:
+            raise Truncated(f"record {i} spans [{pos}, {end}), outside [0, 2**63)")
+        append(make((chroms[chrom], pos, end, signs[strand], coverage, meth)))
     return records
 
 

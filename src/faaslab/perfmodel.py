@@ -12,8 +12,10 @@ formula lives: for each w of a sequence it yields the sort stage's and
 the encode stage's phase values in `LatencyBreakdown` field order,
 reading the profile fields once per call. The public models validate
 their arguments and wrap the single tuple it yields for their w, and
-the worker-count scan sums the same tuples without building a breakdown
-per w. `_phase_total` is the one summation of a phase tuple, in one
+the worker-count scan `_scan_totals` sums the same tuples, without
+building a breakdown per w, into a list of per-w totals: the model's
+latency curve, whose first minimum is the `auto` worker count.
+`_phase_total` is the one summation of a phase tuple, in one
 fixed order, so a breakdown's total, the scan's per-w total and the
 component sum agree bit for bit. The VM model, which the scan never
 evaluates, builds its breakdown directly.
@@ -172,16 +174,24 @@ def _phase_tuples(S, ws, n_in, ratio, store: StoreProfile, compute: ComputeProfi
     startup = compute.fn_startup
     sort_rate = compute.fn_sort_rate
     encode_rate = compute.fn_encode_rate
+    ceil = math.ceil
     out = S / ratio
+    # min and max are written as comparisons, cheaper per w than builtin
+    # calls; a tie keeps the operand they keep, b and read + w*L
     for w in ws:
-        e = min(b, A / w)  # per-worker bandwidth of w concurrent streams
+        e = A / w  # per-worker bandwidth of w concurrent streams, min(b, A/w)
+        if not e < b:
+            e = b
         share = S / w
         read = share / e
-        partition_phase = max(read + w * L, w * w / R)
+        partition_phase = read + w * L  # max(read + w*L, w*w/R)
+        floor = w * w / R
+        if floor > partition_phase:
+            partition_phase = floor
         yield (
             (
                 startup,
-                read + math.ceil(n_in / w) * L,
+                read + ceil(n_in / w) * L,
                 share / sort_rate,
                 partition_phase,
                 partition_phase,
@@ -236,14 +246,17 @@ def encode_latency_model(
     return LatencyBreakdown(*phases)
 
 
-def _scan_totals(S, n_in, store: StoreProfile, compute: ComputeProfile, w_max, ratio):
+def _scan_totals(S, n_in, store: StoreProfile, compute: ComputeProfile, w_max, ratio) -> list[float]:
     """Modeled sort+encode latency for w = 1..w_max, in order; unvalidated.
 
-    Each total is the shuffle and encode phase tuples summed, equal bit
-    for bit to the public models' totals added.
+    The latency curve of the scan: each total is the shuffle and encode
+    phase tuples summed, equal bit for bit to the public models' totals
+    added.
     """
-    for sort, encode in _phase_tuples(S, range(1, w_max + 1), n_in, ratio, store, compute):
-        yield _phase_total(sort) + _phase_total(encode)
+    return [
+        _phase_total(sort) + _phase_total(encode)
+        for sort, encode in _phase_tuples(S, range(1, w_max + 1), n_in, ratio, store, compute)
+    ]
 
 
 def optimal_worker_count(
@@ -256,20 +269,16 @@ def optimal_worker_count(
 ) -> int:
     """Worker count minimizing modeled sort+encode latency.
 
-    Scans every w in [1, w_max] (`_scan_totals`); ties go to the
-    smallest w, which is the cheaper configuration at equal latency.
+    Takes the first minimum of the per-w totals of every w in [1, w_max]
+    (`_scan_totals`): ties go to the smallest w, which is the cheaper
+    configuration at equal latency.
     """
     if w_max < 1:
         raise DomainError(f"w_max must be >= 1, got {w_max}")
     _require_positive(S=S, n_in=n_in)
     _require_ratio(ratio)
-    best_w = 1
-    best_total = math.inf
-    for w, total in enumerate(_scan_totals(S, n_in, store, compute, w_max, ratio), 1):
-        if total < best_total:
-            best_total = total
-            best_w = w
-    return best_w
+    totals = _scan_totals(S, n_in, store, compute, w_max, ratio)
+    return totals.index(min(totals)) + 1
 
 
 def compute_cost(

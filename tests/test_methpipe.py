@@ -210,19 +210,19 @@ def test_decode_truncated():
     with pytest.raises(Truncated):
         decode_block(body + zlib.crc32(body).to_bytes(4, "big"))
 
+def _varint(value):
+    out = bytearray()
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
 def _claiming_block(count):
     """A block whose header claims `count` records: streams 0 and 1 hold one run of that
     length each, the other four nothing; the checksum is valid."""
-    def varint(value):
-        out = bytearray()
-        while value >= 0x80:
-            out.append((value & 0x7F) | 0x80)
-            value >>= 7
-        out.append(value)
-        return bytes(out)
-
-    run = b"\x00" + varint(count)
-    body = MAGIC + b"\x01\x00" + varint(count) + (varint(len(run)) + run) * 2 + b"\x00" * 4
+    run = b"\x00" + _varint(count)
+    body = MAGIC + b"\x01\x00" + _varint(count) + (_varint(len(run)) + run) * 2 + b"\x00" * 4
     return body + zlib.crc32(body).to_bytes(4, "big")
 
 def test_decode_rejects_record_count_past_block_end():
@@ -238,11 +238,15 @@ def test_decode_rejects_record_count_past_block_end():
         tracemalloc.stop()
     assert peak < 1_000_000
 
-def _one_record_block(chrom=b"\x00", strand=b"\x00", coverage=b"\x05"):
-    """A block of one record, chr1 5..6 with meth_pct 50, whose chromosome and strand
-    run values and coverage varint are the given bytes; the checksum is valid."""
-    streams = [chrom + b"\x01", b"\x0a\x01", b"\x01\x01", strand + b"\x01", coverage, b"\x32"]
-    body = MAGIC + b"\x01\x01\x04chr1\x01" + b"".join(bytes([len(s)]) + s for s in streams)
+def _one_record_block(
+    chrom=b"\x00", strand=b"\x00", coverage=b"\x05", delta=b"\x0a", length=b"\x01", meth=b"\x32",
+    name=b"chr1",
+):
+    """A block of one record, chr1 5..6 with meth_pct 50, whose dictionary name, run
+    values and varints are the given bytes; the checksum is valid."""
+    streams = [chrom + b"\x01", delta + b"\x01", length + b"\x01", strand + b"\x01", coverage, meth]
+    body = MAGIC + b"\x01\x01" + bytes([len(name)]) + name + b"\x01"
+    body += b"".join(bytes([len(s)]) + s for s in streams)
     return body + zlib.crc32(body).to_bytes(4, "big")
 
 def test_decode_takes_each_value_at_its_largest():
@@ -260,11 +264,27 @@ def test_decode_takes_each_value_at_its_largest():
         {"strand": b"\x05"},
         {"strand": b"\x02"},
         {"chrom": b"\x01"},  # the dictionary holds one name
+        {"length": b"\x00"},  # start 5, end 5
+        {"delta": b"\x09"},  # start -5
+        {"length": _varint(2**63 - 5)},  # end 2**63
+        {"meth": b"\x65"},  # 101
+        {"meth": b"\xc8\x01"},  # 200
     ],
 )
 def test_decode_rejects_a_value_the_encoder_cannot_write(fields):
     with pytest.raises(Truncated):
         decode_block(_one_record_block(**fields))
+
+def test_decode_takes_each_record_bound_at_its_edge():
+    # start 0, end 2**63 - 1 and meth_pct 100 sit at the edges of the record domain
+    edge = MethRecord("chr1", 0, 2**63 - 1, "+", 5, 100)
+    block = _one_record_block(delta=b"\x00", length=_varint(2**63 - 1), meth=b"\x64")
+    assert block == encode_records([edge])
+    assert decode_block(block) == [edge]
+
+def test_decode_names_a_dictionary_entry_that_is_not_utf8():
+    with pytest.raises(Truncated, match="chromosome dictionary entry 0 is not UTF-8"):
+        decode_block(_one_record_block(name=b"chr\xff"))
 
 _records_strategy = st.lists(
     st.builds(

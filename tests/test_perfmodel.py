@@ -28,6 +28,7 @@ from faaslab.perfmodel import (
     shuffle_latency_model,
     vm_exchange_latency_model,
 )
+from faaslab.workflow import W_MAX_LIMIT
 
 INF = math.inf
 GB = 1e9
@@ -321,6 +322,43 @@ def test_scan_totals_are_the_public_models_bit_for_bit(regime):
         assert optimal_worker_count(S, n_in, profile, comp, 256, ratio) == brute_force_w(
             S, n_in, profile, comp, 256, ratio
         )
+
+@pytest.mark.parametrize("regime", ["conn", "aggregate", "ops", "latency"])
+def test_scan_is_the_latency_curve_and_auto_takes_its_first_minimum(regime):
+    rng = random.Random(f"curve-{regime}")
+    for _ in range(25):
+        profile, comp = regime_profiles(rng, regime)
+        S = 10 ** rng.uniform(6, 11)
+        n_in = rng.choice((1, 7, 64, 300))
+        ratio = rng.choice((1.0, 2.5, 7.75, 10.0, 1e6))
+        w_max = rng.choice((1, 17, 256))
+        totals = perfmodel._scan_totals(S, n_in, profile, comp, w_max, ratio)
+        assert type(totals) is list and len(totals) == w_max
+        assert all(type(total) is float for total in totals)
+        assert optimal_worker_count(S, n_in, profile, comp, w_max, ratio) == totals.index(min(totals)) + 1
+    # the whole range a workflow may declare
+    S, n_in = 10 ** rng.uniform(6, 11), rng.choice((1, 7, 64, 300))
+    assert optimal_worker_count(S, n_in, profile, comp, W_MAX_LIMIT) == brute_force_w(
+        S, n_in, profile, comp, W_MAX_LIMIT
+    )
+
+def test_scan_keeps_the_connection_bandwidth_where_the_aggregate_share_ties_it():
+    # A = 8b: A/w == b exactly at w = 8, where min(b, A/w) keeps b
+    b = 100e6
+    profile = StoreProfile(0.01, b, 8 * b, 3500.0)
+    comp = compute()
+    S, n_in, ratio = 3.5e9, 8, 10.0
+    assert profile.aggregate_bandwidth / 8 == profile.conn_bandwidth
+    totals = perfmodel._scan_totals(S, n_in, profile, comp, 64, ratio)
+    for w, total in enumerate(totals, 1):
+        expected = (
+            closed_form_shuffle(S, w, n_in, profile, comp).total
+            + closed_form_encode(S, w, ratio, profile, comp).total
+        )
+        assert total.hex() == expected.hex(), w
+    assert optimal_worker_count(S, n_in, profile, comp, 64, ratio) == brute_force_w(
+        S, n_in, profile, comp, 64, ratio
+    )
 
 @pytest.mark.parametrize(
     "overrides, message",
