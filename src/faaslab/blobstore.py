@@ -2,8 +2,9 @@
 
 Stands in for a cloud object store with four limits: per-request
 latency, per-connection bandwidth, aggregate bandwidth across
-connections, and a global operations-per-second cap. The store itself
-moves bytes and counts requests without taking any time; while a task
+connections, and a global operations-per-second cap. The store keeps
+its objects in one in-process dict, and moves bytes and counts
+requests without taking any time; while a task
 runs, each request is appended to the task's operation log. `replay`
 then computes a phase's timeline from its tasks' logs with one pure
 function, so identical logs give bit-identical timings, whatever the
@@ -12,35 +13,27 @@ host's cores, and there is one clock: the run's `VirtualClock`.
 
 from __future__ import annotations
 
-import errno
 import operator
-import os
 import threading
-import urllib.parse
 from dataclasses import dataclass, fields, replace
 
-from faaslab.errors import CapacityError, NotFound, RangeError
+from faaslab.errors import NotFound, RangeError
 
 INF = float("inf")
-
-MEMORY_BACKING = "memory"
-DISK_PREFIX = "disk:"
 
 
 @dataclass(frozen=True)
 class StoreProfile:
     """Shaping parameters of the emulated store.
 
-    Rates are bytes/s (bandwidth) and requests/s (ops cap); `backing` is
-    "memory" or "disk:<root directory>". Infinite rates are allowed in
-    code; profile files keep them finite.
+    Rates are bytes/s (bandwidth) and requests/s (ops cap). Infinite
+    rates are allowed in code; profile files keep them finite.
     """
 
     req_latency: float
     conn_bandwidth: float
     aggregate_bandwidth: float
     ops_rate_cap: float
-    backing: str = MEMORY_BACKING
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -55,8 +48,6 @@ class StoreProfile:
             )
         if not self.ops_rate_cap > 0:
             raise ValueError(f"ops_rate_cap must be > 0, got {self.ops_rate_cap}")
-        if self.backing != MEMORY_BACKING and not self.backing.startswith(DISK_PREFIX):
-            raise ValueError(f"backing must be 'memory' or 'disk:<root>', got {self.backing!r}")
 
 
 @dataclass(frozen=True)
@@ -196,72 +187,14 @@ class Session:
         return self._store._get(self, key, byte_range)
 
 
-class _MemoryBacking:
-    def __init__(self):
-        self._objects: dict[str, bytes] = {}
-
-    def write(self, key: str, payload: bytes) -> None:
-        self._objects[key] = payload
-
-    def read(self, key: str) -> bytes:
-        return self._objects[key]
-
-    def delete(self, key: str) -> None:
-        del self._objects[key]
-
-    def keys(self):
-        return self._objects.keys()
-
-    def size(self, key: str) -> int:
-        return len(self._objects[key])
-
-
-class _DiskBacking:
-    """One file per object under <root>/<bucket>/<percent-encoded key>."""
-
-    def __init__(self, root: str, bucket: str):
-        self._dir = os.path.join(root, bucket)
-        os.makedirs(self._dir, exist_ok=True)
-        self._sizes: dict[str, int] = {}
-        for name in os.listdir(self._dir):
-            key = urllib.parse.unquote(name)
-            self._sizes[key] = os.path.getsize(os.path.join(self._dir, name))
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self._dir, urllib.parse.quote(key, safe=""))
-
-    def write(self, key: str, payload: bytes) -> None:
-        try:
-            with open(self._path(key), "wb") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            if exc.errno == errno.ENOSPC:
-                raise CapacityError(f"disk backing full writing {key!r}") from exc
-            raise
-        self._sizes[key] = len(payload)
-
-    def read(self, key: str) -> bytes:
-        with open(self._path(key), "rb") as fh:
-            return fh.read()
-
-    def delete(self, key: str) -> None:
-        os.remove(self._path(key))
-        del self._sizes[key]
-
-    def keys(self):
-        return self._sizes.keys()
-
-    def size(self, key: str) -> int:
-        return self._sizes[key]
-
-
 class Blobstore:
     """Key-to-blob store; all clients are in-process.
 
     Requests take no time here. While `ops` is a list (the engine sets
     one per running task), every PUT and GET appends its
     ("io", nbytes, conn_bandwidth) entry to it, and `replay` turns the
-    logs into time; `clock` is the run's virtual clock.
+    logs into time; `clock` is the run's virtual clock. `bucket` only
+    labels the store.
     """
 
     def __init__(
@@ -274,10 +207,7 @@ class Blobstore:
         self.clock = clock if clock is not None else VirtualClock()
         self.bucket = bucket
         self.ops: list[tuple] | None = None
-        if profile.backing == MEMORY_BACKING:
-            self._backing = _MemoryBacking()
-        else:
-            self._backing = _DiskBacking(profile.backing[len(DISK_PREFIX) :], bucket)
+        self._objects: dict[str, bytes] = {}
         self._lock = threading.Lock()
         self._metrics = StoreMetrics()
         self._default_session = self.session()
@@ -296,7 +226,7 @@ class Blobstore:
             raise ValueError("object key must be non-empty")
         self._log(session, len(payload))
         with self._lock:
-            self._backing.write(key, payload)
+            self._objects[key] = payload
             self._metrics = replace(
                 self._metrics,
                 put_count=self._metrics.put_count + 1,
@@ -306,8 +236,8 @@ class Blobstore:
     def _get(self, session: Session, key: str, byte_range: tuple[int, int] | None) -> bytes:
         with self._lock:
             try:
-                payload = self._backing.read(key)
-            except (KeyError, FileNotFoundError):
+                payload = self._objects[key]
+            except KeyError:
                 raise NotFound(f"no object {key!r}") from None
         if byte_range is not None:
             lo, hi = byte_range
@@ -341,14 +271,14 @@ class Blobstore:
     def peek_prefix(self, prefix: str) -> list[tuple[str, int]]:
         """list_prefix without metrics; for run setup and inspection only."""
         with self._lock:
-            keys = sorted(k for k in self._backing.keys() if k.startswith(prefix))
-            return [(k, self._backing.size(k)) for k in keys]
+            keys = sorted(k for k in self._objects if k.startswith(prefix))
+            return [(k, len(self._objects[k])) for k in keys]
 
     def delete_object(self, key: str) -> None:
         with self._lock:
             try:
-                self._backing.delete(key)
-            except (KeyError, FileNotFoundError):
+                del self._objects[key]
+            except KeyError:
                 raise NotFound(f"no object {key!r}") from None
             self._metrics = replace(
                 self._metrics, delete_count=self._metrics.delete_count + 1
@@ -357,7 +287,7 @@ class Blobstore:
     def seed_object(self, key: str, payload: bytes) -> None:
         """Load an object without logging or metrics; for run setup only."""
         with self._lock:
-            self._backing.write(key, payload)
+            self._objects[key] = payload
 
     def store_metrics(self) -> StoreMetrics:
         with self._lock:

@@ -5,6 +5,11 @@ on-disk store directory, `run` executes one workflow in emulated or
 modeled mode, `compare` runs both exchange strategies at one worker
 count and prints the two-row latency/cost table.
 
+The store directory is plain files, one per object:
+`<store>/<bucket>/<key percent-encoded with urllib.parse.quote(key, safe="")>`.
+`generate` writes them; an emulated run reads the ones under its input
+prefix into a fresh in-memory `Blobstore` and writes nothing back.
+
 Human-readable tables go to stdout and progress events to stderr (one
 JSON object per line), so `--json` output stays pipeable. Exit codes:
 0 success, 1 runtime failure, 2 usage or validation errors, including
@@ -16,15 +21,18 @@ that overrides the workflow's embedded profiles.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
 import sys
+import urllib.parse
 from dataclasses import replace
 
-from faaslab.blobstore import Blobstore, StoreProfile
+from faaslab.blobstore import Blobstore
 from faaslab.engine import EngineOptions, Mode, RunReport, run_workflow
 from faaslab.errors import (
+    CapacityError,
     FaaslabError,
     SchemaError,
     SemanticError,
@@ -64,13 +72,6 @@ def _load_spec(path: str) -> WorkflowSpec:
     return spec
 
 
-def _unshaped_disk_store(root: str, bucket: str) -> Blobstore:
-    profile = StoreProfile(
-        0.0, float("inf"), float("inf"), float("inf"), backing=f"disk:{root}"
-    )
-    return Blobstore(profile, bucket=bucket)
-
-
 def _build_run_store(spec: WorkflowSpec, store_dir: str) -> Blobstore:
     """Fresh run store seeded with the input objects from disk.
 
@@ -79,14 +80,16 @@ def _build_run_store(spec: WorkflowSpec, store_dir: str) -> Blobstore:
     directory, such as a file in its path, is raised.
     """
     run_store = Blobstore(spec.profiles.store, bucket=spec.input.bucket)
+    directory = os.path.join(store_dir, spec.input.bucket)
     try:
-        os.stat(os.path.join(store_dir, spec.input.bucket))
+        names = os.listdir(directory)
     except FileNotFoundError:
         return run_store
-    source = _unshaped_disk_store(store_dir, spec.input.bucket)
-    objects = source.list_prefix(spec.input.prefix)
-    for key, _ in objects:
-        run_store.seed_object(key, source.get_object(key))
+    for name in sorted(names):
+        key = urllib.parse.unquote(name)
+        if key.startswith(spec.input.prefix):
+            with open(os.path.join(directory, name), "rb") as fh:
+                run_store.seed_object(key, fh.read())
     return run_store
 
 
@@ -126,9 +129,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return _fail("--chroms must be >= 1", 2)
     check_bucket(args.bucket, "--bucket")
     keys = [f"{args.out}{index:04d}" for index in range(args.objects)]
-    store = _unshaped_disk_store(args.store, args.bucket)
+    directory = os.path.join(args.store, args.bucket)
+    os.makedirs(directory, exist_ok=True)
     # a run reads every object under the prefix, so none may be left over
-    stale = sorted({key for key, _ in store.peek_prefix(args.out)} - set(keys))
+    stored = {urllib.parse.unquote(name) for name in os.listdir(directory)}
+    stale = sorted({key for key in stored if key.startswith(args.out)} - set(keys))
     if stale:
         return _fail(
             f"--out prefix {args.out!r} already holds {stale[0]!r}, which this call would not write", 2
@@ -136,7 +141,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     records = generate_synthetic(args.records, args.seed, chroms=args.chroms, shuffled=not args.sorted)
     manifest = []
     for key, payload in zip(keys, split_into_objects(records, args.objects)):
-        store.seed_object(key, payload)
+        try:
+            with open(os.path.join(directory, urllib.parse.quote(key, safe="")), "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            if exc.errno == errno.ENOSPC:
+                raise CapacityError(f"store directory full writing {key!r}") from exc
+            raise
         manifest.append({"key": key, "size": len(payload)})
     total = sum(entry["size"] for entry in manifest)
     print(

@@ -74,7 +74,7 @@ class RangeError(StoreError):
 
 
 class CapacityError(StoreError):
-    """The on-disk backing has no space left."""
+    """The CLI's store directory has no space left."""
 
 
 # --- analytic model errors ----------------------------------------------

@@ -381,8 +381,12 @@ def decode_block(payload: bytes) -> list[MethRecord]:
         length = reader.uvarint()
         if reader.pos + length > reader.end:
             raise Truncated("chromosome dictionary runs past end of block")
+        name = body[reader.pos : reader.pos + length]
+        # the names the parser accepts: non-empty, no field or line break, not a comment
+        if not name or name[:1] == b"#" or b"\t" in name or b"\n" in name or b"\r" in name:
+            raise Truncated(f"chromosome dictionary entry {len(chroms)} is not a parsable name")
         try:
-            chroms.append(body[reader.pos : reader.pos + length].decode("utf-8"))
+            chroms.append(name.decode("utf-8"))
         except UnicodeDecodeError:
             raise Truncated(f"chromosome dictionary entry {len(chroms)} is not UTF-8") from None
         reader.pos += length

@@ -14,8 +14,8 @@ from faaslab.perfmodel import ComputeProfile, shuffle_latency_model, vm_exchange
 INF = math.inf
 
 
-def unshaped(backing="memory"):
-    return StoreProfile(0.0, INF, INF, INF, backing=backing)
+def unshaped():
+    return StoreProfile(0.0, INF, INF, INF)
 
 
 def make_store(profile=None, **kwargs):
@@ -31,7 +31,6 @@ def make_store(profile=None, **kwargs):
         dict(req_latency=0, conn_bandwidth=0, aggregate_bandwidth=1, ops_rate_cap=1),
         dict(req_latency=0, conn_bandwidth=2, aggregate_bandwidth=1, ops_rate_cap=1),
         dict(req_latency=0, conn_bandwidth=1, aggregate_bandwidth=1, ops_rate_cap=0),
-        dict(req_latency=0, conn_bandwidth=1, aggregate_bandwidth=1, ops_rate_cap=1, backing="nfs:x"),
     ],
 )
 def test_profile_invariants_rejected(kwargs):
@@ -128,27 +127,6 @@ def test_seeding_not_counted():
     store.seed_object("a", b"x" * 100)
     assert store.store_metrics() == StoreMetrics()
     assert store.get_object("a") == b"x" * 100
-
-
-# --- disk backing -----------------------------------------------------------------
-
-def test_disk_backing_round_trip(tmp_path):
-    store = make_store(unshaped(backing=f"disk:{tmp_path}"), bucket="bkt")
-    store.put_object("raw/weird key/π", b"payload")
-    assert store.get_object("raw/weird key/π") == b"payload"
-    assert store.list_prefix("raw/") == [("raw/weird key/π", 7)]
-    # a new instance over the same root sees the object
-    again = make_store(unshaped(backing=f"disk:{tmp_path}"), bucket="bkt")
-    assert again.get_object("raw/weird key/π") == b"payload"
-    again.delete_object("raw/weird key/π")
-    assert again.list_prefix("") == []
-
-def test_disk_layout_one_file_per_object(tmp_path):
-    store = make_store(unshaped(backing=f"disk:{tmp_path}"), bucket="bkt")
-    store.put_object("a/b", b"z")
-    files = list((tmp_path / "bkt").iterdir())
-    assert len(files) == 1
-    assert files[0].name == "a%2Fb"
 
 
 # --- durability under concurrency ---------------------------------------------------

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -146,6 +147,44 @@ def test_generate_refuses_stale_objects_under_prefix(tmp_path, capsys):
     assert run_cli(capsys, *small, "--out", "small/")[0] == 0
     assert len(list(bucket.iterdir())) == 10
 
+
+def test_store_directory_holds_one_file_per_percent_encoded_key(desk_workflow, tmp_path, capsys):
+    # <store>/<bucket>/<key quoted with no safe characters>, which a run reads back
+    prefix = "raw/weird %key/π-"
+    store = tmp_path / "s"
+    code, out, _ = run_cli(capsys, "generate", "--records", "300", "--objects", "3",
+                           "--out", prefix, "--store", str(store))
+    assert code == 0
+    manifest = json.loads(out)["objects"]
+    assert [entry["key"] for entry in manifest] == [f"{prefix}{i:04d}" for i in range(3)]
+    assert sorted(p.name for p in (store / "data").iterdir()) == [
+        f"raw%2Fweird%20%25key%2F%CF%80-{i:04d}" for i in range(3)
+    ]
+    doc = json.loads(Path(desk_workflow).read_text())
+    doc["input"]["prefix"] = prefix
+    wf = tmp_path / "weird.json"
+    wf.write_text(json.dumps(doc))
+    spec = parse_workflow(wf.read_text())
+    assert _build_run_store(spec, str(store)).peek_prefix("") == [
+        (entry["key"], entry["size"]) for entry in manifest
+    ]
+    code, out, _ = run_cli(capsys, "run", "--workflow", str(wf), "--mode", "emulate",
+                           "--store", str(store), "--json")
+    assert code == 0
+    laws = request_laws(StageKind.SORT_EXCHANGE, ExchangeStrategy.SERVERLESS, 8, 3)
+    assert parse_report(out).stages[0].requests.get_count == laws.get_count
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_generate_on_a_full_disk_exit_1(tmp_path, capsys):
+    # every write to /dev/full fails with ENOSPC
+    bucket = tmp_path / "data"
+    bucket.mkdir()
+    (bucket / "raw%2F0000").symlink_to("/dev/full")
+    code, out, err = run_cli(capsys, "generate", "--records", "100", "--objects", "1",
+                             "--store", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("faaslab: ")
+    assert "full writing 'raw/0000'" in err
 
 @pytest.mark.parametrize("bucket", ["../outside", "..", ".", "a/b", ""])
 def test_bucket_outside_store_root_exit_2(bucket, tmp_path, capsys):

@@ -286,6 +286,11 @@ def test_decode_names_a_dictionary_entry_that_is_not_utf8():
     with pytest.raises(Truncated, match="chromosome dictionary entry 0 is not UTF-8"):
         decode_block(_one_record_block(name=b"chr\xff"))
 
+@pytest.mark.parametrize("name", [b"a\tb", b"", b"a\nb", b"a\rb", b"#c"])
+def test_decode_rejects_a_dictionary_name_the_parser_rejects(name):
+    with pytest.raises(Truncated, match="chromosome dictionary entry 0 is not a parsable name"):
+        decode_block(_one_record_block(name=name))
+
 _records_strategy = st.lists(
     st.builds(
         MethRecord,

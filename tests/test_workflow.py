@@ -36,6 +36,8 @@ MINIMAL = {
 
 
 WORKFLOWS = Path(__file__).parent.parent / "workflows"
+# the benchmark's grid of auto-parallelism workflows
+GRID = Path(__file__).parent.parent / "perfbench" / "grid"
 
 
 def shape_error(*kinds: str) -> str:
@@ -80,7 +82,9 @@ def test_only_sort_or_sort_then_encode_parses(kinds):
         parse_workflow(doc(stages=stages))
     assert str(info.value) == expected
 
-@pytest.mark.parametrize("path", sorted(WORKFLOWS.glob("*.json")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(WORKFLOWS.glob("*.json")) + sorted(GRID.glob("*.json")), ids=lambda p: p.name
+)
 def test_shipped_workflow_parses_validates_and_round_trips(path):
     spec = parse_workflow(path.read_text(encoding="utf-8"))
     assert validate_workflow(spec) == []
