@@ -8,7 +8,8 @@ requests without taking any time; while a task
 runs, each request is appended to the task's operation log. `replay`
 then computes a phase's timeline from its tasks' logs with one pure
 function, so identical logs give bit-identical timings, whatever the
-host's cores, and there is one clock: the run's `VirtualClock`.
+host's cores. No clock advances: `VirtualClock` and the store's `clock`
+and `bucket` parameters stay only because perfbench passes them.
 """
 
 from __future__ import annotations
@@ -79,17 +80,13 @@ _counter_values = operator.attrgetter(*_COUNTERS)
 
 
 class VirtualClock:
-    """Simulated time: the engine advances it by each phase's replayed span."""
+    """A clock that stays at its start; kept only for perfbench to read."""
 
     def __init__(self, start: float = 0.0):
         self._t = start
 
     def now(self) -> float:
         return self._t
-
-    def sleep(self, duration: float) -> None:
-        if duration > 0:
-            self._t += duration
 
 
 def _fair_shares(caps: list[float], capacity: float) -> list[float]:
@@ -193,8 +190,8 @@ class Blobstore:
     Requests take no time here. While `ops` is a list (the engine sets
     one per running task), every PUT and GET appends its
     ("io", nbytes, conn_bandwidth) entry to it, and `replay` turns the
-    logs into time; `clock` is the run's virtual clock. `bucket` only
-    labels the store.
+    logs into time. `clock` and `bucket` are kept only for perfbench:
+    nothing advances the clock, and `bucket` only labels the store.
     """
 
     def __init__(

@@ -72,24 +72,39 @@ def _load_spec(path: str) -> WorkflowSpec:
     return spec
 
 
-def _build_run_store(spec: WorkflowSpec, store_dir: str) -> Blobstore:
-    """Fresh run store seeded with the input objects from disk.
+def _read_inputs(spec: WorkflowSpec, store_dir: str) -> dict[str, bytes]:
+    """The input objects under the spec's prefix, read from disk once, by key.
 
-    A missing `<store_dir>/<bucket>` is an empty store: a run only reads
+    A missing `<store_dir>/<bucket>` holds no objects: a run only reads
     the store, so it creates no directory. Any other failure to reach the
-    directory, such as a file in its path, is raised.
+    directory, such as a file in its path, is raised, and so is
+    SchemaError when two file names decode to one key.
     """
-    run_store = Blobstore(spec.profiles.store, bucket=spec.input.bucket)
     directory = os.path.join(store_dir, spec.input.bucket)
     try:
         names = os.listdir(directory)
     except FileNotFoundError:
-        return run_store
+        return {}
+    inputs: dict[str, bytes] = {}
+    files: dict[str, str] = {}
     for name in sorted(names):
         key = urllib.parse.unquote(name)
-        if key.startswith(spec.input.prefix):
-            with open(os.path.join(directory, name), "rb") as fh:
-                run_store.seed_object(key, fh.read())
+        if not key.startswith(spec.input.prefix):
+            continue
+        path = os.path.join(directory, name)
+        if key in files:
+            raise SchemaError(path, f"decodes to key {key!r}, as {files[key]} does")
+        files[key] = path
+        with open(path, "rb") as fh:
+            inputs[key] = fh.read()
+    return inputs
+
+
+def _build_run_store(spec: WorkflowSpec, inputs: dict[str, bytes]) -> Blobstore:
+    """Fresh run store seeded with the input objects."""
+    run_store = Blobstore(spec.profiles.store, bucket=spec.input.bucket)
+    for key, payload in inputs.items():
+        run_store.seed_object(key, payload)
     return run_store
 
 
@@ -165,20 +180,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _execute(spec: WorkflowSpec, args: argparse.Namespace) -> RunReport:
-    mode = Mode(args.mode)
+def _inputs(spec: WorkflowSpec, args: argparse.Namespace) -> dict[str, bytes] | None:
+    """The input objects an emulated run reads; None in modeled mode."""
+    return None if Mode(args.mode) is Mode.MODELED else _read_inputs(spec, args.store)
+
+
+def _execute(spec: WorkflowSpec, args: argparse.Namespace, inputs: dict[str, bytes] | None) -> RunReport:
+    """Run `spec` modeled if `inputs` is None, else emulated on a fresh
+    store seeded with `inputs`."""
+    store = None if inputs is None else _build_run_store(spec, inputs)
     options = EngineOptions(progress=_progress_printer)
-    if mode is Mode.MODELED:
-        return run_workflow(spec, mode, seed=args.seed, options=options)
-    store = _build_run_store(spec, args.store)
-    return run_workflow(spec, mode, seed=args.seed, store=store, options=options)
+    return run_workflow(spec, args.mode, seed=args.seed, store=store, options=options)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     spec = _load_spec(args.workflow)
     if args.exchange:
         spec = with_exchange(spec, ExchangeStrategy(args.exchange))
-    report = _execute(spec, args)
+    report = _execute(spec, args, _inputs(spec, args))
     if args.json:
         sys.stdout.write(report_to_json(report))
     else:
@@ -188,11 +207,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = _load_spec(args.workflow)
-    serverless = _execute(with_exchange(spec, ExchangeStrategy.SERVERLESS), args)
-    # both strategies see the same input, profiles and w_max, so the VM
-    # runs at the w the serverless run resolved and `auto` scans once
+    # both strategies see the same input, profiles and w_max: the input
+    # files are read once, and the VM runs at the w the serverless run
+    # resolved, so `auto` scans once
+    inputs = _inputs(spec, args)
+    serverless = _execute(with_exchange(spec, ExchangeStrategy.SERVERLESS), args, inputs)
     vm_spec = replace(with_exchange(spec, ExchangeStrategy.VM), parallelism=serverless.parallelism)
-    reports = {"serverless": serverless, "vm": _execute(vm_spec, args)}
+    reports = {"serverless": serverless, "vm": _execute(vm_spec, args, inputs)}
     rows = [
         (
             "purely serverless" if name == "serverless" else "VM-supported",

@@ -412,9 +412,9 @@ class _Run:
 
         Runs the tasks in index order, task i as worker i, each logging
         its requests and compute charges; then replays the logs from
-        `delay` (cold start or VM provisioning), advances the clock by
-        the phase's span, records that span under `name` in the stage's
-        phase times and emits the phase's progress event. A failing
+        `delay` (cold start or VM provisioning), records the phase's
+        span under `name` in the stage's phase times, which build the
+        stage's latency, and emits the phase's progress event. A failing
         task raises TaskError with its worker index and the phase.
         """
         store = self.store
@@ -434,9 +434,7 @@ class _Run:
                     raise TaskError(worker % self.resolved_w, exc, name) from exc
         finally:
             store.ops = None
-        elapsed = max(replay(logs, store.profile, delay), default=delay)
-        store.clock.sleep(elapsed)
-        self.times[name] = elapsed
+        self.times[name] = max(replay(logs, store.profile, delay), default=delay)
         self._emit(stage.id, name, fraction)
         return results
 
@@ -601,12 +599,13 @@ def run_workflow(
 ) -> RunReport:
     """Execute a workflow end to end and return its report.
 
-    Emulated mode needs a store already holding the input objects, and
-    advances the store's virtual clock by each phase. Modeled mode needs
-    the input's declared size. Auto parallelism is resolved by the
-    optimizer before execution and recorded in the report. A failed
-    stage raises ExecutionError naming it, after deleting its outputs.
-    Deterministic given (spec, mode, seed), timings included.
+    Emulated mode needs a store already holding the input objects; each
+    phase's replayed span goes into its stage's latency, and the store's
+    clock is not read or advanced. Modeled mode needs the input's
+    declared size. Auto parallelism is resolved by the optimizer before
+    execution and recorded in the report. A failed stage raises
+    ExecutionError naming it, after deleting its outputs. Deterministic
+    given (spec, mode, seed), timings included.
     """
     mode = Mode(mode)
     violations = validate_workflow(spec)

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import gzip
 import zlib
-from bisect import bisect_right
 from itertools import accumulate, chain, compress, islice
-from operator import ne, not_, sub
+from operator import gt, ne, not_, sub
 
 from faaslab.errors import (
     BadMagic,
@@ -100,27 +99,6 @@ def _runs(column) -> tuple[list, list]:
     firsts = [0, *cuts]
     cuts.append(n)
     return list(map(column.__getitem__, firsts)), list(map(sub, cuts, firsts))
-
-
-def _chrom_runs(chroms) -> tuple[list, list] | None:
-    """A chromosome column's runs as (keys, sizes), or None unless it is sorted.
-
-    Each run is found with bisect_right and verified with a count; on a
-    sorted column that finds exactly the runs, and a column whose runs
-    all verify, with keys strictly ascending, is sorted.
-    """
-    keys: list = []
-    sizes: list = []
-    i, n = 0, len(chroms)
-    while i < n:
-        key = chroms[i]
-        j = bisect_right(chroms, key, i)
-        if chroms[i:j].count(key) != j - i or (keys and not keys[-1] < key):
-            return None
-        keys.append(key)
-        sizes.append(j - i)
-        i = j
-    return keys, sizes
 
 
 def _runs_in_order(sizes: list, deltas: list, ends, strands) -> bool:
@@ -245,21 +223,22 @@ class Batches:
         strand_bytes = b"".join(parsed.raw_strands)
         strands = strand_bytes.decode()
         deltas = list(map(sub, starts, chain((self._start,), starts)))
-        runs = _chrom_runs(chroms)
+        # adjacent run keys differ, so the column is sorted when none falls
+        keys, sizes = _runs(chroms)
         if (
-            runs is None
+            any(map(gt, keys, islice(keys, 1, None)))
             or (name(chroms[0]), starts[0], ends[0], strands[0]) < self._last
-            or not _runs_in_order(runs[1], deltas, ends, strands)
+            or not _runs_in_order(sizes, deltas, ends, strands)
         ):
-            keys = zip(map(name, chroms), starts, ends, strands)
-            c, s, e, t = _first_unsorted(self._last, keys)
+            records = zip(map(name, chroms), starts, ends, strands)
+            c, s, e, t = _first_unsorted(self._last, records)
             raise UnsortedInput(f"record ({c}, {s}, {e}, {t}) sorts before its predecessor")
         self._last = (name(chroms[-1]), starts[-1], ends[-1], strands[-1])
         self._start = starts[-1]
         self.count += len(starts)
         ids = self.ids
         chrom, delta, length, strand, coverage, meth = self.streams
-        chrom.runs([ids.setdefault(name(key), len(ids)) for key in runs[0]], runs[1])
+        chrom.runs([ids.setdefault(name(key), len(ids)) for key in keys], sizes)
         delta.runs(*_runs(deltas))
         length.runs(*_runs(list(map(sub, ends, starts))))
         strand.runs(*_runs(strand_bytes.translate(_STRAND_BITS)))

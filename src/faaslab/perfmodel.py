@@ -26,11 +26,10 @@ All operations are pure.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
+import os
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 
 from faaslab.blobstore import StoreMetrics, StoreProfile
 from faaslab.errors import DomainError, SchemaError, load_json, read_utf8
@@ -396,10 +395,9 @@ def load_profiles(path: str) -> Profiles:
 
 @functools.cache
 def builtin_profiles(name: str = CALIBRATED_PROFILE) -> Profiles:
-    """Load a profile sheet shipped with the package.
+    """Load the profile sheet `profiles/<name>.json` shipped beside this module.
 
     The sheet is package data and `Profiles` is frozen, so each name is
     read and validated once per process and the same value is shared.
     """
-    text = resources.files("faaslab").joinpath(f"profiles/{name}.json").read_text("utf-8")
-    return parse_profiles(json.loads(text))
+    return load_profiles(os.path.join(os.path.dirname(__file__), "profiles", f"{name}.json"))

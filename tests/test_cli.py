@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from faaslab import cli, engine
 from faaslab.blobstore import Blobstore
-from faaslab.cli import _build_run_store, main
+from faaslab.cli import _build_run_store, _read_inputs, main
 from faaslab.engine import ExecHooks, Mode, request_laws, run_workflow
 from faaslab.errors import FaaslabError
 from faaslab.methpipe import generate_synthetic, records_to_tsv, split_into_objects
@@ -165,7 +165,7 @@ def test_store_directory_holds_one_file_per_percent_encoded_key(desk_workflow, t
     wf = tmp_path / "weird.json"
     wf.write_text(json.dumps(doc))
     spec = parse_workflow(wf.read_text())
-    assert _build_run_store(spec, str(store)).peek_prefix("") == [
+    assert _build_run_store(spec, _read_inputs(spec, str(store))).peek_prefix("") == [
         (entry["key"], entry["size"]) for entry in manifest
     ]
     code, out, _ = run_cli(capsys, "run", "--workflow", str(wf), "--mode", "emulate",
@@ -364,6 +364,47 @@ def test_emulate_missing_store_creates_nothing(command, root_exists, desk_workfl
     assert "resolves to no objects" in err
     assert store.exists() == root_exists
     assert not (store / "data").exists()
+
+
+def test_store_files_decoding_to_one_key_exit_2(desk_workflow, tmp_path, capsys):
+    # raw%2F0000 and raw%2f0000 both decode to raw/0000; neither may replace the other
+    store = tmp_path / "s"
+    run_cli(capsys, "generate", "--records", "200", "--objects", "2", "--store", str(store))
+    bucket = store / "data"
+    (bucket / "raw%2f0000").write_bytes((bucket / "raw%2F0001").read_bytes())
+    for command in ("run", "compare"):
+        code, out, err = run_cli(
+            capsys, command, "--workflow", desk_workflow, "--mode", "emulate", "--store", str(store)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"faaslab: {bucket / 'raw%2f0000'}: decodes to key 'raw/0000', "
+            f"as {bucket / 'raw%2F0000'} does\n"
+        )
+
+
+def test_compare_reads_each_store_file_once(desk_workflow, tmp_path, capsys, monkeypatch):
+    store = tmp_path / "s"
+    run_cli(capsys, "generate", "--records", "2000", "--objects", "4", "--store", str(store))
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file).startswith(str(store)):
+            opened.append(os.path.basename(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, _ = run_cli(capsys, "compare", "--workflow", desk_workflow, "--mode", "emulate",
+                           "--store", str(store), "--json")
+    monkeypatch.undo()
+    assert code == 0
+    assert sorted(opened) == [f"raw%2F{i:04d}" for i in range(4)]
+    reports = json.loads(out)["reports"]
+    # each strategy read all four objects from its own seeded store
+    assert reports["serverless"]["stages"][0]["requests"]["get_count"] >= 4
+    assert reports["vm"]["stages"][0]["requests"]["get_count"] >= 4
 
 
 # --- compare ----------------------------------------------------------------------------
@@ -566,7 +607,7 @@ def test_compare_scans_auto_once(mode, tmp_path, capsys, count_scans):
     # the VM run pinned to the serverless run's w is the unpinned VM run
     spec = with_exchange(parse_workflow(Path(workflow).read_text()), ExchangeStrategy.VM)
     assert spec.parallelism is None
-    run_store = _build_run_store(spec, store) if store else None
+    run_store = _build_run_store(spec, _read_inputs(spec, store)) if store else None
     standalone = run_workflow(spec, Mode(mode), store=run_store)
     reports = json.loads(out)["reports"]
     assert json.dumps(reports["vm"], indent=2) + "\n" == report_to_json(standalone)

@@ -327,3 +327,24 @@ def test_records_to_tsv_takes_any_iterable_and_joins_in_batches():
         assert records_to_tsv(records[:n]) == expected
         assert records_to_tsv(iter(records[:n])) == expected
         assert records_to_tsv(r for r in records[:n]) == expected
+
+
+def test_chromosome_order_is_checked_as_oracle():
+    line = b"%s\t%d\t%d\t+\t1\t2\n"
+    # one chunk: each chromosome run is in order, the runs are not
+    one_chunk = b"".join(line % row for row in ((b"chr1", 5, 6), (b"chr2", 1, 2), (b"chr1", 9, 10)))
+    # two chunks of two lines, each in order; the second chunk's first
+    # chromosome sorts before the first chunk's last
+    rows = ((b"chr1", 1, 2), (b"chr3", 1, 2), (b"chr2", 1, 2), (b"chr4", 1, 2))
+    across_chunks = b"".join(line % row for row in rows)
+    two_lines = len(line % rows[0]) + 1
+    cases = (
+        (one_chunk, CHUNK_BYTES, [3], "chr1, 9, 10"),
+        (across_chunks, two_lines, [2, 2], "chr2, 1, 2"),
+    )
+    for payload, chunk_bytes, lines_per_chunk, record in cases:
+        with mock.patch.object(records_module, "CHUNK_BYTES", chunk_bytes):
+            assert [c.count(b"\n") for c in records_module._chunks(payload)] == lines_per_chunk
+            expected = (UnsortedInput, f"record ({record}, +) sorts before its predecessor")
+            assert outcome(oracle_path, payload) == expected
+            assert outcome(new_path, payload) == expected

@@ -155,6 +155,25 @@ def test_emulated_determinism_byte_identical():
     assert first[1] == second[1]
 
 @pytest.mark.parametrize("exchange", [ExchangeStrategy.SERVERLESS, ExchangeStrategy.VM])
+def test_emulated_run_never_advances_the_store_clock(exchange):
+    # phase spans go into the stages' latency; the store's clock is at most read
+    class ReadOnlyClock:
+        def now(self):
+            return 0.0
+
+    records = generate_synthetic(3000, seed=7, shuffled=True)
+    spec = two_stage_spec(exchange=exchange, w=4)
+    reports = []
+    for clock in (VirtualClock(), ReadOnlyClock()):
+        store = Blobstore(DESK_STORE, clock=clock)
+        for i, payload in enumerate(split_into_objects(records, 4)):
+            store.seed_object(f"raw/{i:04d}", payload)
+        reports.append(report_to_json(run_workflow(spec, Mode.EMULATED, store=store, seed=3)))
+        assert store.clock.now() == 0.0
+    assert reports[0] == reports[1]
+    assert parse_report(reports[0]).end_to_end_s > 0
+
+@pytest.mark.parametrize("exchange", [ExchangeStrategy.SERVERLESS, ExchangeStrategy.VM])
 def test_unshaped_run_completes(exchange):
     # infinite rates and zero latency: every request replays in no time
     records = generate_synthetic(2000, seed=6, shuffled=True)
