@@ -3,20 +3,20 @@
 Stands in for a cloud object store with four limits: per-request
 latency, per-connection bandwidth, aggregate bandwidth across
 connections, and a global operations-per-second cap. The store keeps
-its objects in one in-process dict, and moves bytes and counts
-requests without taking any time; while a task
-runs, each request is appended to the task's operation log. `replay`
-then computes a phase's timeline from its tasks' logs with one pure
-function, so identical logs give bit-identical timings, whatever the
-host's cores. No clock advances: `VirtualClock` and the store's `clock`
-and `bucket` parameters stay only because perfbench passes them.
+its objects in one in-process dict, moves bytes without taking any
+time, and appends every request to one ledger, from which
+`StoreMetrics.of` reads every count. `replay` computes a phase's
+timeline from its tasks' ledger slices with one pure function, so
+identical logs give bit-identical timings, whatever the host's cores.
+No clock advances: `VirtualClock` and the store's `clock` and `bucket`
+parameters stay only because perfbench passes them.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from faaslab.errors import NotFound, RangeError
 
@@ -60,11 +60,24 @@ class StoreMetrics:
     bytes_in: int = 0
     bytes_out: int = 0
 
-    def __sub__(self, other: "StoreMetrics") -> "StoreMetrics":
-        return StoreMetrics(*(getattr(self, k) - getattr(other, k) for k in _COUNTERS))
-
     def __add__(self, other: "StoreMetrics") -> "StoreMetrics":
         return StoreMetrics(*(getattr(self, k) + getattr(other, k) for k in _COUNTERS))
+
+    @staticmethod
+    def of(entries) -> "StoreMetrics":
+        """The requests among request-ledger `entries`, counted by verb.
+
+        ("cpu", seconds) entries are compute, not requests: they are
+        tallied apart and dropped. No request lists, so `list_count` is
+        always 0.
+        """
+        counts = dict.fromkeys(("get", "put", "delete", "cpu"), 0)
+        sizes = dict(counts)
+        for verb, size, *_ in entries:
+            counts[verb] += 1
+            sizes[verb] += size
+        return StoreMetrics(put_count=counts["put"], get_count=counts["get"], delete_count=counts["delete"],
+                            bytes_in=sizes["put"], bytes_out=sizes["get"])
 
     @staticmethod
     def total(items) -> "StoreMetrics":
@@ -110,9 +123,10 @@ def _fair_shares(caps: list[float], capacity: float) -> list[float]:
 def replay(logs: list[list[tuple]], profile: StoreProfile, start: float = 0.0) -> list[float]:
     """Finish time of each task of one phase, replayed from its operation log.
 
-    Every task starts at `start` and runs its operations in order:
-    ("cpu", seconds) holds the task for that long; ("io", nbytes,
-    conn_bandwidth) is one request, in flight from issue to completion.
+    A task's log is its slice of the store's request ledger. Every task
+    starts at `start` and runs its entries in order: ("cpu", seconds)
+    holds the task for that long; any other entry, (verb, nbytes,
+    conn_bandwidth), is one request, in flight from issue to completion.
     Request tokens are granted first come, first served in issue order
     (ties to the lower task index): the n-th grant of the phase comes at
     max(issue, start + (n-1)/ops_rate_cap). Request latency runs from
@@ -187,11 +201,12 @@ class Session:
 class Blobstore:
     """Key-to-blob store; all clients are in-process.
 
-    Requests take no time here. While `ops` is a list (the engine sets
-    one per running task), every PUT and GET appends its
-    ("io", nbytes, conn_bandwidth) entry to it, and `replay` turns the
-    logs into time. `clock` and `bucket` are kept only for perfbench:
-    nothing advances the clock, and `bucket` only labels the store.
+    Requests take no time here. Under the lock, every GET, PUT and
+    DELETE appends ("get" | "put" | "delete", nbytes, conn_bandwidth) to
+    `ledger`, and `charge` appends a task's ("cpu", seconds). The
+    engine runs one task at a time, so a task's ledger slice is the
+    operation log `replay` times. `clock` and `bucket` are kept only for
+    perfbench: nothing advances the clock, and `bucket` only labels it.
     """
 
     def __init__(
@@ -203,32 +218,27 @@ class Blobstore:
         self.profile = profile
         self.clock = clock if clock is not None else VirtualClock()
         self.bucket = bucket
-        self.ops: list[tuple] | None = None
+        self.ledger: list[tuple] = []
         self._objects: dict[str, bytes] = {}
         self._lock = threading.Lock()
-        self._metrics = StoreMetrics()
         self._default_session = self.session()
 
     def session(self, conn_bandwidth: float | None = None) -> Session:
         return Session(self, conn_bandwidth or self.profile.conn_bandwidth)
 
-    def _log(self, session: Session, nbytes: int) -> None:
-        if self.ops is not None:
-            self.ops.append(("io", nbytes, session.conn_bandwidth))
+    def charge(self, seconds: float) -> None:
+        """Log compute time of the running task as a ("cpu", seconds) entry."""
+        with self._lock:
+            self.ledger.append(("cpu", seconds))
 
     # -- operations ----------------------------------------------------------
 
     def _put(self, session: Session, key: str, payload: bytes) -> None:
         if not key:
             raise ValueError("object key must be non-empty")
-        self._log(session, len(payload))
         with self._lock:
             self._objects[key] = payload
-            self._metrics = replace(
-                self._metrics,
-                put_count=self._metrics.put_count + 1,
-                bytes_in=self._metrics.bytes_in + len(payload),
-            )
+            self.ledger.append(("put", len(payload), session.conn_bandwidth))
 
     def _get(self, session: Session, key: str, byte_range: tuple[int, int] | None) -> bytes:
         with self._lock:
@@ -236,20 +246,14 @@ class Blobstore:
                 payload = self._objects[key]
             except KeyError:
                 raise NotFound(f"no object {key!r}") from None
-        if byte_range is not None:
-            lo, hi = byte_range
-            if lo < 0 or hi < lo or hi > len(payload):
-                raise RangeError(
-                    f"range [{lo}, {hi}) invalid for object {key!r} of {len(payload)} bytes"
-                )
-            payload = payload[lo:hi]
-        self._log(session, len(payload))
-        with self._lock:
-            self._metrics = replace(
-                self._metrics,
-                get_count=self._metrics.get_count + 1,
-                bytes_out=self._metrics.bytes_out + len(payload),
-            )
+            if byte_range is not None:
+                lo, hi = byte_range
+                if lo < 0 or hi < lo or hi > len(payload):
+                    raise RangeError(
+                        f"range [{lo}, {hi}) invalid for object {key!r} of {len(payload)} bytes"
+                    )
+                payload = payload[lo:hi]
+            self.ledger.append(("get", len(payload), session.conn_bandwidth))
         return payload
 
     def put_object(self, key: str, payload: bytes) -> None:
@@ -258,15 +262,9 @@ class Blobstore:
     def get_object(self, key: str, byte_range: tuple[int, int] | None = None) -> bytes:
         return self._get(self._default_session, key, byte_range)
 
-    def list_prefix(self, prefix: str) -> list[tuple[str, int]]:
-        """All (key, size) pairs under the prefix, lexicographically ordered."""
-        result = self.peek_prefix(prefix)
-        with self._lock:
-            self._metrics = replace(self._metrics, list_count=self._metrics.list_count + 1)
-        return result
-
     def peek_prefix(self, prefix: str) -> list[tuple[str, int]]:
-        """list_prefix without metrics; for run setup and inspection only."""
+        """All (key, size) pairs under the prefix, in key order; not a
+        request, so it logs nothing. For setup, cleanup and inspection."""
         with self._lock:
             keys = sorted(k for k in self._objects if k.startswith(prefix))
             return [(k, len(self._objects[k])) for k in keys]
@@ -277,15 +275,14 @@ class Blobstore:
                 del self._objects[key]
             except KeyError:
                 raise NotFound(f"no object {key!r}") from None
-            self._metrics = replace(
-                self._metrics, delete_count=self._metrics.delete_count + 1
-            )
+            self.ledger.append(("delete", 0, self.profile.conn_bandwidth))
 
     def seed_object(self, key: str, payload: bytes) -> None:
-        """Load an object without logging or metrics; for run setup only."""
+        """Load an object without a ledger entry; for run setup only."""
         with self._lock:
             self._objects[key] = payload
 
     def store_metrics(self) -> StoreMetrics:
+        """Every request the store has served, counted from its ledger."""
         with self._lock:
-            return self._metrics
+            return StoreMetrics.of(self.ledger)

@@ -4,13 +4,15 @@ Emulated mode moves real bytes through the store. Each stage runs as a
 sequence of phases with a full barrier between them (read, compute,
 write, ...), mirroring the breakdown the analytic model produces. A
 phase's tasks run one after another and take no time while they run:
-each records an operation log of its store requests and of its compute,
-charged at the profile's processing rates, and returns what it
-produced. `blobstore.replay` then computes the phase's w-wide concurrent
-timeline from the logs, so timings are bit-for-bit reproducible
-regardless of host cores. The phase hands its tasks' results to the
-next phase and records its time under its own name, which is the
-stage's `LatencyBreakdown` field.
+each appends its store requests and its compute, charged at the
+profile's processing rates, to the store's request ledger, and returns
+what it produced. A task's slice of the ledger is its operation log,
+and `blobstore.replay` computes the phase's w-wide concurrent timeline
+from those logs, so timings are bit-for-bit reproducible regardless of
+host cores. The phase hands its tasks' results to the next phase and
+records its time under its own name, which is the stage's
+`LatencyBreakdown` field. A stage's request counts are its slice of the
+ledger, counted by `StoreMetrics.of`.
 
 Modeled mode skips data movement entirely and evaluates the closed-form
 phase formulas, taking request counts from the exchange's exact count
@@ -386,7 +388,7 @@ class _Run:
             else:
                 execute = self._sort_serverless
             self.times = {}
-            before = store.store_metrics()
+            first = len(store.ledger)
             try:
                 current = execute(stage, current)
             except BaseException as exc:
@@ -397,7 +399,7 @@ class _Run:
                     raise ExecutionError(stage.id, exc) from exc
                 raise
             latency = LatencyBreakdown(**self.times)
-            self._record_stage(stage, latency, store.store_metrics() - before)
+            self._record_stage(stage, latency, StoreMetrics.of(store.ledger[first:]))
         return self._finish()
 
     def _phase(
@@ -410,37 +412,33 @@ class _Run:
     ) -> list:
         """Run one barrier phase and return its tasks' results in worker order.
 
-        Runs the tasks in index order, task i as worker i, each logging
-        its requests and compute charges; then replays the logs from
-        `delay` (cold start or VM provisioning), records the phase's
-        span under `name` in the stage's phase times, which build the
-        stage's latency, and emits the phase's progress event. A failing
-        task raises TaskError with its worker index and the phase.
+        Runs the tasks in index order, task i as worker i, each
+        appending its requests and compute charges to the store's
+        ledger. Since the tasks run one after another, task i's ledger
+        slice is its operation log. Replays the logs from `delay` (cold
+        start or VM provisioning), records the phase's span under `name`
+        in the stage's phase times, which build the stage's latency, and
+        emits the phase's progress event. A failing task raises
+        TaskError with its worker index and the phase.
         """
         store = self.store
+        ledger = store.ledger
         hooks = self.options.hooks
         on_start = hooks.on_task_start if hooks else None
         logs, results = [], []
-        try:
-            for worker, task in enumerate(tasks):
-                store.ops = []
-                logs.append(store.ops)
-                try:
-                    if on_start:
-                        on_start(stage.id, name, worker)
-                    results.append(task())
-                except BaseException as exc:
-                    # sampler j (task w + j) samples object j, which mapper j mod w reads
-                    raise TaskError(worker % self.resolved_w, exc, name) from exc
-        finally:
-            store.ops = None
+        for worker, task in enumerate(tasks):
+            first = len(ledger)
+            try:
+                if on_start:
+                    on_start(stage.id, name, worker)
+                results.append(task())
+            except BaseException as exc:
+                # sampler j (task w + j) samples object j, which mapper j mod w reads
+                raise TaskError(worker % self.resolved_w, exc, name) from exc
+            logs.append(ledger[first:])
         self.times[name] = max(replay(logs, store.profile, delay), default=delay)
         self._emit(stage.id, name, fraction)
         return results
-
-    def _charge(self, seconds: float) -> None:
-        """Log modeled compute time in the running task's operation log."""
-        self.store.ops.append(("cpu", seconds))
 
     def _tracker(self, stage: StageSpec, worker: int):
         hooks = self.options.hooks
@@ -494,7 +492,7 @@ class _Run:
             lines = shuffle.sort_lines(payloads[worker])
             payloads[worker] = None
             routed = shuffle.partition_records(lines, plan)
-            self._charge(nbytes / compute.fn_sort_rate)
+            self.store.charge(nbytes / compute.fn_sort_rate)
             return routed
 
         fragments = self._phase(stage, "sort_compute", 0.5, self._each(partition))
@@ -539,7 +537,7 @@ class _Run:
         def sort():
             lines = shuffle.sort_lines(payloads)
             payloads.clear()
-            self._charge(size / compute.vm_sort_rate)
+            self.store.charge(size / compute.vm_sort_rate)
             return lines
 
         [lines] = self._phase(stage, "sort_compute", 0.7, [sort])
@@ -575,7 +573,7 @@ class _Run:
             if track:
                 track(len(block))
             payloads[worker] = None
-            self._charge(len(payload) / compute.fn_encode_rate)
+            self.store.charge(len(payload) / compute.fn_encode_rate)
             return block
 
         blocks = self._phase(stage, "encode", 0.7, self._each(encode))

@@ -51,6 +51,9 @@ _UVARINT_MAX = COVERAGE_LIMIT - 1
 
 
 def _write_uvarint(buf: bytearray, value: int) -> None:
+    """Append `value` as a varint. The range check is safety code: every
+    encoded value comes from a parse that bounds it to the record domain,
+    so no caller in faaslab can reach Overflow."""
     if value < 0 or value > _UVARINT_MAX:
         raise Overflow(f"value out of varint range: {value}")
     while value >= 0x80:
@@ -66,8 +69,9 @@ def _zigzag(value: int) -> int:
 class _Varints(dict):
     """Maps a value to its varint bytes, encoding each distinct value once.
 
-    Raises Overflow for a value outside varint range. Each Batches owns
-    its maps, so nothing outlives the block encoded from it.
+    Raises Overflow for a value outside varint range, which no parsed
+    value is (see `_write_uvarint`). Each Batches owns its maps, so
+    nothing outlives the block encoded from it.
     """
 
     __slots__ = ()

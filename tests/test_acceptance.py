@@ -308,7 +308,7 @@ def test_criterion_accounting_conservation():
         for stage in report.stages:
             summed = summed + stage.requests
         assert summed == report.store_metrics
-        assert after - before == summed
+        assert after == before + summed
 
         cost = report.cost
         assert cost.total == (

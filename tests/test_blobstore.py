@@ -83,12 +83,12 @@ def test_empty_range_of_empty_object_ok():
     store.put_object("a", b"")
     assert store.get_object("a", (0, 0)) == b""
 
-def test_list_prefix_ordering():
+def test_peek_prefix_ordering():
     store = make_store()
     for key in ("p/2", "q/1", "p/1"):
         store.put_object(key, b"x")
-    assert [k for k, _ in store.list_prefix("p/")] == ["p/1", "p/2"]
-    assert store.list_prefix("nothing/") == []
+    assert [k for k, _ in store.peek_prefix("p/")] == ["p/1", "p/2"]
+    assert store.peek_prefix("nothing/") == []
 
 def test_delete():
     store = make_store()
@@ -163,11 +163,10 @@ def io(nbytes, conn=INF):
 
 
 def task_log(store, requests):
-    """The operation log one task leaves by running `requests` on the store."""
-    store.ops = []
+    """The ledger slice one task leaves by running `requests` on the store."""
+    first = len(store.ledger)
     requests(store)
-    log, store.ops = store.ops, None
-    return log
+    return store.ledger[first:]
 
 
 def test_requests_append_to_the_running_task_log():
@@ -175,10 +174,10 @@ def test_requests_append_to_the_running_task_log():
     store.seed_object("a", b"0123456789")
     session = store.session(conn_bandwidth=2e6)
     log = task_log(store, lambda s: (s.put_object("b", b"xyz"), session.get_object("a", (2, 6))))
-    assert log == [io(3, 4e6), io(4, 2e6)]
-    # outside a task, requests log nothing and take no time
+    assert log == [("put", 3, 4e6), ("get", 4, 2e6)]
+    # outside a task, requests still go in the ledger and take no time
     store.get_object("a")
-    assert store.ops is None
+    assert store.ledger[-1] == ("get", 10, 4e6)
     assert store.clock.now() == 0.0
 
 def test_shaped_put_duration_closed_form():

@@ -106,7 +106,7 @@ def seeded_store(records, n_objects, store_profile=DESK_STORE):
 
 def decoded_outputs(store):
     out = []
-    for key, _ in store.list_prefix("encoded/enc/"):
+    for key, _ in store.peek_prefix("encoded/enc/"):
         out.extend(decode_block(store.get_object(key)))
     return out
 
@@ -147,7 +147,7 @@ def test_emulated_determinism_byte_identical():
     def run():
         store = seeded_store(records, 8)
         report = run_workflow(two_stage_spec(), Mode.EMULATED, store=store, seed=3)
-        objects = {k: store.get_object(k) for k, _ in store.list_prefix("")}
+        objects = {k: store.get_object(k) for k, _ in store.peek_prefix("")}
         return report_to_json(report), objects
 
     first, second = run(), run()
@@ -214,6 +214,55 @@ def test_request_count_laws_vm():
 def test_request_count_laws_per_shape(exchange, w, n_objects):
     check_request_laws(exchange, w, n_objects)
 
+
+def phase_laws(exchange, w, n_in):
+    """(GET, PUT) of each (stage, phase) that makes requests; no other phase makes any."""
+    if exchange is ExchangeStrategy.SERVERLESS:
+        sort = {
+            "input_read": (2 * n_in, 0),
+            "partition_write": (0, w * w),
+            "partition_read": (w * w, 0),
+            "output_write": (0, w),
+        }
+    else:
+        sort = {"input_read": (n_in, 0), "output_write": (0, w)}
+    laws = {("sort", phase): counts for phase, counts in sort.items()}
+    laws["enc", "input_read"] = (w, 0)
+    laws["enc", "output_write"] = (0, w)
+    return laws
+
+@pytest.mark.parametrize("exchange", [ExchangeStrategy.SERVERLESS, ExchangeStrategy.VM])
+@pytest.mark.parametrize("w, n_objects", [(3, 4), (4, 6), (8, 3)])
+def test_phase_requests_follow_the_laws_and_sum_to_the_stage(exchange, w, n_objects):
+    records = generate_synthetic(6000, seed=16, shuffled=True)
+    store = seeded_store(records, n_objects, store_profile=FAST_STORE)
+    marks = []  # (stage, phase, ledger length) at each progress event
+
+    def progress(event):
+        marks.append((event["stage"], event["phase"], len(store.ledger)))
+
+    spec = two_stage_spec(profiles(store=FAST_STORE), exchange, w)
+    options = EngineOptions(progress=progress)
+    report = run_workflow(spec, Mode.EMULATED, store=store, options=options)
+    # each event closes the ledger slice the one before it opened
+    phases, first = {}, 0
+    for stage, phase, end in marks:
+        phases[stage, phase] = StoreMetrics.of(store.ledger[first:end])
+        first = end
+    assert len(phases) == len(marks) and first == len(store.ledger)
+    laws = phase_laws(exchange, w, n_objects)
+    assert laws.keys() <= phases.keys()
+    for key, metrics in phases.items():
+        if key in laws:
+            assert (metrics.get_count, metrics.put_count) == laws[key], key
+            assert metrics.delete_count == metrics.list_count == 0, key
+        else:
+            assert metrics == StoreMetrics(), key
+    for stage in report.stages:
+        summed = StoreMetrics.total(m for (s, _), m in phases.items() if s == stage.stage_id)
+        assert summed == stage.requests
+    assert store.store_metrics() == report.store_metrics
+
 def test_report_conservation():
     records = generate_synthetic(6000, seed=3, shuffled=True)
     store = seeded_store(records, 4)
@@ -224,7 +273,7 @@ def test_report_conservation():
     for stage in report.stages:
         total = total + stage.requests
     assert total == report.store_metrics
-    assert after - before == total
+    assert after == before + total
 
 def test_modeled_sort_bytes_use_stage_sample_bytes():
     records = generate_synthetic(40_000, seed=17, shuffled=True)
@@ -262,8 +311,10 @@ def test_failing_task_cleans_stage_outputs():
     assert err.value.cause.worker == 2
     assert err.value.cause.phase == "partition_write"
     assert calls["n"] == 1
-    assert store.list_prefix("part/sort/") == []
-    assert store.list_prefix("sorted/sort/") == []
+    assert store.peek_prefix("part/sort/") == []
+    assert store.peek_prefix("sorted/sort/") == []
+    # mappers 0 and 1 wrote 4 fragments each before worker 2 failed
+    assert store.store_metrics().delete_count == 8
 
 def test_run_workflow_wraps_stage_failure():
     records = generate_synthetic(1000, seed=9, shuffled=True)
@@ -282,8 +333,8 @@ def test_run_workflow_wraps_stage_failure():
         )
     assert err.value.stage_id == "enc"
     # sort-stage outputs stay, encode outputs are cleaned
-    assert store.list_prefix("sorted/sort/") != []
-    assert store.list_prefix("encoded/enc/") == []
+    assert store.peek_prefix("sorted/sort/") != []
+    assert store.peek_prefix("encoded/enc/") == []
 
 
 @pytest.mark.parametrize(
@@ -314,7 +365,7 @@ def test_parse_error_names_stage(exchange, bad, worker, phase):
     assert isinstance(err.value.cause.cause, ParseError)
     if phase == "input_read":
         assert f"raw/{bad:04d}" in str(err.value)
-    assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
+    assert store.peek_prefix("part/sort/") == store.peek_prefix("sorted/sort/") == []
 
 
 @pytest.mark.parametrize(
@@ -340,7 +391,7 @@ def test_sort_compute_parse_error_names_object(exchange, worker):
     assert isinstance(cause.cause, ParseError)
     assert cause.cause.column == 2
     assert "raw/0001" in str(err.value)
-    assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
+    assert store.peek_prefix("part/sort/") == store.peek_prefix("sorted/sort/") == []
 
 
 @pytest.mark.parametrize("exchange", list(ExchangeStrategy), ids=lambda e: e.value)
@@ -359,7 +410,7 @@ def test_encode_parse_error_names_object(exchange):
     assert (err.value.stage_id, cause.worker, cause.phase) == ("enc", 1, "encode")
     assert isinstance(cause.cause, ParseError)
     assert "'sorted/sort/1'" in str(err.value)
-    assert store.list_prefix("encoded/enc/") == []
+    assert store.peek_prefix("encoded/enc/") == []
 
 
 def test_bad_fragment_names_partition_object():
@@ -379,7 +430,7 @@ def test_bad_fragment_names_partition_object():
     assert isinstance(cause.cause, ParseError)
     assert cause.cause.column == 1
     assert "'part/sort/0-0'" in str(err.value)
-    assert store.list_prefix("part/sort/") == store.list_prefix("sorted/sort/") == []
+    assert store.peek_prefix("part/sort/") == store.peek_prefix("sorted/sort/") == []
 
 
 def test_all_tied_input_gives_identical_outputs():
@@ -394,7 +445,7 @@ def test_all_tied_input_gives_identical_outputs():
             store.seed_object(f"raw/{i:04d}", payload)
         run_workflow(two_stage_spec(exchange=exchange, w=4), Mode.EMULATED, store=store)
         outputs.append(
-            [{k: store.get_object(k) for k, _ in store.list_prefix(p)} for p in ("sorted/sort/", "encoded/enc/")]
+            [{k: store.get_object(k) for k, _ in store.peek_prefix(p)} for p in ("sorted/sort/", "encoded/enc/")]
         )
         assert decoded_outputs(store) == sorted(records * 2)
     assert outputs[0] == outputs[1]
@@ -459,7 +510,7 @@ def test_non_ascii_chrom_sorts_identically_and_round_trips():
     for exchange in ExchangeStrategy:
         store = seeded_store(records, 4)
         run_workflow(two_stage_spec(exchange=exchange, w=3), Mode.EMULATED, store=store)
-        payloads = [store.get_object(k) for k, _ in store.list_prefix("sorted/sort/")]
+        payloads = [store.get_object(k) for k, _ in store.peek_prefix("sorted/sort/")]
         assert b"".join(payloads) == expected
         assert decoded_outputs(store) == sorted(records)
 
@@ -540,7 +591,7 @@ def vm_sort_outcome(objects, w):
         while isinstance(exc, (ExecutionError, TaskError)):
             exc = exc.cause
         return type(exc), exc.column, exc.reason
-    return [store.get_object(key) for key, _ in store.list_prefix("sorted/sort/")]
+    return [store.get_object(key) for key, _ in store.peek_prefix("sorted/sort/")]
 
 
 def oracle_outcome(objects, w):
@@ -725,7 +776,7 @@ def test_vm_sort_stage_peaks_below_the_record_sort():
         oracle_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert outputs == [store.get_object(k) for k, _ in store.list_prefix("sorted/sort/")]
+    assert outputs == [store.get_object(k) for k, _ in store.peek_prefix("sorted/sort/")]
     assert marks["peak"] < oracle_peak
 
 
@@ -836,7 +887,7 @@ def test_auto_parallelism_emulated():
     spec = two_stage_spec(w=8)
     auto = replace(spec, parallelism=None, w_max=16)
     report = run_workflow(auto, Mode.EMULATED, store=store)
-    size = sum(s for _, s in store.list_prefix("raw/")) - report.store_metrics.bytes_in
+    size = sum(s for _, s in store.peek_prefix("raw/")) - report.store_metrics.bytes_in
     expected = optimal_worker_count(
         sum(len(p) for p in split_into_objects(records, 4)), 4,
         spec.profiles.store, spec.profiles.compute, 16,

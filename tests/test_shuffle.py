@@ -198,12 +198,12 @@ def test_zero_records_still_writes_w_objects():
     store = fast_store()
     map_side([], ShufflePlan(3, ()), 0, store.session(), "sort")
     assert store.store_metrics().put_count == 3
-    assert [k for k, _ in store.list_prefix("part/sort/")] == [
+    assert [k for k, _ in store.peek_prefix("part/sort/")] == [
         "part/sort/0-0",
         "part/sort/0-1",
         "part/sort/0-2",
     ]
-    assert all(size == 0 for _, size in store.list_prefix("part/sort/"))
+    assert all(size == 0 for _, size in store.peek_prefix("part/sort/"))
 
 def test_map_phase_writes_w_squared_objects():
     w = 4
@@ -213,7 +213,7 @@ def test_map_phase_writes_w_squared_objects():
     per_mapper = [records[i::w] for i in range(w)]
     for mapper in range(w):
         map_side(per_mapper[mapper], plan, mapper, store.session(), "sort")
-    listed = store.list_prefix("part/")
+    listed = store.peek_prefix("part/")
     assert len(listed) == 16
     assert store.store_metrics().put_count == 16
 

@@ -47,7 +47,7 @@ def sort_encode_run(exchange):
         profiles=builtin_profiles("desk-v1"),
         parallelism=3,
     )
-    run_workflow(spec, Mode.EMULATED, store=store)
+    return run_workflow(spec, Mode.EMULATED, store=store)
 
 
 def auto_modeled_run():
@@ -76,7 +76,12 @@ def test_instrument_patches_existing_attributes_and_undo_restores_them():
             if before[owner].get(name) is not value
         }
         for ex in ExchangeStrategy:
-            sort_encode_run(ex)
+            seen = len(tracer.spans)
+            report = sort_encode_run(ex)
+            # a request that bypasses the Session methods opens no span
+            totals = tracing.Totals(tracer.spans[seen:])
+            traced = (totals.n("blobstore.get"), totals.n("blobstore.put"))
+            assert traced == (report.store_metrics.get_count, report.store_metrics.put_count), ex
         auto_modeled_run()
     finally:
         undo()
