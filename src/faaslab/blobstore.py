@@ -120,29 +120,30 @@ def _fair_shares(caps: list[float], capacity: float) -> list[float]:
     return shares
 
 
-def replay(logs: list[list[tuple]], profile: StoreProfile, start: float = 0.0) -> list[float]:
+def replay(logs: list[list[tuple]], profile: StoreProfile) -> list[float]:
     """Finish time of each task of one phase, replayed from its operation log.
 
-    A task's log is its slice of the store's request ledger. Every task
-    starts at `start` and runs its entries in order: ("cpu", seconds)
-    holds the task for that long; any other entry, (verb, nbytes,
-    conn_bandwidth), is one request, in flight from issue to completion.
-    Request tokens are granted first come, first served in issue order
-    (ties to the lower task index): the n-th grant of the phase comes at
-    max(issue, start + (n-1)/ops_rate_cap). Request latency runs from
-    issue and overlaps the token wait; bytes flow once both have passed.
-    The requests in flight share the aggregate bandwidth max-min fairly,
-    each capped by its connection, and a request still waiting on its
-    latency or token holds its share without using it. Pure and
-    deterministic: equal logs give equal finish times.
+    Times count from the phase's start. A task's log is its slice of the
+    store's request ledger. Every task starts at 0 and runs its entries
+    in order: ("cpu", seconds) holds the task for that long; any other
+    entry, (verb, nbytes, conn_bandwidth), is one request, in flight from
+    issue to completion. Request tokens are granted first come, first
+    served in issue order (ties to the lower task index): the n-th grant
+    of the phase comes at max(issue, (n-1)/ops_rate_cap). Request
+    latency runs from issue and overlaps the token wait; bytes flow once
+    both have passed. The requests in flight share the aggregate
+    bandwidth max-min fairly, each capped by its connection, and a
+    request still waiting on its latency or token holds its share
+    without using it. Pure and deterministic: equal logs give equal
+    finish times.
     """
     latency, rate_cap = profile.req_latency, profile.ops_rate_cap
-    finish = [start] * len(logs)
+    finish = [0.0] * len(logs)
     position = [0] * len(logs)
-    due = {i: start for i in range(len(logs))}  # task -> when its next operation starts
+    due = {i: 0.0 for i in range(len(logs))}  # task -> when its next operation starts
     flows: dict[int, list[float]] = {}  # task -> [ready, bytes left, connection cap, share]
     granted = 0
-    t = start
+    t = 0.0
     changed = False
     while due or flows:
         for i in sorted(i for i, at in due.items() if at <= t):
@@ -156,7 +157,7 @@ def replay(logs: list[list[tuple]], profile: StoreProfile, start: float = 0.0) -
             if op[0] == "cpu":
                 due[i] = t + op[1]
                 continue
-            token = start + granted / rate_cap
+            token = granted / rate_cap
             granted += 1
             flows[i] = [max(token, t + latency), op[1], op[2], 0.0]
             changed = True

@@ -49,7 +49,6 @@ from faaslab.workflow import (
     check_bucket,
     parse_workflow,
     with_exchange,
-    with_profiles,
 )
 
 _USAGE_ERRORS = (WorkflowSyntaxError, SchemaError, SemanticError, ValidationError)
@@ -68,7 +67,7 @@ def _load_spec(path: str) -> WorkflowSpec:
     spec = parse_workflow(read_utf8(path))
     override = os.environ.get("FAASLAB_PROFILE")
     if override:
-        spec = with_profiles(spec, load_profiles(override))
+        spec = replace(spec, profiles=load_profiles(override))
     return spec
 
 

@@ -3,13 +3,14 @@
 Emulated mode moves real bytes through the store. Each stage runs as a
 sequence of phases with a full barrier between them (read, compute,
 write, ...), mirroring the breakdown the analytic model produces. A
-phase's tasks run one after another and take no time while they run:
-each appends its store requests and its compute, charged at the
-profile's processing rates, to the store's request ledger, and returns
-what it produced. A task's slice of the ledger is its operation log,
-and `blobstore.replay` computes the phase's w-wide concurrent timeline
-from those logs, so timings are bit-for-bit reproducible regardless of
-host cores. The phase hands its tasks' results to the next phase and
+stage takes and returns its objects as a (key, size) list, the form
+`peek_prefix` gives for the input. A phase's tasks run one after another
+and take no time while they run: each appends its store requests and
+its compute, charged at the profile's processing rates, to the store's
+request ledger, and returns what it produced. A task's slice of the
+ledger is its operation log, and `blobstore.replay` computes the phase's
+w-wide concurrent timeline from those logs, every task starting at 0, so
+timings are bit-for-bit reproducible regardless of host cores. The phase hands its tasks' results to the next phase and
 records its time under its own name, which is the stage's
 `LatencyBreakdown` field. A stage's request counts are its slice of the
 ledger, counted by `StoreMetrics.of`.
@@ -18,8 +19,10 @@ Modeled mode skips data movement entirely and evaluates the closed-form
 phase formulas, taking request counts from the exchange's exact count
 laws (`request_laws`).
 
-Cold start (or VM provisioning) is injected as a delay once per stage
-wave in both modes.
+Every stage starts with one startup wave, VM provisioning for the VM
+sort stage and a function cold start otherwise (`_Run._startup`). It is
+a per-stage constant in both modes: emulated stages record it ahead of
+their phases and do not replay it.
 
 An emulated run allocates millions of lines and ints that never form
 reference cycles, so it turns the cyclic garbage collector off while it
@@ -29,7 +32,7 @@ runs; reference counting still frees each one once it is dropped.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator
@@ -52,7 +55,6 @@ from faaslab.perfmodel import (
 )
 from faaslab.workflow import (
     RESERVED_PREFIXES,
-    DataRef,
     ExchangeStrategy,
     StageKind,
     StageSpec,
@@ -162,17 +164,14 @@ def request_laws(
     )
 
 
-def _resolve_input(spec: WorkflowSpec, store: Blobstore) -> DataRef:
+def _resolve_input(spec: WorkflowSpec, store: Blobstore) -> list[tuple[str, int]]:
+    """The (key, size) of each input object, in key order."""
     objects = store.peek_prefix(spec.input.prefix)
     if not objects:
         raise ValidationError(
             [f"input prefix {spec.input.prefix!r} resolves to no objects"]
         )
-    return replace(spec.input, objects=tuple(objects))
-
-
-def _ref_size(ref: DataRef) -> int:
-    return sum(size for _, size in ref.objects or ())
+    return objects
 
 
 def _stage_ratio(stage: StageSpec) -> float:
@@ -253,6 +252,12 @@ class _Run:
 
     def _bills_as_vm(self, kind: str) -> bool:
         return kind == StageKind.SORT_EXCHANGE and self.spec.exchange is ExchangeStrategy.VM
+
+    def _startup(self, stage: StageSpec) -> float:
+        """The stage's startup wave: VM provisioning for the VM sort
+        stage, a function cold start for any other."""
+        compute = self.profiles.compute
+        return compute.vm_provision if self._bills_as_vm(stage.kind) else compute.fn_startup
 
     def _store_metrics(self) -> StoreMetrics:
         return StoreMetrics.total(report.requests for report in self.stage_reports)
@@ -347,12 +352,12 @@ class _Run:
             )
             # models are looked up by name here, so they can be patched on this module
             if stage.kind is StageKind.ENCODE:
-                model, args, delay = encode_latency_model, (size, w, ratio), compute.fn_startup
+                model, args = encode_latency_model, (size, w, ratio)
             elif spec.exchange is ExchangeStrategy.VM:
-                model, args, delay = vm_exchange_latency_model, (size, count, w), compute.vm_provision
+                model, args = vm_exchange_latency_model, (size, count, w)
             else:
-                model, args, delay = shuffle_latency_model, (size, w, count), compute.fn_startup
-            latency = model(*args, store, compute) if size > 0 else LatencyBreakdown(startup=delay)
+                model, args = shuffle_latency_model, (size, w, count)
+            latency = model(*args, store, compute) if size > 0 else LatencyBreakdown(startup=self._startup(stage))
             self._record_stage(stage, latency, requests)
             # the encode stage reads the sort stage's w outputs
             count = w
@@ -378,8 +383,8 @@ class _Run:
         store = self.store
         if store is None:
             raise ValidationError(["emulated runs need a store with the input objects"])
-        current = _resolve_input(spec, store)
-        self._resolve_w(_ref_size(current), len(current.objects), store.profile)
+        objects = _resolve_input(spec, store)
+        self._resolve_w(sum(size for _, size in objects), len(objects), store.profile)
         for stage in spec.stages:
             if stage.kind is StageKind.ENCODE:
                 execute = self._encode
@@ -387,10 +392,11 @@ class _Run:
                 execute = self._sort_vm
             else:
                 execute = self._sort_serverless
-            self.times = {}
+            self.times = {"startup": self._startup(stage)}
             first = len(store.ledger)
             try:
-                current = execute(stage, current)
+                self._emit(stage.id, "startup", 0.0)
+                objects = execute(stage, objects)
             except BaseException as exc:
                 _cleanup_stage_outputs(store, stage)
                 if isinstance(exc, TaskError) and isinstance(exc.cause, MemoryBudgetError):
@@ -408,18 +414,17 @@ class _Run:
         name: str,
         fraction: float,
         tasks: list[Callable[[], object]],
-        delay: float = 0.0,
     ) -> list:
         """Run one barrier phase and return its tasks' results in worker order.
 
         Runs the tasks in index order, task i as worker i, each
         appending its requests and compute charges to the store's
         ledger. Since the tasks run one after another, task i's ledger
-        slice is its operation log. Replays the logs from `delay` (cold
-        start or VM provisioning), records the phase's span under `name`
-        in the stage's phase times, which build the stage's latency, and
-        emits the phase's progress event. A failing task raises
-        TaskError with its worker index and the phase.
+        slice is its operation log. Replays the logs, every task
+        starting at 0, records the phase's span, its last task's finish,
+        under `name` in the stage's phase times, which build the stage's
+        latency, and emits the phase's progress event. A failing task
+        raises TaskError with its worker index and the phase.
         """
         store = self.store
         ledger = store.ledger
@@ -436,7 +441,7 @@ class _Run:
                 # sampler j (task w + j) samples object j, which mapper j mod w reads
                 raise TaskError(worker % self.resolved_w, exc, name) from exc
             logs.append(ledger[first:])
-        self.times[name] = max(replay(logs, store.profile, delay), default=delay)
+        self.times[name] = max(replay(logs, store.profile))
         self._emit(stage.id, name, fraction)
         return results
 
@@ -450,7 +455,7 @@ class _Run:
         """One task per function: worker i runs fn(i)."""
         return [partial(fn, i) for i in range(self.resolved_w)]
 
-    def _readers(self, stage: StageSpec, role: str, objects: tuple, session: Session) -> list:
+    def _readers(self, stage: StageSpec, role: str, objects: list, session: Session) -> list:
         """input_read tasks: deal objects round-robin to the w functions, within
         their memory; function i GETs objects i, i + w, i + 2w, ..."""
         w = self.resolved_w
@@ -467,13 +472,11 @@ class _Run:
 
         return self._each(read)
 
-    def _sort_serverless(self, stage: StageSpec, inputs: DataRef) -> DataRef:
+    def _sort_serverless(self, stage: StageSpec, objects: list) -> list:
         compute, w = self.profiles.compute, self.resolved_w
         sample_bytes = _sample_bytes(stage)
-        objects = inputs.objects
         session = self.store.session()
         readers = self._readers(stage, "mapper", objects, session)
-        self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
 
         # map reads and the sampler's range GETs run concurrently in one
         # input_read phase; the plan is built at the phase barrier, before
@@ -521,17 +524,15 @@ class _Run:
             track = self._tracker(stage, worker)
             return _write_sorted(session, stage.id, worker, payload, track)
 
-        outputs = self._phase(stage, "output_write", 1.0, self._each(reduce))
-        return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs))
+        return self._phase(stage, "output_write", 1.0, self._each(reduce))
 
-    def _sort_vm(self, stage: StageSpec, inputs: DataRef) -> DataRef:
+    def _sort_vm(self, stage: StageSpec, objects: list) -> list:
         compute, w = self.profiles.compute, self.resolved_w
-        size = _ref_size(inputs)
+        size = sum(size for _, size in objects)
         session = self.store.session(conn_bandwidth=compute.vm_bandwidth)
         track = self._tracker(stage, 0)
-        self._phase(stage, "startup", 0.0, [], delay=compute.vm_provision)
         [payloads] = self._phase(
-            stage, "input_read", 0.35, [lambda: list(_fetch(session, inputs.objects, track))]
+            stage, "input_read", 0.35, [lambda: list(_fetch(session, objects, track))]
         )
 
         def sort():
@@ -556,14 +557,13 @@ class _Run:
             return outputs
 
         [outputs] = self._phase(stage, "output_write", 1.0, [write])
-        return DataRef(inputs.bucket, f"sorted/{stage.id}/", objects=tuple(outputs))
+        return outputs
 
-    def _encode(self, stage: StageSpec, inputs: DataRef) -> DataRef:
+    def _encode(self, stage: StageSpec, objects: list) -> list:
         """Encode the sort stage's w outputs, one object per worker."""
         compute = self.profiles.compute
         session = self.store.session()
-        readers = self._readers(stage, "encoder", inputs.objects, session)
-        self._phase(stage, "startup", 0.0, [], delay=compute.fn_startup)
+        readers = self._readers(stage, "encoder", objects, session)
         payloads = self._phase(stage, "input_read", 0.35, readers)
 
         def encode(worker: int):
@@ -584,8 +584,7 @@ class _Run:
             session.put_object(key, block)
             return key, len(block)
 
-        outputs = self._phase(stage, "output_write", 1.0, self._each(write))
-        return DataRef(inputs.bucket, f"encoded/{stage.id}/", objects=tuple(outputs))
+        return self._phase(stage, "output_write", 1.0, self._each(write))
 
 
 def run_workflow(

@@ -45,7 +45,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from faaslab.errors import ParseError
@@ -146,22 +145,16 @@ def record_lines(records: Iterable[MethRecord]) -> list[bytes]:
     return lines
 
 
-# Records per join in records_to_tsv.
-SERIALIZE_BATCH = 4096
-
-
 def records_to_tsv(records: Iterable[MethRecord]) -> bytes:
-    """Serialize records to the internal 6-column TSV form.
+    """Serialize records to the internal 6-column TSV form, each line
+    ending in a newline; no records give b"".
 
-    Joins SERIALIZE_BATCH lines at a time, so no line list for the whole
-    payload is ever alive, and the payload is copied once, by the last join.
+    Callers pass one parse chunk's records at a time, so the line list
+    is one chunk's and the payload is built by one join.
     """
-    records = iter(records)
-    pieces = []
-    while lines := record_lines(islice(records, SERIALIZE_BATCH)):
-        lines.append(b"")
-        pieces.append(b"\n".join(lines))
-    return b"".join(pieces)
+    lines = record_lines(records)
+    lines.append(b"")
+    return b"\n".join(lines)
 
 
 # Bytes per batch-parse chunk; chunks are cut after a newline.

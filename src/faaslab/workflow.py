@@ -71,18 +71,17 @@ STAGE_SHAPES = (
 
 @dataclass(frozen=True)
 class DataRef:
-    """Reference to input objects under one bucket/prefix.
+    """The declared input: the objects under one bucket/prefix.
 
-    `objects` is runtime state filled in by the engine when it lists the
-    store; `size_bytes`/`object_count` are optional declared hints that
-    let modeled runs describe inputs that are never materialized.
+    `size_bytes`/`object_count` are optional declared hints that let
+    modeled runs describe inputs that are never materialized. Emulated
+    runs list the store's objects under the prefix instead.
     """
 
     bucket: str
     prefix: str
     size_bytes: float | None = None
     object_count: int | None = None
-    objects: tuple[tuple[str, int], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -350,8 +349,3 @@ def serialize_workflow(spec: WorkflowSpec) -> str:
 def with_exchange(spec: WorkflowSpec, exchange: ExchangeStrategy) -> WorkflowSpec:
     """Copy of the spec with the exchange strategy swapped."""
     return replace(spec, exchange=exchange)
-
-
-def with_profiles(spec: WorkflowSpec, profiles: Profiles) -> WorkflowSpec:
-    """Copy of the spec with all three profile sheets replaced."""
-    return replace(spec, profiles=profiles)

@@ -291,22 +291,21 @@ _op = st.one_of(
     latency=st.floats(0.0, 0.01),
     aggregate=st.sampled_from([1e6, 4e6, 64e6, INF]),
     rate=st.sampled_from([10.0, 200.0, 1e4, INF]),
-    start=st.floats(0.0, 100.0),
 )
-def test_replay_respects_every_limit(logs, latency, aggregate, rate, start):
+def test_replay_respects_every_limit(logs, latency, aggregate, rate):
     profile = StoreProfile(latency, 1e6, aggregate, rate)
-    finishes = replay(logs, profile, start)
-    assert finishes == replay([list(log) for log in logs], profile, start)
+    finishes = replay(logs, profile)
+    assert finishes == replay([list(log) for log in logs], profile)
     slack = 1e-9
     requests = [op for log in logs for op in log if op[0] == "io"]
     for log, finish in zip(logs, finishes):
         alone = sum(latency + op[1] / op[2] if op[0] == "io" else op[1] for op in log)
-        assert finish >= start + alone - slack * (1 + start + alone)
+        assert finish >= alone - slack * (1 + alone)
     last = max(finishes)
     if requests:
         moved = sum(op[1] for op in requests) / aggregate
-        assert last >= start + moved - slack * (1 + start + moved)
-        assert last >= start + (len(requests) - 1) / rate - slack * (1 + start)
+        assert last >= moved - slack * (1 + moved)
+        assert last >= (len(requests) - 1) / rate - slack
 
 
 # --- virtual clock ------------------------------------------------------------------
@@ -341,9 +340,7 @@ def test_virtual_request_cap_spacing():
 def test_virtual_no_idle_credit_after_reset():
     profile = StoreProfile(0.0, 1e6, 1e6, INF)
     assert replay([[io(1_000_000, 1e6)]], profile) == [pytest.approx(1.0)]
-    # a phase replayed later starts with no credit from the idle time
-    assert replay([[io(1_000_000, 1e6)]], profile, start=10.0) == [pytest.approx(11.0)]
-    # nor does idle time inside a task bank a burst
+    # idle time inside a task banks no burst
     assert replay([[io(1_000_000, 1e6), ("cpu", 9.0), io(1_000_000, 1e6)]], profile) == [
         pytest.approx(11.0)
     ]

@@ -42,6 +42,7 @@ from faaslab.methpipe import (
 )
 from faaslab.methpipe.records import END_LIMIT, record_lines
 from faaslab.perfmodel import (
+    DESK_PROFILE,
     ComputeProfile,
     PriceSheet,
     Profiles,
@@ -932,6 +933,22 @@ def test_virtual_emulation_agrees_with_model(store_profile):
     ]
     for modeled, emulated in checks:
         assert emulated == pytest.approx(modeled, rel=0.10), (modeled, emulated, checks)
+
+@pytest.mark.parametrize("exchange", list(ExchangeStrategy), ids=lambda e: e.value)
+def test_startup_is_one_rule_in_both_modes(exchange):
+    # the VM sort stage provisions its VM and every function stage cold
+    # starts, whichever mode runs the workflow
+    desk = builtin_profiles(DESK_PROFILE)
+    store = seeded_store(generate_synthetic(3000, seed=8, shuffled=True), 4, desk.store)
+    size = sum(size for _, size in store.peek_prefix("raw/"))
+    spec = two_stage_spec(desk, exchange, w=3)
+    declared = replace(spec, input=DataRef("data", "raw/", size_bytes=size, object_count=4))
+    emulated = run_workflow(spec, Mode.EMULATED, store=store)
+    modeled = run_workflow(declared, Mode.MODELED)
+    sort_startup = desk.compute.vm_provision if exchange is ExchangeStrategy.VM else desk.compute.fn_startup
+    expected = [sort_startup, desk.compute.fn_startup]
+    assert [stage.latency.startup for stage in emulated.stages] == expected
+    assert [stage.latency.startup for stage in modeled.stages] == expected
 
 
 # --- progress events -----------------------------------------------------------------------------

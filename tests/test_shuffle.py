@@ -674,7 +674,7 @@ def test_all_tied_block_sorts_by_key_below_the_reparse_peak(monkeypatch):
     monkeypatch.setattr(records_module, "CHUNK_BYTES", 1024)
     records = [
         r._replace(chrom="chr1", start=7, end=8 + r.start % 3)
-        for r in generate_synthetic(5 * records_module.SERIALIZE_BATCH + 11, seed=41, shuffled=True)
+        for r in generate_synthetic(20_491, seed=41, shuffled=True)
     ]
     objects = [(f"raw/{i}", p) for i, p in enumerate(split_into_objects(records, 8))]
     expected = record_lines(sorted(records))
